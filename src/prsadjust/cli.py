@@ -209,6 +209,21 @@ def _cmd_simulate(cfg: PipelineConfig) -> int:
     return 0
 
 
+def _parse_vcf(path: str):
+    """Parse a VCF, naming skipped rows by reason on stderr."""
+    matrix, report = pio.parse_vcf(path)
+    if report.skipped:
+        reasons = ", ".join(
+            f"{len(report.skipped[reason])} {reason}" for reason in sorted(report.skipped)
+        )
+        print(
+            f"{Path(path).name}: {report.rows_skipped}/{report.rows_total} rows skipped "
+            f"({reasons})",
+            file=sys.stderr,
+        )
+    return matrix
+
+
 def _fit_prs_inputs(cfg: PipelineConfig, matrix, weights):
     """Shared raw-score path: restrict to weight variants, align, fill, score."""
     weight_panel = PanelDefinition(name="weights", variant_ids=weights.variant_ids)
@@ -229,7 +244,7 @@ def _fit_prs_inputs(cfg: PipelineConfig, matrix, weights):
 def _cmd_fit(cfg: PipelineConfig) -> int:
     _require(cfg, "train_vcf", "panel", "weights")
     out = _out_dir(cfg)
-    matrix, _ = pio.parse_vcf(cfg.train_vcf)
+    matrix = _parse_vcf(cfg.train_vcf)
     panel = pio.parse_panel(cfg.panel)
     weights = pio.parse_weights(cfg.weights)
 
@@ -288,7 +303,7 @@ def _cmd_score(cfg: PipelineConfig) -> int:
             "adjustment model was fitted against a different PCA model file"
         )
 
-    matrix, _ = pio.parse_vcf(cfg.test_vcf)
+    matrix = _parse_vcf(cfg.test_vcf)
     weights = pio.parse_weights(cfg.weights)
 
     index = matrix.variant_index()

@@ -12,6 +12,13 @@ panels and weight tables still match.
 
 Text is UTF-8; both LF and CRLF line endings are accepted. Writers emit LF
 only, so output bytes are identical across platforms.
+
+VCF rows whose FORMAT is exactly ``GT`` and whose calls are all three
+ASCII bytes (``0/1``, ``1|1``, ``./.``, ...) are decoded and written as
+whole rows of bytes with numpy. Every byte is still validated; a row that
+fails a check, or any other row (DS, subfields, irregular widths), takes
+the per-entry path, which gives the same values and raises the same
+errors.
 """
 
 from __future__ import annotations
@@ -68,6 +75,23 @@ _GT_DOSAGE = {
     "1/1": 2.0, "1|1": 2.0,
 }
 _GT_MISSING = ("./.", ".|.")
+
+
+# Byte path for fixed-width GT rows: each call plus the tab after it is one
+# little-endian 4-byte word, looked up in the sorted table of valid words.
+def _gt_word_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    calls = (*_GT_DOSAGE, *_GT_MISSING)
+    words = np.frombuffer("".join(c + "\t" for c in calls).encode("ascii"), dtype="<u4")
+    order = np.argsort(words)
+    dosage = np.array([_GT_DOSAGE.get(c, 0.0) for c in calls])
+    missing = np.array([c in _GT_MISSING for c in calls])
+    return words[order], dosage[order], missing[order]
+
+
+_GT_WORDS, _GT_WORD_DOSAGE, _GT_WORD_MISSING = _gt_word_table()
+# The written GT call for codes 0, 1, 2 (dosage) and 3 (missing), each with
+# the tab that separates it from the field before.
+_GT_CALL_BYTES = np.frombuffer(b"\t0/0\t0/1\t1/1\t./.", dtype=np.uint8).reshape(4, 4)
 
 
 @contextmanager
@@ -131,6 +155,10 @@ def parse_vcf(source: Source) -> tuple[GenotypeMatrix, VcfParseReport]:
     with non-ACGT alleles and rows repeating an already-seen variant id
     are skipped and itemized in the report.
 
+    Rows whose FORMAT is exactly ``GT`` with every call three ASCII bytes
+    are decoded as one byte array per row; any other row, or one with an
+    invalid byte, is decoded entry by entry, which raises the error.
+
     Parameters
     ----------
     source : path or stream
@@ -145,7 +173,8 @@ def parse_vcf(source: Source) -> tuple[GenotypeMatrix, VcfParseReport]:
     ParseAbort
         If the header line is absent, malformed or has duplicate samples.
     MalformedRow
-        If a data row has the wrong column count or an undecodable field.
+        If a data row has the wrong column count, an undecodable field, a
+        POS below 1 or an empty CHROM.
     """
     with _text_source(source) as stream:
         sample_names: tuple[str, ...] | None = None
@@ -181,15 +210,16 @@ def parse_vcf(source: Source) -> tuple[GenotypeMatrix, VcfParseReport]:
                 raise ParseAbort(f"line {line_no}: data row before #CHROM header")
 
             rows_total += 1
-            fields = line.split("\t")
-            if len(fields) != len(_VCF_FIXED_COLUMNS) + len(sample_names):
+            n_columns = line.count("\t") + 1
+            if n_columns != len(_VCF_FIXED_COLUMNS) + len(sample_names):
                 raise MalformedRow(
                     line_no,
                     f"expected {len(_VCF_FIXED_COLUMNS) + len(sample_names)} columns, "
-                    f"got {len(fields)}",
+                    f"got {n_columns}",
                 )
-            chrom, pos_text, vid, ref, alt = fields[0], fields[1], fields[2], fields[3], fields[4]
-            fmt = fields[8]
+            chrom, pos_text, vid, ref, alt, _, _, _, fmt, calls = line.split(
+                "\t", len(_VCF_FIXED_COLUMNS)
+            )
 
             if "," in alt:
                 skipped.setdefault(SKIP_MULTI_ALLELIC, []).append(line_no)
@@ -210,46 +240,17 @@ def parse_vcf(source: Source) -> tuple[GenotypeMatrix, VcfParseReport]:
             fmt_keys = fmt.split(":")
             if not fmt_keys or fmt_keys[0] != "GT":
                 raise MalformedRow(line_no, f"FORMAT {fmt!r} must start with GT")
-            ds_index = fmt_keys.index("DS") if "DS" in fmt_keys else None
-
-            dose = np.empty(len(sample_names), dtype=np.float64)
-            miss = np.zeros(len(sample_names), dtype=bool)
-            for i, entry in enumerate(fields[len(_VCF_FIXED_COLUMNS):]):
-                subfields = entry.split(":")
-                value: float | None
-                if ds_index is not None and ds_index < len(subfields):
-                    token = subfields[ds_index]
-                    if token == ".":
-                        value = None
-                    else:
-                        try:
-                            value = float(token)
-                        except ValueError:
-                            raise MalformedRow(
-                                line_no, f"sample {sample_names[i]}: bad DS {token!r}"
-                            ) from None
-                        if not (0.0 <= value <= 2.0):
-                            raise MalformedRow(
-                                line_no,
-                                f"sample {sample_names[i]}: DS {token} outside [0, 2]",
-                            )
-                else:
-                    gt = subfields[0]
-                    if gt in _GT_MISSING:
-                        value = None
-                    else:
-                        value = _GT_DOSAGE.get(gt)
-                        if value is None:
-                            raise MalformedRow(
-                                line_no, f"sample {sample_names[i]}: bad GT {gt!r}"
-                            )
-                if value is None:
-                    dose[i] = 0.0
-                    miss[i] = True
-                else:
-                    dose[i] = value
+            decoded = _decode_fixed_gt(calls, len(sample_names)) if fmt == "GT" else None
+            if decoded is None:
+                ds_index = fmt_keys.index("DS") if "DS" in fmt_keys else None
+                decoded = _decode_entries(calls.split("\t"), ds_index, sample_names, line_no)
+            try:
+                variant = Variant(vid, chrom, pos, ref, alt)
+            except ValueError as exc:
+                raise MalformedRow(line_no, str(exc)) from None
             seen_ids.add(vid)
-            variants.append(Variant(vid, chrom, pos, ref, alt))
+            variants.append(variant)
+            dose, miss = decoded
             columns.append(dose)
             masks.append(miss)
 
@@ -278,13 +279,74 @@ def parse_vcf(source: Source) -> tuple[GenotypeMatrix, VcfParseReport]:
     return matrix, report
 
 
+def _decode_fixed_gt(calls: str, n: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Decode a GT-only sample section of n 3-byte calls as bytes.
+
+    Returns (dosage, missing), or None when the section is not n valid
+    3-byte calls, so the caller falls back to :func:`_decode_entries`.
+    """
+    if len(calls) != 4 * n - 1 or not calls.isascii():
+        return None
+    words = np.frombuffer((calls + "\t").encode("ascii"), dtype="<u4")
+    slots = np.searchsorted(_GT_WORDS, words)
+    np.minimum(slots, len(_GT_WORDS) - 1, out=slots)
+    if not np.array_equal(_GT_WORDS[slots], words):
+        return None
+    return _GT_WORD_DOSAGE[slots], _GT_WORD_MISSING[slots]
+
+
+def _decode_entries(
+    entries: list[str], ds_index: int | None, sample_names: tuple[str, ...], line_no: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Decode a row's sample entries one at a time: (dosage, missing)."""
+    dose = np.empty(len(sample_names), dtype=np.float64)
+    miss = np.zeros(len(sample_names), dtype=bool)
+    for i, entry in enumerate(entries):
+        subfields = entry.split(":")
+        value: float | None
+        if ds_index is not None and ds_index < len(subfields):
+            token = subfields[ds_index]
+            if token == ".":
+                value = None
+            else:
+                try:
+                    value = float(token)
+                except ValueError:
+                    raise MalformedRow(
+                        line_no, f"sample {sample_names[i]}: bad DS {token!r}"
+                    ) from None
+                if not (0.0 <= value <= 2.0):
+                    raise MalformedRow(
+                        line_no,
+                        f"sample {sample_names[i]}: DS {token} outside [0, 2]",
+                    )
+        else:
+            gt = subfields[0]
+            if gt in _GT_MISSING:
+                value = None
+            else:
+                value = _GT_DOSAGE.get(gt)
+                if value is None:
+                    raise MalformedRow(
+                        line_no, f"sample {sample_names[i]}: bad GT {gt!r}"
+                    )
+        if value is None:
+            dose[i] = 0.0
+            miss[i] = True
+        else:
+            dose[i] = value
+    return dose, miss
+
+
 def write_vcf(matrix: GenotypeMatrix, dest: Source) -> None:
     """Write a matrix as a minimal VCF subset that ``parse_vcf`` reads back.
 
     Hard-call matrices (all observed dosages integral) are written with GT
-    only, which round-trips exactly. Matrices with fractional dosages are
-    written as GT:DS with DS carrying the exact dosage (shortest text that
-    round-trips the float) and GT the nearest hard call.
+    only, which round-trips exactly. Each of their rows is rendered from an
+    int8 call code per sample in one numpy step, with the same bytes as
+    the per-entry text. Matrices with fractional dosages are written as
+    GT:DS with DS carrying the exact dosage (shortest text that round-trips
+    the float) and GT the nearest hard call, one entry at a time.
     """
     hard = bool(
         np.all(
@@ -292,37 +354,41 @@ def write_vcf(matrix: GenotypeMatrix, dest: Source) -> None:
         )
     )
     gt_text = {0: "0/0", 1: "0/1", 2: "1/1"}
+    if hard:
+        # Code 0-2 is the dosage, 3 a missing call (row 3 of _GT_CALL_BYTES).
+        calls = np.full(matrix.dosage.shape, 3.0)
+        np.rint(matrix.dosage, out=calls, where=~matrix.missing_mask)
+        codes = np.ascontiguousarray(calls.T, dtype=np.int8)
     with _text_dest(dest) as out:
         out.write("##fileformat=VCFv4.2\n")
         out.write("##source=prsadjust\n")
         out.write("\t".join(_VCF_FIXED_COLUMNS) + "\t" + "\t".join(matrix.sample_ids) + "\n")
         fmt = "GT" if hard else "GT:DS"
         for j, variant in enumerate(matrix.variants):
+            fixed = "\t".join(
+                (
+                    variant.chromosome,
+                    str(variant.position),
+                    variant.id,
+                    variant.ref_allele,
+                    variant.alt_allele,
+                    ".",
+                    "PASS",
+                    ".",
+                    fmt,
+                )
+            )
+            if hard:
+                out.write(fixed + _GT_CALL_BYTES[codes[j]].tobytes().decode("ascii") + "\n")
+                continue
             entries = []
             for i in range(matrix.n_samples):
                 if matrix.missing_mask[i, j]:
-                    entries.append("./." if hard else "./.:.")
+                    entries.append("./.:.")
                     continue
                 d = float(matrix.dosage[i, j])
-                gt = gt_text[int(np.rint(d))]
-                entries.append(gt if hard else f"{gt}:{d!r}")
-            out.write(
-                "\t".join(
-                    (
-                        variant.chromosome,
-                        str(variant.position),
-                        variant.id,
-                        variant.ref_allele,
-                        variant.alt_allele,
-                        ".",
-                        "PASS",
-                        ".",
-                        fmt,
-                        *entries,
-                    )
-                )
-                + "\n"
-            )
+                entries.append(f"{gt_text[int(np.rint(d))]}:{d!r}")
+            out.write("\t".join((fixed, *entries)) + "\n")
 
 
 def write_parse_report(report: VcfParseReport, dest: Source, detail_dest: Source | None = None) -> None:

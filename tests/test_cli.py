@@ -171,6 +171,26 @@ class TestFit:
         assert code == 3
         assert "error:" in err
 
+    def test_skipped_rows_are_counted_on_stderr(self, scenario_dir, model_dir, tmp_path, capsys):
+        text = (scenario_dir / "train_genotypes.vcf").read_text()
+        n_samples = text.splitlines()[-1].count("\t") - 8
+        rows = sum(1 for line in text.splitlines() if not line.startswith("#"))
+        vcf = tmp_path / "train.vcf"
+        vcf.write_text(text + "1\t99\trs_multi\tA\tG,T\t.\tPASS\t.\tGT" + "\t0/1" * n_samples + "\n")
+        code, _, err = run(
+            "fit",
+            "--train-vcf", str(vcf),
+            "--panel", str(scenario_dir / "panel.txt"),
+            "--weights", str(scenario_dir / "weights.tsv"),
+            "--k", "4",
+            "--out", str(tmp_path / "m"),
+            capsys=capsys,
+        )
+        assert code == 0
+        assert f"train.vcf: 1/{rows + 1} rows skipped (1 multi_allelic)" in err.splitlines()
+        for name in ("pca_model.txt", "adjustment_model.txt", "explained_variance.csv"):
+            assert (tmp_path / "m" / name).read_bytes() == (model_dir / name).read_bytes()
+
     def test_missing_required_input_exits_2(self, scenario_dir, tmp_path, capsys):
         code, _, err = run(
             "fit",

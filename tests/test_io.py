@@ -5,6 +5,8 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from prsadjust.errors import (
     DuplicateSample,
@@ -101,6 +103,14 @@ class TestParseVcf:
             "1\t900\trs7\tA\tG\t.\t.\t.\tDS:GT\t0:0/0\t0:0/0\t0:0/0",  # FORMAT must lead with GT
             "1\t900\trs7\tA\tG\t.\t.\t.\tGT\t0/0\tx/y\t0/0",  # unparseable GT
             "x\t900\trs7\tA\tG\t.\t.\t.\tGT\t0/0\t0/0",  # short + bad, still malformed
+            "1\t0\trs7\tA\tG\t.\t.\t.\tGT\t0/0\t0/0\t0/0",  # POS below 1
+            "\t900\trs7\tA\tG\t.\t.\t.\tGT\t0/0\t0/0\t0/0",  # empty CHROM
+            # fixed-width calls that are still invalid
+            "1\t900\trs7\tA\tG\t.\t.\t.\tGT\t0/0\t0/2\t0/0",
+            "1\t900\trs7\tA\tG\t.\t.\t.\tGT\t0/0\t./1\t0/0",
+            "1\t900\trs7\tA\tG\t.\t.\t.\tGT\t0/0\t0/0\t1/.",
+            "1\t900\trs7\tA\tG\t.\t.\t.\tGT\t0\\1\t0/0\t0/0",
+            "1\t900\trs7\tA\tG\t.\t.\t.\tGT\t0/0\t0/\u00e9\t0/0",
         ],
     )
     def test_malformed_rows_raise_with_line_number(self, row):
@@ -108,6 +118,20 @@ class TestParseVcf:
         with pytest.raises(MalformedRow) as exc:
             parse_vcf(stdio.StringIO(text))
         assert exc.value.line_no == 11
+
+    def test_gt_row_with_subfields_decodes_per_entry(self):
+        text = VCF_TEXT + "1\t900\trs7\tA\tG\t.\t.\t.\tGT\t0/1:35\t1|1\t./.\n"
+        matrix, _ = parse_vcf(stdio.StringIO(text))
+        assert np.array_equal(matrix.dosage[:, -1], [1.0, 2.0, 0.0])
+        assert np.array_equal(matrix.missing_mask[:, -1], [False, False, True])
+
+    def test_crlf_file_parses_like_lf(self):
+        lf, lf_report = parse_vcf(stdio.StringIO(VCF_TEXT))
+        crlf, crlf_report = parse_vcf(stdio.BytesIO(VCF_TEXT.replace("\n", "\r\n").encode()))
+        assert crlf.variant_ids == lf.variant_ids
+        assert np.array_equal(crlf.dosage, lf.dosage)
+        assert np.array_equal(crlf.missing_mask, lf.missing_mask)
+        assert crlf_report == lf_report
 
     def test_header_required_before_data(self):
         with pytest.raises(ParseAbort):
@@ -160,6 +184,102 @@ class TestVcfRoundTrip:
         write_vcf(m, buf)
         assert "\r" not in buf.getvalue()
         assert buf.getvalue().startswith("##fileformat=VCFv4.2\n")
+
+
+def _gt_oracle(call):
+    """Per-entry reference decoding of a GT call: (dosage, missing) or None."""
+    if call in ("./.", ".|."):
+        return 0.0, True
+    if len(call) == 3 and call[0] in "01" and call[1] in "/|" and call[2] in "01":
+        return float(int(call[0]) + int(call[2])), False
+    return None
+
+
+def _render_gt_vcf(matrix):
+    """Per-entry reference rendering of a hard-call matrix as write_vcf's text."""
+    lines = [
+        "##fileformat=VCFv4.2",
+        "##source=prsadjust",
+        "#CHROM\tPOS\tID\tREF\tALT\tQUAL\tFILTER\tINFO\tFORMAT\t" + "\t".join(matrix.sample_ids),
+    ]
+    for j, v in enumerate(matrix.variants):
+        calls = [
+            "./." if matrix.missing_mask[i, j] else ("0/0", "0/1", "1/1")[int(matrix.dosage[i, j])]
+            for i in range(matrix.n_samples)
+        ]
+        fixed = [v.chromosome, str(v.position), v.id, v.ref_allele, v.alt_allele]
+        lines.append("\t".join(fixed + [".", "PASS", ".", "GT"] + calls))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def hard_call_matrices(draw):
+    """Hard-call matrices with missing entries; NaN is stored under the mask."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    m = draw(st.integers(min_value=0, max_value=5))
+    calls = draw(st.lists(st.sampled_from([0, 1, 2, None]), min_size=n * m, max_size=n * m))
+    grid = np.array([np.nan if c is None else c for c in calls], dtype=float).reshape(n, m)
+    missing = list(zip(*np.nonzero(np.isnan(grid))))
+    return make_matrix(grid, missing=missing)
+
+
+class TestGtBytePath:
+    @given(hard_call_matrices())
+    def test_write_then_parse_is_exact(self, matrix):
+        buf = stdio.StringIO()
+        write_vcf(matrix, buf)
+        back, _ = parse_vcf(stdio.StringIO(buf.getvalue()))
+        assert back.variant_ids == matrix.variant_ids
+        assert np.array_equal(back.missing_mask, matrix.missing_mask)
+        expected = np.where(matrix.missing_mask, 0.0, matrix.dosage)
+        assert back.dosage.tobytes() == expected.tobytes()
+
+    @given(hard_call_matrices())
+    def test_written_text_matches_per_entry_rendering(self, matrix):
+        buf = stdio.StringIO()
+        write_vcf(matrix, buf)
+        assert buf.getvalue() == _render_gt_vcf(matrix)
+
+    @given(
+        st.integers(min_value=1, max_value=4).flatmap(
+            lambda n: st.lists(
+                st.lists(
+                    st.one_of(
+                        st.sampled_from(["0/0", "0|1", "1/0", "1|1", "./.", ".|."]),
+                        st.text(alphabet="012./|x", min_size=3, max_size=3),
+                    ),
+                    min_size=n,
+                    max_size=n,
+                ),
+                min_size=1,
+                max_size=4,
+            )
+        )
+    )
+    def test_three_byte_calls_match_per_entry_oracle(self, rows):
+        n = len(rows[0])
+        names = [f"S{i}" for i in range(n)]
+        header = "#CHROM\tPOS\tID\tREF\tALT\tQUAL\tFILTER\tINFO\tFORMAT\t" + "\t".join(names)
+        lines = [header] + [
+            f"1\t{100 * (r + 1)}\trs{r}\tA\tG\t.\t.\t.\tGT\t" + "\t".join(calls)
+            for r, calls in enumerate(rows)
+        ]
+        text = "\n".join(lines) + "\n"
+        decoded = [[_gt_oracle(c) for c in calls] for calls in rows]
+        bad = [r for r, row in enumerate(decoded) if None in row]
+        if bad:
+            first = bad[0]
+            i = decoded[first].index(None)
+            with pytest.raises(MalformedRow) as exc:
+                parse_vcf(stdio.StringIO(text))
+            assert exc.value.line_no == first + 2
+            assert str(exc.value) == f"line {first + 2}: sample S{i}: bad GT {rows[first][i]!r}"
+            return
+        matrix, _ = parse_vcf(stdio.StringIO(text))
+        expected = np.array([[d for d, _ in row] for row in decoded]).T
+        expected_mask = np.array([[miss for _, miss in row] for row in decoded]).T
+        assert matrix.dosage.tobytes() == expected.tobytes()
+        assert np.array_equal(matrix.missing_mask, expected_mask)
 
 
 def test_write_parse_report_counts_and_detail(tmp_path):
