@@ -15,13 +15,13 @@ refused, since coefficients are meaningless in a different basis.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, ModelMismatch, RankDeficient
-from .pca import PcScores
+from .io import _text_dest, _text_source
+from .pca import PcScores, _real
 from .scoring import PrsVector
 
 _MODEL_MAGIC = "prsadjust-adjust v1"
@@ -126,10 +126,6 @@ def apply_adjustment(
 # ---------------------------------------------------------------------------
 
 
-def _real(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 def serialize_adjustment_model(model: AdjustmentModel) -> str:
     lines = [
         _MODEL_MAGIC,
@@ -143,25 +139,14 @@ def serialize_adjustment_model(model: AdjustmentModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def adjustment_model_fingerprint(model: AdjustmentModel) -> str:
-    return hashlib.sha256(serialize_adjustment_model(model).encode("utf-8")).hexdigest()
-
-
 def save_adjustment_model(model: AdjustmentModel, dest) -> None:
-    text = serialize_adjustment_model(model)
-    if isinstance(dest, (str, bytes)) or hasattr(dest, "__fspath__"):
-        with open(dest, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-    else:
-        dest.write(text)
+    with _text_dest(dest) as out:
+        out.write(serialize_adjustment_model(model))
 
 
 def load_adjustment_model(source) -> AdjustmentModel:
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    else:
-        text = source.read()
+    with _text_source(source) as stream:
+        text = stream.read()
     lines = text.splitlines()
     if not lines or lines[0] != _MODEL_MAGIC:
         raise ValueError(f"not a {_MODEL_MAGIC} file")

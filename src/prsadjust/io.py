@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from io import TextIOBase, TextIOWrapper
@@ -57,7 +58,7 @@ from .genotypes import (
 
 logger = logging.getLogger(__name__)
 
-Source = str | Path | IO
+Source = str | bytes | os.PathLike | IO
 
 # Reasons a VCF data row can be skipped without aborting the parse.
 SKIP_MULTI_ALLELIC = "multi_allelic"
@@ -97,7 +98,7 @@ _GT_CALL_BYTES = np.frombuffer(b"\t0/0\t0/1\t1/1\t./.", dtype=np.uint8).reshape(
 @contextmanager
 def _text_source(source: Source) -> Iterator[IO]:
     """Yield a text stream for a path, text stream or byte stream."""
-    if isinstance(source, (str, Path)):
+    if isinstance(source, (str, bytes, os.PathLike)):
         with open(source, "r", encoding="utf-8") as handle:
             yield handle
     elif isinstance(source, TextIOBase) or hasattr(source, "encoding"):
@@ -113,7 +114,8 @@ def _text_source(source: Source) -> Iterator[IO]:
 
 @contextmanager
 def _text_dest(dest: Source) -> Iterator[IO]:
-    if isinstance(dest, (str, Path)):
+    """Yield a text stream writing LF to a path, or the caller's stream."""
+    if isinstance(dest, (str, bytes, os.PathLike)):
         with open(dest, "w", encoding="utf-8", newline="\n") as handle:
             yield handle
     else:
@@ -174,7 +176,7 @@ def parse_vcf(source: Source) -> tuple[GenotypeMatrix, VcfParseReport]:
         If the header line is absent, malformed or has duplicate samples.
     MalformedRow
         If a data row has the wrong column count, an undecodable field, a
-        POS below 1 or an empty CHROM.
+        POS that is not ASCII digits or is below 1, or an empty CHROM.
     """
     with _text_source(source) as stream:
         sample_names: tuple[str, ...] | None = None
@@ -227,10 +229,9 @@ def parse_vcf(source: Source) -> tuple[GenotypeMatrix, VcfParseReport]:
             if not _ALLELE_RE.match(ref) or not _ALLELE_RE.match(alt) or ref == alt:
                 skipped.setdefault(SKIP_UNSUPPORTED_ALLELES, []).append(line_no)
                 continue
-            try:
-                pos = int(pos_text)
-            except ValueError:
-                raise MalformedRow(line_no, f"POS {pos_text!r} is not an integer") from None
+            if not (pos_text.isascii() and pos_text.isdigit()):
+                raise MalformedRow(line_no, f"POS {pos_text!r} is not a run of ASCII digits")
+            pos = int(pos_text)
             if vid == "." or not vid:
                 vid = f"{chrom}:{pos}:{ref}:{alt}"
             if vid in seen_ids:
@@ -505,7 +506,8 @@ def parse_panel(source: Source, name: str | None = None) -> PanelDefinition:
         If no variant id remains.
     """
     if name is None:
-        name = Path(source).stem if isinstance(source, (str, Path)) else "panel"
+        is_path = isinstance(source, (str, bytes, os.PathLike))
+        name = Path(os.fsdecode(source)).stem if is_path else "panel"
     ids: list[str] = []
     seen: set[str] = set()
     duplicates = 0

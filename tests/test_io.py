@@ -2,6 +2,7 @@
 
 import io as stdio
 import logging
+import os
 
 import numpy as np
 import pytest
@@ -105,6 +106,11 @@ class TestParseVcf:
             "x\t900\trs7\tA\tG\t.\t.\t.\tGT\t0/0\t0/0",  # short + bad, still malformed
             "1\t0\trs7\tA\tG\t.\t.\t.\tGT\t0/0\t0/0\t0/0",  # POS below 1
             "\t900\trs7\tA\tG\t.\t.\t.\tGT\t0/0\t0/0\t0/0",  # empty CHROM
+            # POS that int() would accept but is not a run of ASCII digits
+            "1\t1_000\t.\tA\tG\t.\t.\t.\tGT\t0/0\t0/0\t0/0",
+            "1\t+7\t.\tA\tG\t.\t.\t.\tGT\t0/0\t0/0\t0/0",
+            "1\t 7\t.\tA\tG\t.\t.\t.\tGT\t0/0\t0/0\t0/0",
+            "1\t\u0663\t.\tA\tG\t.\t.\t.\tGT\t0/0\t0/0\t0/0",
             # fixed-width calls that are still invalid
             "1\t900\trs7\tA\tG\t.\t.\t.\tGT\t0/0\t0/2\t0/0",
             "1\t900\trs7\tA\tG\t.\t.\t.\tGT\t0/0\t./1\t0/0",
@@ -359,6 +365,7 @@ class TestPanel:
         path = tmp_path / "aims_v2.txt"
         path.write_text("rs1\n")
         assert parse_panel(path).name == "aims_v2"
+        assert parse_panel(str(path)).name == parse_panel(os.fsencode(path)).name == "aims_v2"
 
     def test_round_trip(self, tmp_path):
         panel = parse_panel(stdio.StringIO("rs1\nrs2\n"), name="p")

@@ -8,8 +8,15 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from prsadjust.errors import DimensionError, MissingModelVariants, NoVariantsRetained
+from prsadjust.errors import (
+    ConvergenceFailure,
+    DimensionError,
+    MissingModelVariants,
+    NoVariantsRetained,
+)
 from prsadjust.genotypes import PanelDefinition, filter_by_panel
 from prsadjust.pca import (
     PcaModel,
@@ -150,6 +157,92 @@ class TestFitPca:
     def test_single_sample_rejected(self):
         with pytest.raises(DimensionError):
             fit_pca(np.array([[1.0, 2.0]]), k_max=1)
+
+    @pytest.mark.parametrize("shape", [(4, 6), (6, 4)])
+    def test_all_zero_input_gives_orthonormal_loadings(self, shape):
+        model = fit_pca(np.zeros(shape), k_max=3)
+        np.testing.assert_allclose(model.loadings.T @ model.loadings, np.eye(3), atol=1e-15)
+        assert np.all(model.eigenvalues == 0.0)
+        assert model.total_variance == 0.0
+        assert np.all(model.explained_variance_ratio == 0.0)
+
+    def test_solver_failure_raises_convergence_failure(self, rng, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(ConvergenceFailure, match="eigendecomposition"):
+            fit_pca(rng.normal(size=(6, 4)), k_max=2)
+
+
+def _centered_orthonormal(rng, n, r):
+    """(n, r) orthonormal columns, each orthogonal to the ones vector."""
+    q, _ = np.linalg.qr(np.column_stack([np.ones(n), rng.normal(size=(n, r))]))
+    return q[:, 1:]
+
+
+@st.composite
+def structured_inputs(draw, wide):
+    """Centered X of known rank whose nonzero singular values lie within a
+    factor of 10 (times the square root of a duplication count) of each
+    other, so the dense oracle is accurate to far below the tolerances.
+
+    Returns (X, k_max, rank). ``wide`` picks the shape: n <= m decomposes
+    X X^T and maps back, n > m decomposes X^T X.
+    """
+    kind = draw(st.sampled_from(["product", "duplicate-rows", "duplicate-columns"]))
+    if kind == "duplicate-rows":
+        distinct = draw(st.integers(2, 6))
+        n = distinct * draw(st.integers(1, 3))
+        max_rank = distinct - 1
+    else:
+        n = draw(st.integers(2, 10))
+        max_rank = n - 1
+    m = draw(st.integers(n, n + 6)) if wide else draw(st.integers(1, n - 1))
+    rank = draw(st.integers(0, min(max_rank, m)))
+    k_max = draw(st.integers(1, min(n - 1, m)))
+    flat = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    s = np.full(rank, rng.uniform(0.5, 5.0)) if flat else rng.uniform(1.0, 10.0, rank)
+    if kind == "duplicate-columns":
+        # every column repeats one of `rank` centered orthogonal columns
+        base = _centered_orthonormal(rng, n, rank) * s
+        cols = np.concatenate([np.arange(rank), rng.integers(0, max(rank, 1), m - rank)])
+        X = base[:, rng.permutation(cols)] if rank else np.zeros((n, m))
+    else:
+        rows = n if kind == "product" else distinct
+        X = (_centered_orthonormal(rng, rows, rank) * s) @ np.linalg.qr(
+            rng.normal(size=(m, rank))
+        )[0].T
+        # each distinct row repeats equally often, so X stays centered
+        X = np.repeat(X, n // rows, axis=0)
+    return X, k_max, rank
+
+
+class TestFitPcaProperties:
+    """Rank-deficient, all-zero and flat-spectrum inputs on both Gram branches."""
+
+    @pytest.mark.parametrize("wide", [True, False], ids=["n<=m", "n>m"])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_invariants_and_dense_oracle(self, wide, data):
+        X, k_max, rank = data.draw(structured_inputs(wide))
+        n, m = X.shape
+        assert (n <= m) == wide
+        model = fit_pca(X, k_max=k_max)
+        W, lam = model.loadings, model.eigenvalues
+        assert np.abs(W.T @ W - np.eye(k_max)).max() <= 1e-8
+        assert np.all(lam >= 0.0) and np.all(np.diff(lam) <= 0.0)
+        cov_z = np.atleast_2d(np.cov(X @ W, rowvar=False, ddof=1))
+        assert np.abs(cov_z - np.diag(np.diag(cov_z))).max() <= 1e-8
+        oracle = np.linalg.eigvalsh(np.atleast_2d(np.cov(X, rowvar=False, ddof=1)))[::-1]
+        leading = min(rank, k_max)
+        np.testing.assert_allclose(lam[:leading], oracle[:leading], rtol=1e-8)
+        assert np.all(lam[leading:] <= 1e-12 * max(oracle[0], 1.0))
+        again = fit_pca(X.copy(), k_max=k_max)
+        assert again.loadings.tobytes() == W.tobytes()
+        assert again.eigenvalues.tobytes() == lam.tobytes()
+        assert again.total_variance == model.total_variance
 
 
 class TestSelectK:
