@@ -23,7 +23,6 @@ from .evaluation import (
     ReportRow,
     RocResult,
     compare_models,
-    label_obesity,
     percentile_threshold,
     roc_auc,
     stratify_by_population,
@@ -106,7 +105,6 @@ __all__ = [
     "fit_adjustment",
     "fit_pca",
     "generate_cohort",
-    "label_obesity",
     "load_adjustment_model",
     "load_pca_model",
     "parse_panel",

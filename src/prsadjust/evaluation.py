@@ -1,4 +1,4 @@
-"""Cohort-level evaluation: labels, percentile stratification and ROC/AUC.
+"""Cohort-level evaluation: percentile stratification and ROC/AUC.
 
 The AUC here is computed from integer true/false-positive counts and
 divided exactly once at the end, which makes the trapezoidal area equal
@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import DegenerateLabels, EmptyInput
-from .genotypes import OBESITY_BMI_THRESHOLD, SampleRecord
+from .genotypes import SampleRecord
 from .pca import PcScores
 from .scoring import PrsVector
 
@@ -62,14 +62,12 @@ class PopulationSummary:
 
 @dataclass(eq=False)
 class CohortReport:
-    """Per-sample rows in a fixed order, plus optional per-population summaries."""
+    """Per-sample rows in a fixed order."""
 
     rows: tuple[ReportRow, ...]
-    summaries: tuple[PopulationSummary, ...] = ()
 
     def __post_init__(self):
         self.rows = tuple(self.rows)
-        self.summaries = tuple(self.summaries)
         seen: set[str] = set()
         for row in self.rows:
             if row.sample_id in seen:
@@ -110,24 +108,6 @@ class ModelComparison:
     @property
     def delta(self) -> float:
         return self.auc_adjusted - self.auc_raw
-
-
-def label_obesity(records: Sequence[SampleRecord]) -> tuple[list[SampleRecord], int]:
-    """Derive the obesity label as BMI strictly greater than 27.
-
-    Returns new records (inputs untouched) and the count of records left
-    unlabeled because BMI is absent; those are excluded from
-    classification metrics but stay in the cohort.
-    """
-    labeled: list[SampleRecord] = []
-    n_unlabeled = 0
-    for rec in records:
-        if rec.bmi is None:
-            labeled.append(replace(rec, obese=None))
-            n_unlabeled += 1
-        else:
-            labeled.append(replace(rec, obese=rec.bmi > OBESITY_BMI_THRESHOLD))
-    return labeled, n_unlabeled
 
 
 def percentile_threshold(scores: Sequence[float] | np.ndarray, percentile: float) -> float:
@@ -274,15 +254,6 @@ def compare_models(
     )
 
 
-def attach_summaries(
-    report: CohortReport, percentile: float = DEFAULT_HIGH_RISK_PERCENTILE
-) -> CohortReport:
-    """Report with per-population summaries computed at the given percentile."""
-    return CohortReport(
-        rows=report.rows, summaries=stratify_by_population(report.rows, percentile)
-    )
-
-
 def scores_to_report(
     samples: Sequence[SampleRecord],
     pcs: PcScores,
@@ -318,22 +289,19 @@ def _format_real(value: float) -> str:
 
 def write_roc_csv(roc: RocResult, dest) -> None:
     """Write ROC points as ``fpr,tpr`` CSV in sweep order."""
-    own = isinstance(dest, (str, bytes)) or hasattr(dest, "__fspath__")
-    handle = open(dest, "w", encoding="utf-8", newline="\n") if own else dest
-    try:
+    from .io import _text_dest  # io imports this module
+
+    with _text_dest(dest) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["fpr", "tpr"])
         for fpr, tpr in roc.points:
             writer.writerow([_format_real(fpr), _format_real(tpr)])
-    finally:
-        if own:
-            handle.close()
 
 
 def write_population_summary_csv(summaries: Iterable[PopulationSummary], dest) -> None:
-    own = isinstance(dest, (str, bytes)) or hasattr(dest, "__fspath__")
-    handle = open(dest, "w", encoding="utf-8", newline="\n") if own else dest
-    try:
+    from .io import _text_dest  # io imports this module
+
+    with _text_dest(dest) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(
             [
@@ -360,22 +328,16 @@ def write_population_summary_csv(summaries: Iterable[PopulationSummary], dest) -
                     _format_real(s.highrisk_adjusted),
                 ]
             )
-    finally:
-        if own:
-            handle.close()
 
 
 def write_metrics(metrics: Mapping[str, float | int | str], dest) -> None:
     """Write metrics as ``key=value`` lines in the mapping's order."""
-    own = isinstance(dest, (str, bytes)) or hasattr(dest, "__fspath__")
-    handle = open(dest, "w", encoding="utf-8", newline="\n") if own else dest
-    try:
+    from .io import _text_dest  # io imports this module
+
+    with _text_dest(dest) as handle:
         for key, value in metrics.items():
             if isinstance(value, float):
                 text = format(value, ".17g") if math.isfinite(value) else "."
                 handle.write(f"{key}={text}\n")
             else:
                 handle.write(f"{key}={value}\n")
-    finally:
-        if own:
-            handle.close()

@@ -16,9 +16,20 @@ only, so output bytes are identical across platforms.
 VCF rows whose FORMAT is exactly ``GT`` and whose calls are all three
 ASCII bytes (``0/1``, ``1|1``, ``./.``, ...) are decoded and written as
 whole rows of bytes with numpy. Every byte is still validated; a row that
-fails a check, or any other row (DS, subfields, irregular widths), takes
-the per-entry path, which gives the same values and raises the same
-errors.
+fails a check, or any other row (DS, subfields, irregular widths), goes
+through a memo table instead.
+
+Imputed GT:DS files hold few distinct entries (a few thousand for
+3-decimal dosages), so both directions memoize them per file. The parser
+keeps one table per position of DS in FORMAT, from entry text to its
+value (NaN for a missing call); the GT:DS writer keeps one from the bit
+pattern of a dosage (NaN for a missing call) to the text of its entry.
+Entries not yet in a table are decoded by :func:`_decode_entries`, the
+only per-entry decoder, or formatted by the writer's one f-string, and
+then stored. Values and text therefore come from the same code with or
+without the tables, so results are bitwise and byte-for-byte the same.
+Each table stops growing at ``_MEMO_CAP`` entries; later rows with new
+entries are decoded or written whole, uncached.
 """
 
 from __future__ import annotations
@@ -26,6 +37,7 @@ from __future__ import annotations
 import csv
 import logging
 import os
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from io import TextIOBase, TextIOWrapper
@@ -76,6 +88,12 @@ _GT_DOSAGE = {
     "1/1": 2.0, "1|1": 2.0,
 }
 _GT_MISSING = ("./.", ".|.")
+# A VCF Float as DS carries it; float() alone would also take "0_5", " 1",
+# "nan" and non-ASCII digits.
+_DS_FLOAT = re.compile(r"[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?", re.ASCII)
+# Entries a VCF memo table holds at most before it stops growing (a
+# 3-decimal GT:DS file has about 2,000 distinct entries).
+_MEMO_CAP = 1 << 16
 
 
 # Byte path for fixed-width GT rows: each call plus the tab after it is one
@@ -158,8 +176,17 @@ def parse_vcf(source: Source) -> tuple[GenotypeMatrix, VcfParseReport]:
     are skipped and itemized in the report.
 
     Rows whose FORMAT is exactly ``GT`` with every call three ASCII bytes
-    are decoded as one byte array per row; any other row, or one with an
-    invalid byte, is decoded entry by entry, which raises the error.
+    are decoded as one byte array per row. Any other row, or one with an
+    invalid byte, is looked up entry by entry in a table kept for the
+    whole parse, one per position of DS in FORMAT, from entry text to
+    value. Entries not in the table are decoded by :func:`_decode_entries`,
+    which raises the error decoding the whole row would raise, and are
+    stored while the table holds fewer than ``_MEMO_CAP``.
+
+    A DS token is "." (missing) or an ASCII VCF Float: an optional sign,
+    digits with an optional point and fraction (or a point and digits),
+    and an optional exponent. "0_5", " 1", "nan" or non-ASCII digits are
+    rejected even though ``float()`` takes them.
 
     Parameters
     ----------
@@ -186,6 +213,7 @@ def parse_vcf(source: Source) -> tuple[GenotypeMatrix, VcfParseReport]:
         seen_ids: set[str] = set()
         skipped: dict[str, list[int]] = {}
         rows_total = 0
+        memo: dict[int | None, dict[str, float]] = {}
 
         for line_no, line in _data_lines(stream):
             if not line:
@@ -244,7 +272,10 @@ def parse_vcf(source: Source) -> tuple[GenotypeMatrix, VcfParseReport]:
             decoded = _decode_fixed_gt(calls, len(sample_names)) if fmt == "GT" else None
             if decoded is None:
                 ds_index = fmt_keys.index("DS") if "DS" in fmt_keys else None
-                decoded = _decode_entries(calls.split("\t"), ds_index, sample_names, line_no)
+                decoded = _decode_memo(
+                    calls.split("\t"), memo.setdefault(ds_index, {}), ds_index,
+                    sample_names, line_no,
+                )
             try:
                 variant = Variant(vid, chrom, pos, ref, alt)
             except ValueError as exc:
@@ -284,7 +315,7 @@ def _decode_fixed_gt(calls: str, n: int) -> tuple[np.ndarray, np.ndarray] | None
     """Decode a GT-only sample section of n 3-byte calls as bytes.
 
     Returns (dosage, missing), or None when the section is not n valid
-    3-byte calls, so the caller falls back to :func:`_decode_entries`.
+    3-byte calls, so the caller falls back to :func:`_decode_memo`.
     """
     if len(calls) != 4 * n - 1 or not calls.isascii():
         return None
@@ -294,6 +325,40 @@ def _decode_fixed_gt(calls: str, n: int) -> tuple[np.ndarray, np.ndarray] | None
     if not np.array_equal(_GT_WORDS[slots], words):
         return None
     return _GT_WORD_DOSAGE[slots], _GT_WORD_MISSING[slots]
+
+
+def _decode_memo(
+    entries: list[str],
+    table: dict[str, float],
+    ds_index: int | None,
+    sample_names: tuple[str, ...],
+    line_no: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Decode a row's entries through the memo table of its DS position.
+
+    The table maps entry text to the value :func:`_decode_entries` gave
+    it, NaN for a missing call (no observed value is NaN). When a row has
+    entries not in the table, :func:`_decode_entries` decodes the first
+    occurrence of each, in row order and under its own sample name; an
+    entry in the table cannot fail, so it raises what decoding the whole
+    row would. They are then stored. Once the table holds ``_MEMO_CAP``
+    entries, such rows are decoded whole and nothing more is stored.
+    """
+    try:
+        values = np.fromiter(map(table.__getitem__, entries), np.float64, len(entries))
+    except KeyError:
+        if len(table) >= _MEMO_CAP:
+            return _decode_entries(entries, ds_index, sample_names, line_no)
+        new: dict[str, str] = {}
+        for entry, name in zip(entries, sample_names):
+            if entry not in table:
+                new.setdefault(entry, name)
+        dose, miss = _decode_entries(list(new), ds_index, tuple(new.values()), line_no)
+        table.update(zip(new, np.where(miss, np.nan, dose).tolist()))
+        values = np.fromiter(map(table.__getitem__, entries), np.float64, len(entries))
+    miss = np.isnan(values)
+    values[miss] = 0.0
+    return values, miss
 
 
 def _decode_entries(
@@ -310,12 +375,11 @@ def _decode_entries(
             if token == ".":
                 value = None
             else:
-                try:
-                    value = float(token)
-                except ValueError:
+                if not _DS_FLOAT.fullmatch(token):
                     raise MalformedRow(
                         line_no, f"sample {sample_names[i]}: bad DS {token!r}"
-                    ) from None
+                    )
+                value = float(token)
                 if not (0.0 <= value <= 2.0):
                     raise MalformedRow(
                         line_no,
@@ -347,7 +411,10 @@ def write_vcf(matrix: GenotypeMatrix, dest: Source) -> None:
     int8 call code per sample in one numpy step, with the same bytes as
     the per-entry text. Matrices with fractional dosages are written as
     GT:DS with DS carrying the exact dosage (shortest text that round-trips
-    the float) and GT the nearest hard call, one entry at a time.
+    the float) and GT the nearest hard call. Each entry's text is made
+    once per distinct dosage bit pattern and then taken from a memo table
+    of at most ``_MEMO_CAP`` entries; a row with a dosage not in the full
+    table is formatted entry by entry.
     """
     hard = bool(
         np.all(
@@ -360,6 +427,12 @@ def write_vcf(matrix: GenotypeMatrix, dest: Source) -> None:
         calls = np.full(matrix.dosage.shape, 3.0)
         np.rint(matrix.dosage, out=calls, where=~matrix.missing_mask)
         codes = np.ascontiguousarray(calls.T, dtype=np.int8)
+    else:
+        # One row per variant; a missing call is NaN, which no observed
+        # dosage is (they lie in [0, 2]), so its bits key "./.:.".
+        values = np.ascontiguousarray(np.where(matrix.missing_mask, np.nan, matrix.dosage).T)
+        bits = values.view(np.uint64)
+        texts: dict[int, str] = {}
     with _text_dest(dest) as out:
         out.write("##fileformat=VCFv4.2\n")
         out.write("##source=prsadjust\n")
@@ -382,14 +455,20 @@ def write_vcf(matrix: GenotypeMatrix, dest: Source) -> None:
             if hard:
                 out.write(fixed + _GT_CALL_BYTES[codes[j]].tobytes().decode("ascii") + "\n")
                 continue
-            entries = []
-            for i in range(matrix.n_samples):
-                if matrix.missing_mask[i, j]:
-                    entries.append("./.:.")
-                    continue
-                d = float(matrix.dosage[i, j])
-                entries.append(f"{gt_text[int(np.rint(d))]}:{d!r}")
-            out.write("\t".join((fixed, *entries)) + "\n")
+            keys = bits[j].tolist()
+            try:
+                row = "\t".join(map(texts.__getitem__, keys))
+            except KeyError:
+                entries = [
+                    texts[key] if key in texts
+                    else "./.:." if d != d
+                    else f"{gt_text[int(np.rint(d))]}:{d!r}"
+                    for key, d in zip(keys, values[j].tolist())
+                ]
+                if len(texts) < _MEMO_CAP:
+                    texts.update(zip(keys, entries))
+                row = "\t".join(entries)
+            out.write(fixed + "\t" + row + "\n")
 
 
 def write_parse_report(report: VcfParseReport, dest: Source, detail_dest: Source | None = None) -> None:

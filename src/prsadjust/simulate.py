@@ -376,9 +376,7 @@ def parse_scenario_config(source) -> ScenarioConfig:
 
 
 def write_scenario_config(config: ScenarioConfig, dest) -> None:
-    own = isinstance(dest, (str, bytes)) or hasattr(dest, "__fspath__")
-    handle = open(dest, "w", encoding="utf-8", newline="\n") if own else dest
-    try:
+    with pio._text_dest(dest) as handle:
         handle.write(f"seed={config.seed}\n")
         for pop in config.populations:
             handle.write(
@@ -393,9 +391,6 @@ def write_scenario_config(config: ScenarioConfig, dest) -> None:
         handle.write(f"noise_sd={config.noise_sd!r}\n")
         handle.write(f"bmi_base={config.bmi_base!r}\n")
         handle.write(f"bmi_slope={config.bmi_slope!r}\n")
-    finally:
-        if own:
-            handle.close()
 
 
 DEFAULT_SCENARIO = ScenarioConfig(

@@ -1,4 +1,4 @@
-"""Obesity labels, percentile stratification, ROC/AUC."""
+"""Percentile stratification, ROC/AUC, evaluation writers."""
 
 import io as stdio
 import math
@@ -15,7 +15,6 @@ from prsadjust.evaluation import (
     ReportRow,
     compare_models,
     high_risk,
-    label_obesity,
     percentile_threshold,
     roc_auc,
     stratify_by_population,
@@ -23,31 +22,6 @@ from prsadjust.evaluation import (
     write_population_summary_csv,
     write_roc_csv,
 )
-from prsadjust.genotypes import SampleRecord
-
-
-class TestLabelObesity:
-    def test_threshold_is_strictly_greater(self):
-        records = [
-            SampleRecord(sample_id="S1", bmi=27.0),
-            SampleRecord(sample_id="S2", bmi=27.000001),
-            SampleRecord(sample_id="S3", bmi=26.0),
-        ]
-        labeled, n_unlabeled = label_obesity(records)
-        assert [r.obese for r in labeled] == [False, True, False]
-        assert n_unlabeled == 0
-
-    def test_missing_bmi_stays_unlabeled_and_is_counted(self):
-        labeled, n_unlabeled = label_obesity(
-            [SampleRecord(sample_id="S1"), SampleRecord(sample_id="S2", bmi=30.0)]
-        )
-        assert labeled[0].obese is None and labeled[1].obese is True
-        assert n_unlabeled == 1
-
-    def test_inputs_not_mutated(self):
-        records = [SampleRecord(sample_id="S1", bmi=30.0)]
-        label_obesity(records)
-        assert records[0].obese is None
 
 
 class TestPercentileThreshold:

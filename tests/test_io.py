@@ -3,12 +3,15 @@
 import io as stdio
 import logging
 import os
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import prsadjust.io
 from prsadjust.errors import (
     DuplicateSample,
     DuplicateVariant,
@@ -117,6 +120,10 @@ class TestParseVcf:
             "1\t900\trs7\tA\tG\t.\t.\t.\tGT\t0/0\t0/0\t1/.",
             "1\t900\trs7\tA\tG\t.\t.\t.\tGT\t0\\1\t0/0\t0/0",
             "1\t900\trs7\tA\tG\t.\t.\t.\tGT\t0/0\t0/\u00e9\t0/0",
+            # DS tokens that float() would accept but are not an ASCII VCF Float
+            "1\t900\trs7\tA\tG\t.\t.\t.\tGT:DS\t0/0:0\t0/0:0_5e-1\t0/0:0",
+            "1\t900\trs7\tA\tG\t.\t.\t.\tGT:DS\t0/0:0\t0/0: 0.5\t0/0:0",
+            "1\t900\trs7\tA\tG\t.\t.\t.\tGT:DS\t0/0:0\t0/0:\u0661.\u0665\t0/0:0",
         ],
     )
     def test_malformed_rows_raise_with_line_number(self, row):
@@ -286,6 +293,132 @@ class TestGtBytePath:
         expected_mask = np.array([[miss for _, miss in row] for row in decoded]).T
         assert matrix.dosage.tobytes() == expected.tobytes()
         assert np.array_equal(matrix.missing_mask, expected_mask)
+
+
+# The DS token grammar: a VCF Float in ASCII.
+_VCF_FLOAT = re.compile(r"[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?", re.ASCII)
+_DS_TOKENS = ["0", "0.5", "1.25", "2", "-0.0", "1e-05", ".5", "2.", "+1", "1E0", ".", "0.125"]
+_BAD_DS_TOKENS = ["0_5e-1", " 0.5", "\u0661.\u0665", "nan", "inf", "2.5", "-1", "x", "", "1e"]
+_GT_TOKENS = ["0/0", "0|1", "1/0", "1/1", "./.", ".|."]
+_BAD_GT_TOKENS = ["0/2", "x/y"]
+# The real cap, and caps small enough that these examples exceed them.
+_CAPS = st.sampled_from([0, 1, 3, prsadjust.io._MEMO_CAP])
+
+
+def _entry_oracle(entry, ds_index):
+    """Per-entry reference decoding: (dosage, missing), or the error's text."""
+    subfields = entry.split(":")
+    if ds_index is not None and ds_index < len(subfields):
+        token = subfields[ds_index]
+        if token == ".":
+            return 0.0, True
+        if not _VCF_FLOAT.fullmatch(token):
+            return f"bad DS {token!r}"
+        value = float(token)
+        if not 0.0 <= value <= 2.0:
+            return f"DS {token} outside [0, 2]"
+        return value, False
+    decoded = _gt_oracle(subfields[0])
+    return f"bad GT {subfields[0]!r}" if decoded is None else decoded
+
+
+def _gt_entry(d):
+    return f"{('0/0', '0/1', '1/1')[int(np.rint(d))]}:{d!r}"
+
+
+@st.composite
+def dosage_vcf_rows(draw):
+    """(sample count, [(FORMAT, entries)]) over small token pools, some invalid."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    entry = st.tuples(
+        st.sampled_from(_GT_TOKENS * 4 + _BAD_GT_TOKENS),
+        st.lists(st.sampled_from(_DS_TOKENS * 8 + _BAD_DS_TOKENS), max_size=2),
+    ).map(lambda parts: ":".join([parts[0], *parts[1]]))
+    row = st.tuples(
+        st.sampled_from(["GT:DS", "GT", "GT:GQ:DS"]),
+        st.lists(entry, min_size=n, max_size=n),
+    )
+    return n, draw(st.lists(row, min_size=1, max_size=8))
+
+
+_SPECIAL_DOSAGES = [-0.0, 0.0, 1e-05, 5e-324, 2.2250738585072014e-308, 0.1 + 0.2, 1.5, 2.0]
+
+
+@st.composite
+def dosage_matrices(draw):
+    """Matrices with a fractional observed dosage, so write_vcf takes GT:DS.
+
+    Values come from a small pool (so rows repeat entries) or are all
+    distinct; under the mask they are NaN or any dosage.
+    """
+    n = draw(st.integers(min_value=1, max_value=6))
+    m = draw(st.integers(min_value=1, max_value=5))
+    size = n * m
+    if draw(st.booleans()):
+        values = draw(st.lists(st.floats(0.0, 2.0), min_size=size, max_size=size, unique=True))
+    else:
+        pool = st.one_of(st.sampled_from(_SPECIAL_DOSAGES), st.floats(0.0, 2.0))
+        values = draw(st.lists(pool, min_size=size, max_size=size))
+    grid = np.array(values, dtype=float).reshape(n, m)
+    flags = st.lists(st.booleans(), min_size=size, max_size=size)
+    mask = np.array(draw(flags)).reshape(n, m)
+    grid[mask & np.array(draw(flags)).reshape(n, m)] = np.nan
+    if np.all((grid == np.rint(grid)) | mask):
+        grid[0, 0], mask[0, 0] = 0.5, False
+    return make_matrix(grid, missing=list(zip(*np.nonzero(mask))))
+
+
+class TestDosageMemoTables:
+    @given(dosage_vcf_rows(), _CAPS)
+    def test_parse_matches_per_entry_oracle(self, drawn, cap):
+        n, rows = drawn
+        header = "#CHROM\tPOS\tID\tREF\tALT\tQUAL\tFILTER\tINFO\tFORMAT\t" + "\t".join(
+            f"S{i}" for i in range(n)
+        )
+        lines = [header] + [
+            f"1\t{100 * (r + 1)}\trs{r}\tA\tG\t.\t.\t.\t{fmt}\t" + "\t".join(entries)
+            for r, (fmt, entries) in enumerate(rows)
+        ]
+        text = "\n".join(lines) + "\n"
+        decoded = []
+        for fmt, entries in rows:
+            keys = fmt.split(":")
+            ds_index = keys.index("DS") if "DS" in keys else None
+            decoded.append([_entry_oracle(e, ds_index) for e in entries])
+        with mock.patch.object(prsadjust.io, "_MEMO_CAP", cap):
+            for r, row in enumerate(decoded):
+                errors = [(i, d) for i, d in enumerate(row) if isinstance(d, str)]
+                if errors:
+                    i, tail = errors[0]
+                    with pytest.raises(MalformedRow) as exc:
+                        parse_vcf(stdio.StringIO(text))
+                    assert exc.value.line_no == r + 2
+                    assert str(exc.value) == f"line {r + 2}: sample S{i}: {tail}"
+                    return
+            matrix, _ = parse_vcf(stdio.StringIO(text))
+        expected = np.array([[d for d, _ in row] for row in decoded]).T
+        expected_mask = np.array([[miss for _, miss in row] for row in decoded]).T
+        assert matrix.dosage.tobytes() == expected.tobytes()
+        assert np.array_equal(matrix.missing_mask, expected_mask)
+
+    @given(dosage_matrices(), _CAPS)
+    def test_write_matches_per_entry_rendering_and_round_trips(self, matrix, cap):
+        buf = stdio.StringIO()
+        with mock.patch.object(prsadjust.io, "_MEMO_CAP", cap):
+            write_vcf(matrix, buf)
+            back, _ = parse_vcf(stdio.StringIO(buf.getvalue()))
+        rows = buf.getvalue().splitlines()[3:]
+        assert len(rows) == matrix.n_variants
+        for j, line in enumerate(rows):
+            fields = line.split("\t")
+            assert fields[8] == "GT:DS"
+            assert fields[9:] == [
+                "./.:." if matrix.missing_mask[i, j] else _gt_entry(float(matrix.dosage[i, j]))
+                for i in range(matrix.n_samples)
+            ]
+        assert np.array_equal(back.missing_mask, matrix.missing_mask)
+        expected = np.where(matrix.missing_mask, 0.0, matrix.dosage)
+        assert back.dosage.tobytes() == expected.tobytes()
 
 
 def test_write_parse_report_counts_and_detail(tmp_path):
