@@ -23,8 +23,10 @@ from .adjust import (
     load_adjustment_model,
     save_adjustment_model,
 )
-from .errors import ConfigInvalid, MissingModelVariants, ModelMismatch, PipelineError
+from .errors import ConfigInvalid, PipelineError
 from .evaluation import (
+    DEFAULT_HIGH_RISK_PERCENTILE,
+    _format_real,
     compare_models,
     percentile_threshold,
     scores_to_report,
@@ -43,7 +45,6 @@ from .genotypes import (
 from .pca import (
     fit_pca,
     load_pca_model,
-    pca_model_fingerprint,
     project,
     save_pca_model,
     select_k,
@@ -80,7 +81,7 @@ class PipelineConfig:
     seed: int | None = None
     k: str = "4"
     cum_threshold: float = 0.80
-    percentile: float = 76.0
+    percentile: float = DEFAULT_HIGH_RISK_PERCENTILE
     prs_mode: str = "sum"
     scale: str = "sample-sd"
     strand_policy: str = "exclude"
@@ -98,8 +99,8 @@ _CHOICE_KEYS = {
 def _load_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     known = {f.name for f in fields(PipelineConfig)} - {"command"}
-    with open(path, "r", encoding="utf-8") as handle:
-        for raw in handle:
+    with pio._text_source(path) as stream:
+        for _line_no, raw in pio._data_lines(stream):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -179,7 +180,8 @@ def _echo_config(cfg: PipelineConfig, out: Path) -> None:
         else:
             text = str(value)
         lines.append(f"{f.name}={text}")
-    (out / "run_config.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pio._text_dest(out / "run_config.txt") as handle:
+        handle.write("\n".join(lines) + "\n")
 
 
 def _sha256(path: Path) -> str:
@@ -224,8 +226,8 @@ def _parse_vcf(path: str):
     return matrix
 
 
-def _fit_prs_inputs(cfg: PipelineConfig, matrix, weights):
-    """Shared raw-score path: restrict to weight variants, align, fill, score."""
+def _raw_scores(cfg: PipelineConfig, matrix, weights):
+    """Raw scores of fit and score: restrict to weight variants, align, fill, score."""
     weight_panel = PanelDefinition(name="weights", variant_ids=weights.variant_ids)
     sub, coverage = filter_by_panel(matrix, weight_panel)
     aligned, alignment = align_effect_alleles(sub, weights, cfg.strand_policy)
@@ -270,7 +272,7 @@ def _cmd_fit(cfg: PipelineConfig) -> int:
     save_pca_model(model, out / "pca_model.txt")
 
     pcs = project(model, filled)
-    raw = _fit_prs_inputs(cfg, matrix, weights)
+    raw = _raw_scores(cfg, matrix, weights)
     adjustment = fit_adjustment(raw, pcs)
     save_adjustment_model(adjustment, out / "adjustment_model.txt")
 
@@ -279,11 +281,12 @@ def _cmd_fit(cfg: PipelineConfig) -> int:
     for i in range(model_full.k):
         cumulative += float(model_full.explained_variance_ratio[i])
         lines.append(
-            f"{i + 1},{model_full.eigenvalues[i]:.10g},"
-            f"{model_full.explained_variance_ratio[i]:.10g},{cumulative:.10g}"
+            f"{i + 1},{_format_real(model_full.eigenvalues[i])},"
+            f"{_format_real(model_full.explained_variance_ratio[i])},{_format_real(cumulative)}"
         )
     table = "\n".join(lines) + "\n"
-    (out / "explained_variance.csv").write_text(table, encoding="utf-8")
+    with pio._text_dest(out / "explained_variance.csv") as handle:
+        handle.write(table)
     print(table, end="")
     _echo_config(cfg, out)
     return 0
@@ -295,26 +298,15 @@ def _cmd_score(cfg: PipelineConfig) -> int:
     model_dir = Path(cfg.model_dir)
     pca_model = load_pca_model(model_dir / "pca_model.txt")
     adjustment = load_adjustment_model(model_dir / "adjustment_model.txt")
-    if (
-        adjustment.pca_fingerprint is not None
-        and adjustment.pca_fingerprint != pca_model_fingerprint(pca_model)
-    ):
-        raise ModelMismatch(
-            "adjustment model was fitted against a different PCA model file"
-        )
-
     matrix = _parse_vcf(cfg.test_vcf)
     weights = pio.parse_weights(cfg.weights)
 
-    index = matrix.variant_index()
-    absent = [vid for vid in pca_model.params.variant_ids if vid not in index]
-    if absent:
-        raise MissingModelVariants(absent)
-    panel_matrix = matrix.take_variants(
-        [index[vid] for vid in pca_model.params.variant_ids]
-    )
+    # project names any model variant the VCF lacks; apply_adjustment
+    # refuses an adjustment model fitted against another PCA model.
+    model_panel = PanelDefinition(name="pca_model", variant_ids=pca_model.params.variant_ids)
+    panel_matrix, _ = filter_by_panel(matrix, model_panel)
     pcs = project(pca_model, fill_missing_mean(panel_matrix))
-    raw = _fit_prs_inputs(cfg, matrix, weights)
+    raw = _raw_scores(cfg, matrix, weights)
     adjusted = apply_adjustment(adjustment, raw, pcs)
 
     if cfg.phenotypes:
@@ -362,9 +354,7 @@ def _cmd_evaluate(cfg: PipelineConfig) -> int:
         "n_unlabeled": len(report.rows) - len(labeled),
     }
     write_metrics(metrics, out / "metrics.txt")
-    for key, value in metrics.items():
-        text = format(value, ".17g") if isinstance(value, float) else str(value)
-        print(f"{key}={text}")
+    write_metrics(metrics, sys.stdout)
     _echo_config(cfg, out)
     return 0
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DegenerateLabels, EmptyInput
 from .genotypes import SampleRecord
-from .pca import PcScores
+from .pca import PcScores, _real
 from .scoring import PrsVector
 
 DEFAULT_HIGH_RISK_PERCENTILE = 76.0
@@ -178,8 +178,8 @@ def stratify_by_population(
                 sd_raw=float(r.std(ddof=1)) if idx.size > 1 else float("nan"),
                 mean_adjusted=float(a.mean()),
                 sd_adjusted=float(a.std(ddof=1)) if idx.size > 1 else float("nan"),
-                n_highrisk_raw=int(np.count_nonzero(r > threshold_raw)),
-                n_highrisk_adjusted=int(np.count_nonzero(a > threshold_adjusted)),
+                n_highrisk_raw=int(np.count_nonzero(high_risk(r, threshold_raw))),
+                n_highrisk_adjusted=int(np.count_nonzero(high_risk(a, threshold_adjusted))),
             )
         )
     return tuple(summaries)
@@ -284,6 +284,7 @@ def scores_to_report(
 
 
 def _format_real(value: float) -> str:
+    """A real in the report and table files: 10 significant digits, "." if not finite."""
     return format(value, ".10g") if math.isfinite(value) else "."
 
 
@@ -337,7 +338,7 @@ def write_metrics(metrics: Mapping[str, float | int | str], dest) -> None:
     with _text_dest(dest) as handle:
         for key, value in metrics.items():
             if isinstance(value, float):
-                text = format(value, ".17g") if math.isfinite(value) else "."
+                text = _real(value) if math.isfinite(value) else "."
                 handle.write(f"{key}={text}\n")
             else:
                 handle.write(f"{key}={value}\n")

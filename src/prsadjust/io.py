@@ -56,7 +56,7 @@ from .errors import (
     ParseAbort,
     UnknownSexToken,
 )
-from .evaluation import CohortReport, ReportRow
+from .evaluation import CohortReport, ReportRow, _format_real
 from .genotypes import (
     GenotypeMatrix,
     PanelDefinition,
@@ -65,6 +65,7 @@ from .genotypes import (
     Variant,
     WeightRow,
     OBESITY_BMI_THRESHOLD,
+    SEX_TOKENS,
     _ALLELE_RE,
 )
 
@@ -144,6 +145,30 @@ def _data_lines(stream: IO) -> Iterator[tuple[int, str]]:
     """Yield (1-based line number, line without trailing newline)."""
     for line_no, raw in enumerate(stream, start=1):
         yield line_no, raw.rstrip("\r\n")
+
+
+def _headed_rows(stream: IO, header: tuple[str, ...], kind: str) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line number, fields) for each data row of a headed TSV table.
+
+    Blank and ``#`` lines are skipped. The first other line must equal
+    ``header`` (else ParseAbort, also when there is none) and every later
+    one must have as many fields (else MalformedRow).
+    """
+    header_seen = False
+    for line_no, line in _data_lines(stream):
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        if not header_seen:
+            if tuple(fields) != header:
+                raise ParseAbort(f"{kind} header must be " + "\t".join(header))
+            header_seen = True
+            continue
+        if len(fields) != len(header):
+            raise MalformedRow(line_no, f"expected {len(header)} columns, got {len(fields)}")
+        yield line_no, fields
+    if not header_seen:
+        raise ParseAbort(f"{kind} file has no header line")
 
 
 # ---------------------------------------------------------------------------
@@ -471,27 +496,6 @@ def write_vcf(matrix: GenotypeMatrix, dest: Source) -> None:
             out.write(fixed + "\t" + row + "\n")
 
 
-def write_parse_report(report: VcfParseReport, dest: Source, detail_dest: Source | None = None) -> None:
-    """Write skip accounting as ``reason,count`` CSV, plus optional per-line detail."""
-    with _text_dest(dest) as out:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["reason", "count"])
-        writer.writerow(["parsed", report.rows_parsed])
-        for reason in sorted(report.skipped):
-            writer.writerow([reason, len(report.skipped[reason])])
-    if detail_dest is not None:
-        with _text_dest(detail_dest) as out:
-            writer = csv.writer(out, lineterminator="\n")
-            writer.writerow(["line_no", "reason"])
-            details = sorted(
-                (line_no, reason)
-                for reason, lines in report.skipped.items()
-                for line_no in lines
-            )
-            for line_no, reason in details:
-                writer.writerow([line_no, reason])
-
-
 # ---------------------------------------------------------------------------
 # score weights
 # ---------------------------------------------------------------------------
@@ -510,20 +514,7 @@ def parse_weights(source: Source) -> ScoreWeightTable:
     rows: list[WeightRow] = []
     seen: set[str] = set()
     with _text_source(source) as stream:
-        header_seen = False
-        for line_no, line in _data_lines(stream):
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if not header_seen:
-                if tuple(fields) != _WEIGHTS_HEADER:
-                    raise ParseAbort(
-                        "weights header must be " + "\t".join(_WEIGHTS_HEADER)
-                    )
-                header_seen = True
-                continue
-            if len(fields) != 4:
-                raise MalformedRow(line_no, f"expected 4 columns, got {len(fields)}")
+        for line_no, fields in _headed_rows(stream, _WEIGHTS_HEADER, "weights"):
             vid, effect, other, weight_text = fields
             if vid in seen:
                 raise DuplicateVariant(f"line {line_no}: variant {vid} repeated")
@@ -546,8 +537,6 @@ def parse_weights(source: Source) -> ScoreWeightTable:
                 raise MalformedRow(line_no, str(exc)) from None
             seen.add(vid)
             rows.append(row)
-        if not header_seen:
-            raise ParseAbort("weights file has no header line")
     return ScoreWeightTable(rows=tuple(rows))
 
 
@@ -632,20 +621,7 @@ def parse_phenotypes(source: Source) -> list[SampleRecord]:
     records: list[SampleRecord] = []
     seen: set[str] = set()
     with _text_source(source) as stream:
-        header_seen = False
-        for line_no, line in _data_lines(stream):
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if not header_seen:
-                if tuple(fields) != _PHENOTYPES_HEADER:
-                    raise ParseAbort(
-                        "phenotypes header must be " + "\t".join(_PHENOTYPES_HEADER)
-                    )
-                header_seen = True
-                continue
-            if len(fields) != 4:
-                raise MalformedRow(line_no, f"expected 4 columns, got {len(fields)}")
+        for line_no, fields in _headed_rows(stream, _PHENOTYPES_HEADER, "phenotypes"):
             sample_id, population, sex_text, bmi_text = fields
             if not sample_id or sample_id == ".":
                 raise MalformedRow(line_no, "sample_id is missing")
@@ -656,9 +632,9 @@ def parse_phenotypes(source: Source) -> list[SampleRecord]:
                 sex = None
             else:
                 sex = sex_text.lower()
-                if sex not in ("male", "female", "unknown"):
+                if sex not in SEX_TOKENS:
                     raise UnknownSexToken(
-                        f"line {line_no}: sex {sex_text!r} not male/female/unknown/."
+                        f"line {line_no}: sex {sex_text!r} not {'/'.join(SEX_TOKENS)}/."
                     )
             bmi: float | None
             obese: bool | None
@@ -685,8 +661,6 @@ def parse_phenotypes(source: Source) -> list[SampleRecord]:
                     obese=obese,
                 )
             )
-        if not header_seen:
-            raise ParseAbort("phenotypes file has no header line")
     return records
 
 
@@ -710,10 +684,6 @@ def write_phenotypes(records: list[SampleRecord], dest: Source) -> None:
 # ---------------------------------------------------------------------------
 # per-sample report CSV
 # ---------------------------------------------------------------------------
-
-
-def _format_real(value: float) -> str:
-    return format(value, ".10g")
 
 
 def write_report_csv(report: CohortReport, dest: Source) -> None:

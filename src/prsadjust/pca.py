@@ -340,6 +340,7 @@ def select_k(model: PcaModel, cumulative_threshold: float = 0.80) -> int:
 
 
 def _real(value: float) -> str:
+    """A real in the model and metrics files: 17 significant digits round-trip a float64."""
     return format(float(value), ".17g")
 
 

@@ -400,11 +400,4 @@ DEFAULT_SCENARIO = ScenarioConfig(
         PopulationConfig(label="POPB", n_samples=200, fst=0.1, offset=0.0),
         PopulationConfig(label="POPC", n_samples=200, fst=0.1, offset=-1.0),
     ),
-    n_ancestry_snps=2000,
-    n_trait_snps=100,
-    trait_weight_mean=0.0,
-    trait_weight_sd=0.15,
-    noise_sd=1.0,
-    bmi_base=25.0,
-    bmi_slope=2.0,
 )

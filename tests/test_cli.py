@@ -1,10 +1,12 @@
 """Command line driver: simulate | fit | score | evaluate."""
 
 import shutil
+import sys
 
 import numpy as np
 import pytest
 
+from prsadjust import pca
 from prsadjust.cli import main
 from prsadjust.io import read_report_csv
 
@@ -281,6 +283,22 @@ class TestScore:
         )
         assert code == 3
         assert "error:" in err
+        assert "different PCA model" in err
+
+    def test_score_fingerprints_the_pca_model_once(self, scenario_dir, model_dir,
+                                                   tmp_path, monkeypatch):
+        original = pca.pca_model_fingerprint
+        calls = []
+
+        def counting(model):
+            calls.append(model)
+            return original(model)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("prsadjust") and getattr(module, "pca_model_fingerprint", None) is original:
+                monkeypatch.setattr(module, "pca_model_fingerprint", counting)
+        assert self._score(scenario_dir, model_dir, tmp_path / "scores") == 0
+        assert len(calls) == 1
 
 
 class TestEvaluate:
@@ -318,7 +336,7 @@ class TestEvaluate:
                     "threshold_adjusted", "n_pos", "n_neg"):
             assert key in metrics
         assert 0.0 <= float(metrics["auc_raw"]) <= 1.0
-        assert "auc_delta" in stdout
+        assert stdout.encode("utf-8") == (out / "metrics.txt").read_bytes()
 
     def test_identical_columns_give_zero_delta(self, report_path, tmp_path):
         # rewrite the report with adjusted := raw

@@ -34,7 +34,6 @@ from prsadjust.io import (
     parse_weights,
     read_report_csv,
     write_panel,
-    write_parse_report,
     write_phenotypes,
     write_report_csv,
     write_vcf,
@@ -421,18 +420,6 @@ class TestDosageMemoTables:
         assert back.dosage.tobytes() == expected.tobytes()
 
 
-def test_write_parse_report_counts_and_detail(tmp_path):
-    _, report = parse_vcf(stdio.StringIO(VCF_TEXT))
-    summary, detail = tmp_path / "report.csv", tmp_path / "detail.csv"
-    write_parse_report(report, summary, detail)
-    lines = summary.read_text().splitlines()
-    assert lines[0] == "reason,count"
-    counted = dict(line.split(",") for line in lines[1:])
-    assert counted[SKIP_MULTI_ALLELIC] == "1"
-    assert sum(int(v) for v in counted.values()) >= report.rows_skipped
-    assert "8" in detail.read_text()
-
-
 WEIGHTS_TEXT = (
     "variant_id\teffect_allele\tother_allele\tweight\n"
     "rs1\tG\tA\t0.25\n"
@@ -556,6 +543,37 @@ class TestPhenotypes:
         back = parse_phenotypes(stdio.StringIO(buf.getvalue()))
         assert back[0].bmi == recs[0].bmi
         assert back[1].bmi is None
+
+
+@pytest.mark.parametrize(
+    "parse, kind, text",
+    [(parse_weights, "weights", WEIGHTS_TEXT), (parse_phenotypes, "phenotypes", PHENO_TEXT)],
+    ids=["weights", "phenotypes"],
+)
+@pytest.mark.parametrize("case", ["wrong_header", "no_header", "3_columns", "5_columns"])
+def test_headed_table_layout_errors(parse, kind, text, case):
+    header, row = text.splitlines()[:2]
+    lead = "# leading comment\n\n"
+    body, error, message, line_no = {
+        "wrong_header": (
+            lead + "\t".join(reversed(header.split("\t"))) + "\n" + row + "\n",
+            ParseAbort, f"{kind} header must be {header}", None,
+        ),
+        "no_header": ("# only\n\n# comments\n", ParseAbort, f"{kind} file has no header line", None),
+        "3_columns": (
+            lead + header + "\n" + row.rsplit("\t", 1)[0] + "\n",
+            MalformedRow, "line 4: expected 4 columns, got 3", 4,
+        ),
+        "5_columns": (
+            lead + header + "\n# mid\n" + row + "\t.\n",
+            MalformedRow, "line 5: expected 4 columns, got 5", 5,
+        ),
+    }[case]
+    with pytest.raises(error) as exc:
+        parse(stdio.StringIO(body))
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+    assert getattr(exc.value, "line_no", None) == line_no
 
 
 class TestReportCsv:
