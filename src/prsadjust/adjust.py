@@ -156,6 +156,9 @@ def load_adjustment_model(source) -> AdjustmentModel:
             continue
         key, _, value = line.partition(" ")
         fields[key] = value
+    for key in ("k", "n_train", "intercept", "coefficients", "r_squared", "pca_fingerprint"):
+        if key not in fields:
+            raise ValueError(f"adjustment model has no {key!r} line")
     k = int(fields["k"])
     coefficients = np.array([float(v) for v in fields["coefficients"].split(" ")])
     if coefficients.shape != (k,):

@@ -23,7 +23,7 @@ from .adjust import (
     load_adjustment_model,
     save_adjustment_model,
 )
-from .errors import ConfigInvalid, PipelineError
+from .errors import ConfigInvalid, EmptyInput, PipelineError
 from .evaluation import (
     DEFAULT_HIGH_RISK_PERCENTILE,
     _format_real,
@@ -80,15 +80,13 @@ class PipelineConfig:
     out: str | None = None
     seed: int | None = None
     k: str = "4"
-    cum_threshold: float = 0.80
     percentile: float = DEFAULT_HIGH_RISK_PERCENTILE
     prs_mode: str = "sum"
     scale: str = "sample-sd"
     strand_policy: str = "exclude"
 
 
-_INT_KEYS = {"seed"}
-_FLOAT_KEYS = {"cum_threshold", "percentile"}
+_NUMBER_KEYS = {"seed": (int, "an integer"), "percentile": (float, "a number")}
 _CHOICE_KEYS = {
     "prs_mode": ("sum", "mean"),
     "scale": ("sample-sd", "binomial"),
@@ -125,16 +123,12 @@ def _resolve(args: argparse.Namespace) -> PipelineConfig:
     layers.append({k: str(v) for k, v in flag_layer.items()})
     for layer in layers:
         for key, text in layer.items():
-            if key in _INT_KEYS:
+            if key in _NUMBER_KEYS:
+                kind, noun = _NUMBER_KEYS[key]
                 try:
-                    setattr(cfg, key, int(text))
+                    setattr(cfg, key, kind(text))
                 except ValueError:
-                    raise ConfigInvalid(f"{key}: expected an integer, got {text!r}") from None
-            elif key in _FLOAT_KEYS:
-                try:
-                    setattr(cfg, key, float(text))
-                except ValueError:
-                    raise ConfigInvalid(f"{key}: expected a number, got {text!r}") from None
+                    raise ConfigInvalid(f"{key}: expected {noun}, got {text!r}") from None
             elif key in _CHOICE_KEYS:
                 if text not in _CHOICE_KEYS[key]:
                     raise ConfigInvalid(
@@ -143,14 +137,8 @@ def _resolve(args: argparse.Namespace) -> PipelineConfig:
                 setattr(cfg, key, text)
             else:
                 setattr(cfg, key, text)
-    if cfg.k != "auto":
-        try:
-            if int(cfg.k) < 1:
-                raise ValueError
-        except ValueError:
-            raise ConfigInvalid(f"k: expected a positive integer or 'auto', got {cfg.k!r}") from None
-    if not 0.0 < cfg.cum_threshold <= 1.0:
-        raise ConfigInvalid(f"cum_threshold: must be in (0, 1], got {cfg.cum_threshold}")
+    if cfg.k != "auto" and not (cfg.k.isascii() and cfg.k.isdigit() and int(cfg.k) >= 1):
+        raise ConfigInvalid(f"k: expected a positive integer or 'auto', got {cfg.k!r}")
     if not 0.0 < cfg.percentile < 100.0:
         raise ConfigInvalid(f"percentile: must be in (0, 100), got {cfg.percentile}")
     return cfg
@@ -173,13 +161,7 @@ def _echo_config(cfg: PipelineConfig, out: Path) -> None:
     lines = []
     for f in sorted(fields(PipelineConfig), key=lambda f: f.name):
         value = getattr(cfg, f.name)
-        if value is None:
-            text = "."
-        elif isinstance(value, float):
-            text = repr(value)
-        else:
-            text = str(value)
-        lines.append(f"{f.name}={text}")
+        lines.append(f"{f.name}={'.' if value is None else value}")
     with pio._text_dest(out / "run_config.txt") as handle:
         handle.write("\n".join(lines) + "\n")
 
@@ -263,7 +245,8 @@ def _cmd_fit(cfg: PipelineConfig) -> int:
     k_max = min(limit, max(_VARIANCE_TABLE_COMPONENTS, requested or 1))
     model_full = fit_pca(X, k_max, params)
     if requested is None:
-        k = select_k(model_full, cfg.cum_threshold)
+        k = select_k(model_full, X)
+        print(f"k auto: kept {k} components by the Tracy-Widom test at the 5% level", file=sys.stderr)
     else:
         k = min(requested, k_max)
         if k < requested:
@@ -276,14 +259,12 @@ def _cmd_fit(cfg: PipelineConfig) -> int:
     adjustment = fit_adjustment(raw, pcs)
     save_adjustment_model(adjustment, out / "adjustment_model.txt")
 
+    spectrum = zip(model_full.eigenvalues, model_full.explained_variance_ratio)
     lines = ["component,eigenvalue,explained_variance_ratio,cumulative"]
     cumulative = 0.0
-    for i in range(model_full.k):
-        cumulative += float(model_full.explained_variance_ratio[i])
-        lines.append(
-            f"{i + 1},{_format_real(model_full.eigenvalues[i])},"
-            f"{_format_real(model_full.explained_variance_ratio[i])},{_format_real(cumulative)}"
-        )
+    for i, (eigenvalue, ratio) in enumerate(spectrum, start=1):
+        cumulative += float(ratio)
+        lines.append(f"{i},{_format_real(eigenvalue)},{_format_real(ratio)},{_format_real(cumulative)}")
     table = "\n".join(lines) + "\n"
     with pio._text_dest(out / "explained_variance.csv") as handle:
         handle.write(table)
@@ -323,22 +304,19 @@ def _cmd_score(cfg: PipelineConfig) -> int:
 
 
 def _cmd_evaluate(cfg: PipelineConfig) -> int:
-    _require(cfg, "report")
-    out = _out_dir(cfg)
+    _require(cfg, "report", "out")
     report = pio.read_report_csv(cfg.report)
 
-    summaries = stratify_by_population(report.rows, cfg.percentile)
-    write_population_summary_csv(summaries, out / "population_summary.csv")
-
+    # Everything that can fail runs before the first file is written.
     labeled = [row for row in report.rows if row.obese is not None]
+    if report.rows and not labeled:
+        raise EmptyInput("no row of the report has an obese label; run 'score' with --phenotypes")
+    summaries = stratify_by_population(report.rows, cfg.percentile)
     comparison = compare_models(
         [row.raw_prs for row in labeled],
         [row.adjusted_prs for row in labeled],
         [row.obese for row in labeled],
     )
-    write_roc_csv(comparison.roc_raw, out / "roc_raw.csv")
-    write_roc_csv(comparison.roc_adjusted, out / "roc_adjusted.csv")
-
     metrics = {
         "auc_raw": comparison.auc_raw,
         "auc_adjusted": comparison.auc_adjusted,
@@ -353,6 +331,10 @@ def _cmd_evaluate(cfg: PipelineConfig) -> int:
         "n_neg": comparison.roc_raw.n_neg,
         "n_unlabeled": len(report.rows) - len(labeled),
     }
+    out = _out_dir(cfg)
+    write_population_summary_csv(summaries, out / "population_summary.csv")
+    write_roc_csv(comparison.roc_raw, out / "roc_raw.csv")
+    write_roc_csv(comparison.roc_adjusted, out / "roc_adjusted.csv")
     write_metrics(metrics, out / "metrics.txt")
     write_metrics(metrics, sys.stdout)
     _echo_config(cfg, out)
@@ -386,13 +368,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-vcf", dest="train_vcf", help="training genotypes (VCF)")
     p.add_argument("--panel", help="ancestry panel variant ids, one per line")
     p.add_argument("--weights", help="score weight table (TSV)")
-    p.add_argument("--k", help="number of PCs, or 'auto' to pick by cumulative variance")
-    p.add_argument(
-        "--cum-threshold",
-        dest="cum_threshold",
-        type=float,
-        help="cumulative explained-variance threshold used with --k auto",
-    )
+    p.add_argument("--k", help="number of PCs, or 'auto' to pick by the Tracy-Widom test")
     p.add_argument("--scale", choices=("sample-sd", "binomial"), help="standardization scale")
     p.add_argument(
         "--strand-policy",

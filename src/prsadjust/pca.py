@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import math
 from dataclasses import dataclass
 from typing import Literal
 
@@ -45,6 +46,9 @@ SCALE_SAMPLE_SD = "sample-sd"
 SCALE_BINOMIAL = "binomial"
 
 _MODEL_MAGIC = "prsadjust-pca v1"
+
+# The 95% quantile of the Tracy-Widom TW1 law: select_k's 5% level.
+_TW1_QUANTILE_95 = 0.9793
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,12 +81,11 @@ class PcaModel:
 
     loadings: (m, k) eigenvector matrix W with orthonormal columns.
     eigenvalues: the k leading eigenvalues of C, nonincreasing.
-    explained_variance_ratio: eigenvalues / total variance of C.
+    total_variance: trace(C), the sum over its full spectrum.
     """
 
     loadings: np.ndarray
     eigenvalues: np.ndarray
-    explained_variance_ratio: np.ndarray
     total_variance: float
     n_train: int
     params: StandardizationParams | None = None
@@ -90,13 +93,10 @@ class PcaModel:
     def __post_init__(self):
         self.loadings = np.asarray(self.loadings, dtype=np.float64)
         self.eigenvalues = np.asarray(self.eigenvalues, dtype=np.float64)
-        self.explained_variance_ratio = np.asarray(
-            self.explained_variance_ratio, dtype=np.float64
-        )
         if self.loadings.ndim != 2:
             raise ValueError("loadings must be 2-D")
         k = self.loadings.shape[1]
-        if self.eigenvalues.shape != (k,) or self.explained_variance_ratio.shape != (k,):
+        if self.eigenvalues.shape != (k,):
             raise ValueError("spectrum length must match loading columns")
         if np.any(self.eigenvalues < -1e-10):
             raise ValueError("eigenvalues must be nonnegative")
@@ -110,6 +110,13 @@ class PcaModel:
         return self.loadings.shape[1]
 
     @property
+    def explained_variance_ratio(self) -> np.ndarray:
+        """Eigenvalues over the total variance of C."""
+        if self.total_variance > 0:
+            return self.eigenvalues / self.total_variance
+        return np.zeros_like(self.eigenvalues)
+
+    @property
     def n_variants(self) -> int:
         return self.loadings.shape[0]
 
@@ -120,7 +127,6 @@ class PcaModel:
         return PcaModel(
             loadings=self.loadings[:, :k].copy(),
             eigenvalues=self.eigenvalues[:k].copy(),
-            explained_variance_ratio=self.explained_variance_ratio[:k].copy(),
             total_variance=self.total_variance,
             n_train=self.n_train,
             params=self.params,
@@ -208,6 +214,11 @@ def standardize(
     return standardized, params
 
 
+def _gram(X: np.ndarray) -> np.ndarray:
+    """The smaller Gram matrix of X: X^T X when n > m, else X X^T."""
+    return X.T @ X if X.shape[0] > X.shape[1] else X @ X.T
+
+
 def fit_pca(
     X: np.ndarray, k_max: int, params: StandardizationParams | None = None
 ) -> PcaModel:
@@ -250,7 +261,7 @@ def fit_pca(
         raise DimensionError("params variant count must match X columns")
     # Eigenpairs of the smaller Gram matrix; eigh sorts ascending.
     try:
-        gram_values, gram_vectors = np.linalg.eigh(X.T @ X if n > m else X @ X.T)
+        gram_values, gram_vectors = np.linalg.eigh(_gram(X))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigendecomposition did not converge: {exc}") from exc
     squared = np.clip(gram_values[::-1][:k_max], 0.0, None)  # clip round-off
@@ -270,11 +281,9 @@ def fit_pca(
     eigenvalues = squared / (n - 1)
     # trace(C): the full spectrum's sum, also the denominator of the ratio.
     total_variance = float(np.square(X).sum()) / (n - 1)
-    ratio = eigenvalues / total_variance if total_variance > 0 else np.zeros_like(eigenvalues)
     return PcaModel(
         loadings=loadings,
         eigenvalues=eigenvalues,
-        explained_variance_ratio=ratio,
         total_variance=total_variance,
         n_train=n,
         params=params,
@@ -311,27 +320,41 @@ def project(model: PcaModel, matrix: GenotypeMatrix) -> PcScores:
     )
 
 
-def select_k(model: PcaModel, cumulative_threshold: float = 0.80) -> int:
-    """Smallest k whose cumulative explained-variance ratio meets the threshold.
+def select_k(model: PcaModel, X: np.ndarray) -> int:
+    """Count of leading components significant by the Tracy-Widom test at 5%.
 
-    A slack of 1e-12 absorbs decimal rounding in the cumulative sum. When
-    even all of the model's components fall short, the full count is
-    returned and a warning logged; that situation is advisory, not fatal.
+    The sequential test of Patterson, Price & Reich (2006) on the model's
+    eigenvalues of C, fitted on X: lambda_j is normalized by the effective
+    size n' of the q = min(n - 1, m) - j + 1 eigenvalues left, whose sum and
+    sum of squares are trace(C) and ||C||_F^2 less those already tested, and
+    is significant above the TW1 95% quantile (Tracy & Widom, 1996). Testing
+    stops at the first eigenvalue that is not; q < 3, a denominator <= 0,
+    n' <= 1 and an eigenvalue zero to working precision (round-off then rules
+    the tail sums) count as not. Returns at least 1; when all ``model.k``
+    components pass, it logs a warning and returns ``model.k``.
     """
-    if not 0.0 < cumulative_threshold <= 1.0:
-        raise ValueError(f"cumulative_threshold must be in (0, 1], got {cumulative_threshold}")
-    cumulative = np.cumsum(model.explained_variance_ratio)
-    reached = np.flatnonzero(cumulative >= cumulative_threshold - 1e-12)
-    if reached.size == 0:
-        logger.warning(
-            "cumulative explained variance %.4f over %d components never reaches %.4f; "
-            "keeping all components",
-            float(cumulative[-1]) if cumulative.size else 0.0,
-            model.k,
-            cumulative_threshold,
-        )
-        return model.k
-    return int(reached[0]) + 1
+    n, m = X.shape
+    p = min(n - 1, m)
+    s1 = model.total_variance
+    s2 = float(np.square(_gram(np.asarray(X, dtype=np.float64))).sum()) / (n - 1) ** 2
+    zero = float(model.eigenvalues[0]) * p * np.finfo(np.float64).eps
+    significant = 0
+    for j, lam in enumerate(model.eigenvalues.tolist(), start=1):
+        q = p - j + 1
+        denominator = (q - 1) * s2 - s1 * s1
+        n_eff = (q + 1) * s1 * s1 / denominator if denominator > 0 else 0.0
+        if q < 3 or lam <= zero or n_eff <= 1:
+            break
+        root = math.sqrt(n_eff - 1) + math.sqrt(q)
+        sigma = root / n_eff * (1 / math.sqrt(n_eff - 1) + 1 / math.sqrt(q)) ** (1 / 3)
+        if (q * lam / s1 - root * root / n_eff) / sigma <= _TW1_QUANTILE_95:
+            break
+        significant = j
+        s1 -= lam
+        s2 -= lam * lam
+    if significant == model.k:
+        logger.warning("all %d components pass the Tracy-Widom test; keeping all", model.k)
+    return max(1, significant)
 
 
 # ---------------------------------------------------------------------------
@@ -444,11 +467,9 @@ def load_pca_model(source) -> PcaModel:
         dropped_variants=dropped,
         scale_mode=scale_mode,
     )
-    ratio = eigenvalues / total_variance if total_variance > 0 else np.zeros_like(eigenvalues)
     return PcaModel(
         loadings=loadings,
         eigenvalues=eigenvalues,
-        explained_variance_ratio=ratio,
         total_variance=total_variance,
         n_train=n_train,
         params=params,

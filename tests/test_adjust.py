@@ -162,3 +162,18 @@ def test_corrupt_file_rejected(tmp_path):
     path.write_text("garbage\n")
     with pytest.raises(ValueError):
         load_adjustment_model(path)
+
+
+@pytest.mark.parametrize(
+    "key", ["k", "n_train", "intercept", "coefficients", "r_squared", "pca_fingerprint"]
+)
+def test_missing_key_is_named(key, tmp_path):
+    model = AdjustmentModel(
+        intercept=0.25, coefficients=np.array([1.0, -2.0]), r_squared=0.5, n_train=9,
+        pca_fingerprint="a" * 64,
+    )
+    lines = serialize_adjustment_model(model).splitlines()
+    path = tmp_path / "adjustment_model.txt"
+    path.write_text("\n".join(line for line in lines if line.split(" ")[0] != key) + "\n")
+    with pytest.raises(ValueError, match=f"no '{key}' line"):
+        load_adjustment_model(path)

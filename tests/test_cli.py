@@ -1,13 +1,16 @@
 """Command line driver: simulate | fit | score | evaluate."""
 
+import argparse
+import re
 import shutil
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from prsadjust import pca
-from prsadjust.cli import main
+from prsadjust.cli import _build_parser, main
 from prsadjust.io import read_report_csv
 
 SMALL_SCENARIO = """\
@@ -142,22 +145,46 @@ class TestFit:
         for name in ("pca_model.txt", "adjustment_model.txt", "explained_variance.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
-    def test_k_auto_selects_by_cumulative_variance(self, scenario_dir, tmp_path, capsys):
-        code, out, err = run(
+    def test_k_auto_keeps_the_tracy_widom_count(self, tmp_path, capsys):
+        # the built-in scenario: three populations, so two significant axes
+        assert main(["simulate", "--out", str(tmp_path / "d")]) == 0
+        code, _, err = run(
             "fit",
-            "--train-vcf", str(scenario_dir / "train_genotypes.vcf"),
-            "--panel", str(scenario_dir / "panel.txt"),
-            "--weights", str(scenario_dir / "weights.tsv"),
-            "--k", "auto", "--cum-threshold", "0.05",
+            "--train-vcf", str(tmp_path / "d" / "genotypes.vcf"),
+            "--panel", str(tmp_path / "d" / "panel.txt"),
+            "--weights", str(tmp_path / "d" / "weights.tsv"),
+            "--k", "auto",
             "--out", str(tmp_path / "m"),
             capsys=capsys,
         )
         assert code == 0
-        lines = (tmp_path / "m" / "explained_variance.csv").read_text().splitlines()
-        k = len(lines) - 1
-        assert k >= 1
-        cumulative = float(lines[k].split(",")[3])
-        assert cumulative >= 0.05 - 1e-12
+        assert "k auto: kept 2 components by the Tracy-Widom test at the 5% level" in err
+        assert "n_components 2" in (tmp_path / "m" / "pca_model.txt").read_text().splitlines()
+        assert "k 2" in (tmp_path / "m" / "adjustment_model.txt").read_text().splitlines()
+        table = (tmp_path / "m" / "explained_variance.csv").read_text().splitlines()
+        assert len(table) == 21
+
+    @pytest.mark.parametrize(
+        "source, value",
+        [("flag", v) for v in ("0", "-1", "1_0", "+4", " 4", "\u0663", "four")]
+        + [("config", v) for v in ("0", "1_0", "+4", "\u0663", "four")],
+    )
+    def test_k_must_be_ascii_digits_or_auto(self, scenario_dir, tmp_path, capsys, source, value):
+        config = tmp_path / "fit.cfg"
+        config.write_text(f"k={value}\n", encoding="utf-8")
+        k_args = ["--k", value] if source == "flag" else ["--config", str(config)]
+        code, _, err = run(
+            "fit",
+            "--train-vcf", str(scenario_dir / "train_genotypes.vcf"),
+            "--panel", str(scenario_dir / "panel.txt"),
+            "--weights", str(scenario_dir / "weights.tsv"),
+            *k_args,
+            "--out", str(tmp_path / "m"),
+            capsys=capsys,
+        )
+        assert code == 2
+        assert err.startswith("error: k:")
+        assert not (tmp_path / "m").exists()
 
     def test_disjoint_panel_exits_3(self, scenario_dir, tmp_path, capsys):
         panel = tmp_path / "panel.txt"
@@ -285,6 +312,23 @@ class TestScore:
         assert "error:" in err
         assert "different PCA model" in err
 
+    def test_truncated_adjustment_model_exits_3(self, scenario_dir, model_dir, tmp_path, capsys):
+        truncated = tmp_path / "truncated"
+        truncated.mkdir()
+        shutil.copy(model_dir / "pca_model.txt", truncated / "pca_model.txt")
+        head = (model_dir / "adjustment_model.txt").read_text().splitlines()[:3]
+        (truncated / "adjustment_model.txt").write_text("\n".join(head) + "\n")
+        code, _, err = run(
+            "score",
+            "--test-vcf", str(scenario_dir / "test_genotypes.vcf"),
+            "--weights", str(scenario_dir / "weights.tsv"),
+            "--model-dir", str(truncated),
+            "--out", str(tmp_path / "scores"),
+            capsys=capsys,
+        )
+        assert code == 3
+        assert err == "error: adjustment model has no 'intercept' line\n"
+
     def test_score_fingerprints_the_pca_model_once(self, scenario_dir, model_dir,
                                                    tmp_path, monkeypatch):
         original = pca.pca_model_fingerprint
@@ -373,7 +417,31 @@ class TestEvaluate:
             capsys=capsys,
         )
         assert code == 3
-        assert "error:" in err
+        assert err == "error: need both classes, got 120 positive / 0 negative\n"
+        assert list(tmp_path.glob("eval/*")) == []
+
+    def test_unlabeled_report_names_the_cause_and_writes_nothing(
+        self, scenario_dir, model_dir, tmp_path, capsys
+    ):
+        assert main(
+            [
+                "score",
+                "--test-vcf", str(scenario_dir / "test_genotypes.vcf"),
+                "--weights", str(scenario_dir / "weights.tsv"),
+                "--model-dir", str(model_dir),
+                "--out", str(tmp_path / "scores"),
+            ]
+        ) == 0
+        code, _, err = run(
+            "evaluate", "--report", str(tmp_path / "scores" / "report.csv"),
+            "--out", str(tmp_path / "eval"),
+            capsys=capsys,
+        )
+        assert code == 3
+        assert len(err.splitlines()) == 1
+        assert "no row of the report has an obese label" in err
+        assert "--phenotypes" in err
+        assert list(tmp_path.glob("eval/*")) == []
 
 
 class TestConfigLayering:
@@ -420,3 +488,23 @@ class TestUsage:
     def test_unknown_flag_exits_2(self, capsys):
         code, _, _ = run("fit", "--bogus", capsys=capsys)
         assert code == 2
+
+
+def test_readme_names_exactly_the_subcommand_flags():
+    """README and the parser list the same long flags, so neither outlives the other."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    # pip's flag, in the install instructions
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", readme)) - {"--no-build-isolation"}
+    (subcommands,) = [
+        action for action in _build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    flags = {
+        option
+        for parser in subcommands.choices.values()
+        for action in parser._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+    }
+    assert named - flags == set(), "README names flags no subcommand has"
+    assert flags - named == set(), "subcommand flags missing from README"

@@ -5,6 +5,7 @@ two derivations agree independently of how either is computed.
 """
 
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from prsadjust.errors import (
     MissingModelVariants,
     NoVariantsRetained,
 )
-from prsadjust.genotypes import PanelDefinition, filter_by_panel
+from prsadjust.genotypes import PanelDefinition, fill_missing_mean, filter_by_panel
 from prsadjust.pca import (
     PcaModel,
     StandardizationParams,
@@ -30,6 +31,7 @@ from prsadjust.pca import (
     serialize_pca_model,
     standardize,
 )
+from prsadjust.simulate import PopulationConfig, ScenarioConfig, generate_cohort
 from conftest import make_matrix
 
 
@@ -245,42 +247,100 @@ class TestFitPcaProperties:
         assert again.total_variance == model.total_variance
 
 
-class TestSelectK:
-    def _model(self, eigenvalues, total):
-        eigenvalues = np.asarray(eigenvalues, dtype=float)
-        k = len(eigenvalues)
-        return PcaModel(
-            loadings=np.eye(max(k, 2))[:, :k],
-            eigenvalues=eigenvalues,
-            explained_variance_ratio=eigenvalues / total,
-            total_variance=total,
-            n_train=10,
+def _tracy_widom_k_reference(X, k_max):
+    """select_k's rule, computed from the full spectrum of the covariance."""
+    n, m = X.shape
+    spectrum = np.linalg.eigvalsh(X.T @ X / (n - 1))[::-1][: min(n - 1, m)]
+    significant = 0
+    for j in range(k_max):
+        tail = spectrum[j:]
+        q, s1, s2 = tail.size, tail.sum(), np.square(tail).sum()
+        if q < 3 or (q - 1) * s2 - s1**2 <= 0:
+            break
+        n_eff = (q + 1) * s1**2 / ((q - 1) * s2 - s1**2)
+        if n_eff <= 1:
+            break
+        mu = (np.sqrt(n_eff - 1) + np.sqrt(q)) ** 2 / n_eff
+        sigma = (np.sqrt(n_eff - 1) + np.sqrt(q)) / n_eff * np.cbrt(
+            1 / np.sqrt(n_eff - 1) + 1 / np.sqrt(q)
         )
+        if (q * tail[0] / s1 - mu) / sigma <= 0.9793:
+            break
+        significant = j + 1
+    return max(1, significant)
 
-    def test_threshold_hit_exactly_despite_float_cumsum(self):
-        # 0.5 + 0.3 accumulates to 0.7999999999999999; the slack absorbs it
-        model = self._model([0.5, 0.3, 0.1], total=1.0)
-        assert select_k(model, 0.8) == 2
 
-    def test_threshold_above_requires_next_component(self):
-        model = self._model([0.5, 0.3, 0.1], total=1.0)
-        assert select_k(model, 0.80001) == 3
+def _cohort_panel(scenario):
+    cohort = generate_cohort(scenario)
+    panel_matrix, _ = filter_by_panel(cohort.matrix, cohort.panel)
+    return standardize(fill_missing_mean(panel_matrix))
 
-    def test_first_component_can_suffice(self):
-        model = self._model([0.9, 0.05], total=1.0)
-        assert select_k(model, 0.5) == 1
 
-    def test_unreachable_threshold_returns_all_and_warns(self, caplog):
-        model = self._model([0.5, 0.3, 0.1], total=1.0)
+class TestSelectK:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_single_population_keeps_one(self, seed):
+        scenario = ScenarioConfig(
+            seed=seed, populations=(PopulationConfig("POPA", 500, 0.1),), n_ancestry_snps=800
+        )
+        X, params = _cohort_panel(scenario)
+        assert select_k(fit_pca(X, 20, params), X) == 1
+
+    @pytest.mark.parametrize(
+        "n_pops, n_each, n_snps, fst, seed",
+        [
+            (3, 60, 400, 0.1, 1),
+            (4, 50, 300, 0.05, 2),
+            (2, 40, 600, 0.02, 3),
+            (5, 30, 120, 0.15, 4),
+            (3, 150, 200, 0.01, 5),
+            (1, 90, 250, 0.1, 6),
+        ],
+    )
+    def test_matches_full_spectrum_reference(self, n_pops, n_each, n_snps, fst, seed):
+        scenario = ScenarioConfig(
+            seed=seed,
+            populations=tuple(PopulationConfig(f"P{i}", n_each, fst) for i in range(n_pops)),
+            n_ancestry_snps=n_snps,
+        )
+        X, params = _cohort_panel(scenario)
+        model = fit_pca(X, min(20, X.shape[1]), params)
+        assert select_k(model, X) == _tracy_widom_k_reference(X, model.k)
+
+    def test_every_component_significant_keeps_all_and_warns(self, caplog):
+        scenario = ScenarioConfig(
+            seed=7,
+            populations=tuple(PopulationConfig(f"P{i}", 60, 0.2) for i in range(4)),
+            n_ancestry_snps=500,
+        )
+        X, params = _cohort_panel(scenario)
         with caplog.at_level(logging.WARNING):
-            assert select_k(model, 0.99) == 3
-        assert any("0.99" in rec.getMessage() for rec in caplog.records)
+            assert select_k(fit_pca(X, 2, params), X) == 2
+        assert any("Tracy-Widom" in rec.getMessage() for rec in caplog.records)
 
-    @pytest.mark.parametrize("bad", [0.0, -0.5, 1.5])
-    def test_invalid_threshold(self, bad):
-        model = self._model([1.0], total=1.0)
-        with pytest.raises(ValueError):
-            select_k(model, bad)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.sampled_from(["random", "one component", "flat", "duplicated", "n=3"]),
+        n=st.integers(4, 14),
+        m=st.integers(2, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_returns_a_count_in_range_without_warnings(self, shape, n, m, seed):
+        rng = np.random.default_rng(seed)
+        n = 3 if shape == "n=3" else n
+        X = rng.integers(0, 3, size=(n, m)).astype(float)
+        X = X - X.mean(axis=0)
+        if shape == "flat":
+            # orthonormal columns spanning centered ones, so every eigenvalue of C is 1
+            A = rng.normal(size=(n, min(m, n - 1)))
+            X = np.linalg.qr(A - A.mean(axis=0))[0] * np.sqrt(n - 1)
+        if shape == "duplicated":
+            X = np.hstack([X, X[:, : max(1, m // 2)]])
+        k_max = 1 if shape == "one component" else min(n - 1, X.shape[1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = fit_pca(X, k_max)
+            k = select_k(model, X)
+        assert type(k) is int and 1 <= k <= model.k
 
 
 class TestProject:
