@@ -89,9 +89,9 @@ _GT_DOSAGE = {
     "1/1": 2.0, "1|1": 2.0,
 }
 _GT_MISSING = ("./.", ".|.")
-# A VCF Float as DS carries it; float() alone would also take "0_5", " 1",
-# "nan" and non-ASCII digits.
-_DS_FLOAT = re.compile(r"[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?", re.ASCII)
+# A VCF Float, as DS carries it (the CLI reads its percentile the same way);
+# float() alone would also take "0_5", " 1", "nan" and non-ASCII digits.
+_VCF_FLOAT = re.compile(r"[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?", re.ASCII)
 # Entries a VCF memo table holds at most before it stops growing (a
 # 3-decimal GT:DS file has about 2,000 distinct entries).
 _MEMO_CAP = 1 << 16
@@ -208,6 +208,9 @@ def parse_vcf(source: Source) -> tuple[GenotypeMatrix, VcfParseReport]:
     which raises the error decoding the whole row would raise, and are
     stored while the table holds fewer than ``_MEMO_CAP``.
 
+    Each row's dosages and mask are appended to one byte buffer apiece;
+    the C-ordered (samples, variants) arrays are made from them at the end.
+
     A DS token is "." (missing) or an ASCII VCF Float: an optional sign,
     digits with an optional point and fraction (or a point and digits),
     and an optional exponent. "0_5", " 1", "nan" or non-ASCII digits are
@@ -232,8 +235,8 @@ def parse_vcf(source: Source) -> tuple[GenotypeMatrix, VcfParseReport]:
     """
     with _text_source(source) as stream:
         sample_names: tuple[str, ...] | None = None
-        columns: list[np.ndarray] = []
-        masks: list[np.ndarray] = []
+        # Each parsed row's dosages and mask, appended in row order.
+        dosage_rows, mask_rows = bytearray(), bytearray()
         variants: list[Variant] = []
         seen_ids: set[str] = set()
         skipped: dict[str, list[int]] = {}
@@ -307,25 +310,18 @@ def parse_vcf(source: Source) -> tuple[GenotypeMatrix, VcfParseReport]:
                 raise MalformedRow(line_no, str(exc)) from None
             seen_ids.add(vid)
             variants.append(variant)
-            dose, miss = decoded
-            columns.append(dose)
-            masks.append(miss)
+            dosage_rows += decoded[0].data
+            mask_rows += decoded[1].data
 
         if sample_names is None:
             raise ParseAbort("no #CHROM header line found")
 
-    n = len(sample_names)
-    dosage = (
-        np.stack(columns, axis=1) if columns else np.empty((n, 0), dtype=np.float64)
-    )
-    missing = (
-        np.stack(masks, axis=1) if masks else np.empty((n, 0), dtype=bool)
-    )
+    shape = (len(variants), len(sample_names))
     matrix = GenotypeMatrix(
         samples=tuple(SampleRecord(sample_id=name) for name in sample_names),
         variants=tuple(variants),
-        dosage=dosage,
-        missing_mask=missing,
+        dosage=np.frombuffer(dosage_rows, np.float64).reshape(shape).T.copy(),
+        missing_mask=np.frombuffer(mask_rows, bool).reshape(shape).T.copy(),
     )
     report = VcfParseReport(
         sample_names=sample_names,
@@ -400,7 +396,7 @@ def _decode_entries(
             if token == ".":
                 value = None
             else:
-                if not _DS_FLOAT.fullmatch(token):
+                if not _VCF_FLOAT.fullmatch(token):
                     raise MalformedRow(
                         line_no, f"sample {sample_names[i]}: bad DS {token!r}"
                     )

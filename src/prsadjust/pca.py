@@ -6,7 +6,8 @@ on the smaller Gram matrix, whose eigenvalues are mu_j = (n - 1) lambda_j:
 X^T X when n > m, whose eigenvectors are the loadings, else X X^T, whose
 eigenvectors u_j map back to loadings v_j = X^T u_j / sqrt(mu_j). Loadings
 whose mu_j is zero to working precision are completed to an orthonormal
-set instead. The total variance is ||X||_F^2 / (n - 1).
+set instead. The total variance is ||X||_F^2 / (n - 1), and ||C||_F^2 is the
+sum of mu_j^2 over the Gram matrix's full spectrum, divided by (n - 1)^2.
 
 Forming a Gram matrix squares the condition number of X, so the error of
 lambda_j is about eps * lambda_1 and its relative error (and a map-back
@@ -82,6 +83,8 @@ class PcaModel:
     loadings: (m, k) eigenvector matrix W with orthonormal columns.
     eigenvalues: the k leading eigenvalues of C, nonincreasing.
     total_variance: trace(C), the sum over its full spectrum.
+    frobenius_sq: ||C||_F^2, the sum of squares over its full spectrum;
+    None for a model read from file, which does not store it.
     """
 
     loadings: np.ndarray
@@ -89,6 +92,7 @@ class PcaModel:
     total_variance: float
     n_train: int
     params: StandardizationParams | None = None
+    frobenius_sq: float | None = None
 
     def __post_init__(self):
         self.loadings = np.asarray(self.loadings, dtype=np.float64)
@@ -130,6 +134,7 @@ class PcaModel:
             total_variance=self.total_variance,
             n_train=self.n_train,
             params=self.params,
+            frobenius_sq=self.frobenius_sq,
         )
 
 
@@ -214,11 +219,6 @@ def standardize(
     return standardized, params
 
 
-def _gram(X: np.ndarray) -> np.ndarray:
-    """The smaller Gram matrix of X: X^T X when n > m, else X X^T."""
-    return X.T @ X if X.shape[0] > X.shape[1] else X @ X.T
-
-
 def fit_pca(
     X: np.ndarray, k_max: int, params: StandardizationParams | None = None
 ) -> PcaModel:
@@ -261,7 +261,7 @@ def fit_pca(
         raise DimensionError("params variant count must match X columns")
     # Eigenpairs of the smaller Gram matrix; eigh sorts ascending.
     try:
-        gram_values, gram_vectors = np.linalg.eigh(_gram(X))
+        gram_values, gram_vectors = np.linalg.eigh(X.T @ X if n > m else X @ X.T)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigendecomposition did not converge: {exc}") from exc
     squared = np.clip(gram_values[::-1][:k_max], 0.0, None)  # clip round-off
@@ -287,6 +287,7 @@ def fit_pca(
         total_variance=total_variance,
         n_train=n,
         params=params,
+        frobenius_sq=float(np.square(gram_values).sum()) / (n - 1) ** 2,
     )
 
 
@@ -320,11 +321,11 @@ def project(model: PcaModel, matrix: GenotypeMatrix) -> PcScores:
     )
 
 
-def select_k(model: PcaModel, X: np.ndarray) -> int:
+def select_k(model: PcaModel) -> int:
     """Count of leading components significant by the Tracy-Widom test at 5%.
 
     The sequential test of Patterson, Price & Reich (2006) on the model's
-    eigenvalues of C, fitted on X: lambda_j is normalized by the effective
+    eigenvalues of C, from fit_pca: lambda_j is normalized by the effective
     size n' of the q = min(n - 1, m) - j + 1 eigenvalues left, whose sum and
     sum of squares are trace(C) and ||C||_F^2 less those already tested, and
     is significant above the TW1 95% quantile (Tracy & Widom, 1996). Testing
@@ -332,11 +333,18 @@ def select_k(model: PcaModel, X: np.ndarray) -> int:
     n' <= 1 and an eigenvalue zero to working precision (round-off then rules
     the tail sums) count as not. Returns at least 1; when all ``model.k``
     components pass, it logs a warning and returns ``model.k``.
+
+    Raises
+    ------
+    ValueError
+        If the model lacks ||C||_F^2, as a model read from file does.
     """
-    n, m = X.shape
-    p = min(n - 1, m)
-    s1 = model.total_variance
-    s2 = float(np.square(_gram(np.asarray(X, dtype=np.float64))).sum()) / (n - 1) ** 2
+    if model.frobenius_sq is None:
+        raise ValueError(
+            "model carries no ||C||_F^2, as one read from file does; select k on a fitted model"
+        )
+    p = min(model.n_train - 1, model.n_variants)
+    s1, s2 = model.total_variance, model.frobenius_sq
     zero = float(model.eigenvalues[0]) * p * np.finfo(np.float64).eps
     significant = 0
     for j, lam in enumerate(model.eigenvalues.tolist(), start=1):

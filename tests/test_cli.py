@@ -4,13 +4,18 @@ import argparse
 import re
 import shutil
 import sys
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from prsadjust import pca
-from prsadjust.cli import _build_parser, main
+from prsadjust import cli, pca
+from prsadjust import io as pio
+from prsadjust.adjust import fit_adjustment
+from prsadjust.cli import _build_parser, _resolve, main
+from prsadjust.genotypes import fill_missing_mean, filter_by_panel
 from prsadjust.io import read_report_csv
 
 SMALL_SCENARIO = """\
@@ -144,6 +149,79 @@ class TestFit:
         assert main(args + ["--out", str(tmp_path / "b")]) == 0
         for name in ("pca_model.txt", "adjustment_model.txt", "explained_variance.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_training_pcs_equal_projection_of_filled_panel(self, scenario_dir, tmp_path, monkeypatch):
+        """fit's PCs are X @ loadings; projecting the filled panel gives the same bits."""
+        matrix, _ = pio.parse_vcf(scenario_dir / "train_genotypes.vcf")
+        panel = pio.parse_panel(scenario_dir / "panel.txt")
+        dosage, missing = matrix.dosage.copy(), matrix.missing_mask.copy()
+        missing[::7, ::5] = True
+        constant = matrix.variant_index()[panel.variant_ids[3]]
+        dosage[:, constant] = 1.0
+        vcf = tmp_path / "train.vcf"
+        pio.write_vcf(replace(matrix, dosage=dosage, missing_mask=missing), vcf)
+        seen = []
+
+        def record(raw, pcs):
+            seen.append(pcs)
+            return fit_adjustment(raw, pcs)
+
+        monkeypatch.setattr(cli, "fit_adjustment", record)
+        assert main(
+            [
+                "fit",
+                "--train-vcf", str(vcf),
+                "--panel", str(scenario_dir / "panel.txt"),
+                "--weights", str(scenario_dir / "weights.tsv"),
+                "--k", "4",
+                "--out", str(tmp_path / "m"),
+            ]
+        ) == 0
+        model = pca.load_pca_model(tmp_path / "m" / "pca_model.txt")
+        assert panel.variant_ids[3] in model.params.dropped_variants
+        parsed, _ = pio.parse_vcf(vcf)
+        assert parsed.missing_mask.any()
+        filled = fill_missing_mean(filter_by_panel(parsed, panel)[0])
+        expected = pca.project(model, filled)
+        (pcs,) = seen
+        assert pcs.scores.tobytes() == expected.scores.tobytes()
+        assert pcs.sample_ids == expected.sample_ids
+        assert pcs.model_fingerprint == expected.model_fingerprint
+
+    def test_traced_peak_holds_one_full_size_genotype_copy(self, tmp_path):
+        """fit's traced peak stays within 3.5x the parsed dosage matrix.
+
+        X, the Gram matrix and eigh's outputs come to about 3x; a second
+        full-size copy of the genotypes alive through the eigensolve breaks it.
+        """
+        config = tmp_path / "scenario.cfg"
+        config.write_text(
+            "seed=5\n"
+            + "".join(f"population=POP{c}:300:0.2:0\n" for c in "ABC")
+            + "n_ancestry_snps=900\nn_trait_snps=90\n"
+        )
+        data = tmp_path / "d"
+        assert main(["simulate", "--scenario", str(config), "--out", str(data)]) == 0
+        parsed, _ = pio.parse_vcf(data / "genotypes.vcf")
+        assert parsed.dosage.shape == (900, 990)
+        dosage_bytes = parsed.dosage.nbytes
+        del parsed
+        tracemalloc.start()
+        try:
+            assert main(
+                [
+                    "fit",
+                    "--train-vcf", str(data / "genotypes.vcf"),
+                    "--panel", str(data / "panel.txt"),
+                    "--weights", str(data / "weights.tsv"),
+                    "--k", "4",
+                    "--out", str(tmp_path / "m"),
+                ]
+            ) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * dosage_bytes
 
     def test_k_auto_keeps_the_tracy_widom_count(self, tmp_path, capsys):
         # the built-in scenario: three populations, so two significant axes
@@ -468,6 +546,27 @@ class TestConfigLayering:
         ) == 0
         echoed = (eval_dir / "run_config.txt").read_text()
         assert "percentile=76.0" in echoed
+
+    # +4 is a VCF Float, so it is a valid percentile but not a valid seed.
+    @pytest.mark.parametrize("token", ["1_2", "+4", " 4", "\u0663", "7_6", "nan", "inf"])
+    @pytest.mark.parametrize("key, command", [("seed", "simulate"), ("percentile", "evaluate")])
+    def test_seed_and_percentile_read_strictly(self, key, command, token, tmp_path, capsys):
+        if key == "percentile" and token == "+4":
+            args = _build_parser().parse_args(["evaluate", "--percentile", token])
+            assert _resolve(args).percentile == 4.0
+            return
+        out = tmp_path / "out"
+        layers = [["--" + key, token]]
+        if token.strip() == token:  # config values are stripped
+            config = tmp_path / "run.cfg"
+            config.write_text(f"{key}={token}\n", encoding="utf-8")
+            layers.append(["--config", str(config)])
+        report = ["--report", str(tmp_path / "report.csv")] if command == "evaluate" else []
+        for layer in layers:
+            code, _, err = run(command, *layer, *report, "--out", str(out), capsys=capsys)
+            assert code == 2
+            assert err.startswith(f"error: {key}: expected ") and repr(token) in err
+            assert not out.exists()
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         config = tmp_path / "bad.cfg"

@@ -607,3 +607,51 @@ class TestReportCsv:
     def test_reader_rejects_wrong_header(self):
         with pytest.raises(ParseAbort):
             read_report_csv(stdio.StringIO("sample,pop,pc1,raw,adj,obese\n"))
+
+
+@st.composite
+def mixed_vcf_rows(draw):
+    """(sample count, [(ALT, FORMAT, entries)]): fixed-width GT rows, GT rows
+    with subfields, GT:DS rows and multi-allelic rows, which are skipped."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    gt = st.sampled_from(_GT_TOKENS)
+    kinds = {
+        "GT": st.lists(gt, min_size=n, max_size=n),
+        "GT:GQ": st.lists(gt.map(lambda call: call + ":30"), min_size=n, max_size=n),
+        "GT:DS": st.lists(
+            st.tuples(gt, st.sampled_from(_DS_TOKENS)).map(":".join), min_size=n, max_size=n
+        ),
+    }
+    alt = st.sampled_from(["G", "G", "G", "G,T"])
+    row = st.sampled_from(sorted(kinds)).flatmap(lambda f: st.tuples(alt, st.just(f), kinds[f]))
+    return n, draw(st.lists(row, min_size=0, max_size=8))
+
+
+class TestParseVcfLayout:
+    @given(mixed_vcf_rows())
+    def test_matches_stacked_per_row_decodes(self, drawn):
+        """One C-ordered float64 matrix and bool mask, bitwise what stacking
+        each parsed row's decode gives, also with no parsed row: (n, 0)."""
+        n, rows = drawn
+        names = tuple(f"S{i}" for i in range(n))
+        header = "#CHROM\tPOS\tID\tREF\tALT\tQUAL\tFILTER\tINFO\tFORMAT\t" + "\t".join(names)
+        lines = [header] + [
+            f"1\t{100 * (r + 1)}\trs{r}\tA\t{alt}\t.\t.\t.\t{fmt}\t" + "\t".join(entries)
+            for r, (alt, fmt, entries) in enumerate(rows)
+        ]
+        matrix, report = parse_vcf(stdio.StringIO("\n".join(lines) + "\n"))
+        decoded = [
+            prsadjust.io._decode_entries(entries, 1 if fmt == "GT:DS" else None, names, r + 2)
+            for r, (alt, fmt, entries) in enumerate(rows)
+            if "," not in alt
+        ]
+        if decoded:
+            dosage = np.stack([dose for dose, _ in decoded], axis=1)
+            missing = np.stack([miss for _, miss in decoded], axis=1)
+        else:
+            dosage, missing = np.empty((n, 0)), np.empty((n, 0), dtype=bool)
+        assert report.rows_parsed == len(decoded)
+        for got, want in ((matrix.dosage, dosage), (matrix.missing_mask, missing)):
+            assert got.dtype == want.dtype and got.shape == (n, len(decoded))
+            assert got.flags["C_CONTIGUOUS"]
+            assert got.tobytes() == want.tobytes()

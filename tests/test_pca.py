@@ -283,7 +283,7 @@ class TestSelectK:
             seed=seed, populations=(PopulationConfig("POPA", 500, 0.1),), n_ancestry_snps=800
         )
         X, params = _cohort_panel(scenario)
-        assert select_k(fit_pca(X, 20, params), X) == 1
+        assert select_k(fit_pca(X, 20, params)) == 1
 
     @pytest.mark.parametrize(
         "n_pops, n_each, n_snps, fst, seed",
@@ -304,7 +304,7 @@ class TestSelectK:
         )
         X, params = _cohort_panel(scenario)
         model = fit_pca(X, min(20, X.shape[1]), params)
-        assert select_k(model, X) == _tracy_widom_k_reference(X, model.k)
+        assert select_k(model) == _tracy_widom_k_reference(X, model.k)
 
     def test_every_component_significant_keeps_all_and_warns(self, caplog):
         scenario = ScenarioConfig(
@@ -314,8 +314,24 @@ class TestSelectK:
         )
         X, params = _cohort_panel(scenario)
         with caplog.at_level(logging.WARNING):
-            assert select_k(fit_pca(X, 2, params), X) == 2
+            assert select_k(fit_pca(X, 2, params)) == 2
         assert any("Tracy-Widom" in rec.getMessage() for rec in caplog.records)
+
+    @pytest.mark.parametrize("n, m", [(30, 12), (12, 30)])
+    def test_fit_records_the_frobenius_norm_and_truncate_keeps_it(self, rng, n, m):
+        X, params = standardize(_random_matrix(rng, n, m))
+        model = fit_pca(X, 5, params)
+        C = X.T @ X / (n - 1)
+        np.testing.assert_allclose(model.frobenius_sq, np.square(C).sum(), rtol=1e-12)
+        assert model.truncate(2).frobenius_sq == model.frobenius_sq
+
+    def test_model_read_from_file_is_refused(self, rng, tmp_path):
+        X, params = standardize(_random_matrix(rng, 30, 12))
+        save_pca_model(fit_pca(X, 5, params), tmp_path / "pca_model.txt")
+        loaded = load_pca_model(tmp_path / "pca_model.txt")
+        assert loaded.frobenius_sq is None
+        with pytest.raises(ValueError, match="read from file"):
+            select_k(loaded)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -339,7 +355,7 @@ class TestSelectK:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             model = fit_pca(X, k_max)
-            k = select_k(model, X)
+            k = select_k(model)
         assert type(k) is int and 1 <= k <= model.k
 
 
