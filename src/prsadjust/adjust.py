@@ -10,7 +10,9 @@ are uncorrelated with every PC up to numerical precision.
 
 An adjustment model remembers the fingerprint of the PCA model whose
 scores it was fitted on; applying it to scores from any other model is
-refused, since coefficients are meaningless in a different basis.
+refused, since coefficients are meaningless in a different basis. It
+also stores how the raw scores were made (strand policy and PRS mode), so
+a cohort is scored with the recipe the coefficients were fitted on.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .io import _text_dest, _text_source
 from .pca import PcScores, _real
 from .scoring import PrsVector
 
-_MODEL_MAGIC = "prsadjust-adjust v1"
+_MODEL_MAGIC = "prsadjust-adjust v2"
 
 
 @dataclass(eq=False)
@@ -36,6 +38,8 @@ class AdjustmentModel:
     r_squared: float
     n_train: int
     pca_fingerprint: str | None = None
+    strand_policy: str = "exclude"
+    prs_mode: str = "sum"
 
     def __post_init__(self):
         self.coefficients = np.asarray(self.coefficients, dtype=np.float64)
@@ -56,6 +60,8 @@ def _check_alignment(scores: PrsVector, pcs: PcScores) -> None:
 
 def fit_adjustment(scores: PrsVector, pcs: PcScores) -> AdjustmentModel:
     """Fit the adjustment regression on a training cohort.
+
+    The model records ``scores.mode``; the caller sets ``strand_policy``.
 
     Requires at least k + 1 samples (with exactly k + 1 the fit is
     saturated and residuals vanish). Sample ids of the two inputs must
@@ -86,6 +92,7 @@ def fit_adjustment(scores: PrsVector, pcs: PcScores) -> AdjustmentModel:
         r_squared=r_squared,
         n_train=n,
         pca_fingerprint=pcs.model_fingerprint,
+        prs_mode=scores.mode,
     )
 
 
@@ -135,6 +142,8 @@ def serialize_adjustment_model(model: AdjustmentModel) -> str:
         "coefficients " + " ".join(_real(c) for c in model.coefficients),
         f"r_squared {_real(model.r_squared)}",
         f"pca_fingerprint {model.pca_fingerprint if model.pca_fingerprint else '.'}",
+        f"strand_policy {model.strand_policy}",
+        f"prs_mode {model.prs_mode}",
     ]
     return "\n".join(lines) + "\n"
 
@@ -156,7 +165,8 @@ def load_adjustment_model(source) -> AdjustmentModel:
             continue
         key, _, value = line.partition(" ")
         fields[key] = value
-    for key in ("k", "n_train", "intercept", "coefficients", "r_squared", "pca_fingerprint"):
+    for key in ("k", "n_train", "intercept", "coefficients", "r_squared", "pca_fingerprint",
+                "strand_policy", "prs_mode"):
         if key not in fields:
             raise ValueError(f"adjustment model has no {key!r} line")
     k = int(fields["k"])
@@ -170,4 +180,6 @@ def load_adjustment_model(source) -> AdjustmentModel:
         r_squared=float(fields["r_squared"]),
         n_train=int(fields["n_train"]),
         pca_fingerprint=None if fingerprint == "." else fingerprint,
+        strand_policy=fields["strand_policy"],
+        prs_mode=fields["prs_mode"],
     )

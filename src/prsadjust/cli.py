@@ -87,11 +87,10 @@ class PipelineConfig:
     strand_policy: str = "exclude"
 
 
-# key: (accepts the text, converts it, what it must be), for flags and
-# config values alike; int() and float() alone would also take "1_2" or " 4".
+# key: (io's strict int() or float(), what it must be), for flags and config values.
 _NUMBER_KEYS = {
-    "seed": (lambda text: text.isascii() and text.isdigit(), int, "ASCII digits"),
-    "percentile": (pio._VCF_FLOAT.fullmatch, float, "an ASCII decimal"),
+    "seed": (pio._ascii_int, "ASCII digits"),
+    "percentile": (pio._vcf_float, "an ASCII decimal"),
 }
 _CHOICE_KEYS = {
     "prs_mode": ("sum", "mean"),
@@ -129,21 +128,21 @@ def _resolve(args: argparse.Namespace) -> PipelineConfig:
     layers.append({k: str(v) for k, v in flag_layer.items()})
     for layer in layers:
         for key, text in layer.items():
+            value = text
             if key in _NUMBER_KEYS:
-                accepts, kind, noun = _NUMBER_KEYS[key]
-                if not accepts(text):
-                    raise ConfigInvalid(f"{key}: expected {noun}, got {text!r}")
-                setattr(cfg, key, kind(text))
-            elif key in _CHOICE_KEYS:
-                if text not in _CHOICE_KEYS[key]:
-                    raise ConfigInvalid(
-                        f"{key}: must be one of {_CHOICE_KEYS[key]}, got {text!r}"
-                    )
-                setattr(cfg, key, text)
-            else:
-                setattr(cfg, key, text)
-    if cfg.k != "auto" and not (cfg.k.isascii() and cfg.k.isdigit() and int(cfg.k) >= 1):
-        raise ConfigInvalid(f"k: expected a positive integer or 'auto', got {cfg.k!r}")
+                convert, noun = _NUMBER_KEYS[key]
+                try:
+                    value = convert(text)
+                except ValueError:
+                    raise ConfigInvalid(f"{key}: expected {noun}, got {text!r}") from None
+            elif key in _CHOICE_KEYS and text not in _CHOICE_KEYS[key]:
+                raise ConfigInvalid(f"{key}: must be one of {_CHOICE_KEYS[key]}, got {text!r}")
+            setattr(cfg, key, value)
+    try:
+        if cfg.k != "auto" and pio._ascii_int(cfg.k) < 1:
+            raise ValueError
+    except ValueError:
+        raise ConfigInvalid(f"k: expected a positive integer or 'auto', got {cfg.k!r}") from None
     if not 0.0 < cfg.percentile < 100.0:
         raise ConfigInvalid(f"percentile: must be in (0, 100), got {cfg.percentile}")
     return cfg
@@ -275,7 +274,7 @@ def _cmd_fit(cfg: PipelineConfig) -> int:
     # project(model, filled) computes this same product on the same layout.
     pcs = PcScores(X @ model.loadings, sample_ids, pca_model_fingerprint(model))
     raw = _raw_scores(cfg, weight_columns, weights)
-    adjustment = fit_adjustment(raw, pcs)
+    adjustment = replace(fit_adjustment(raw, pcs), strand_policy=cfg.strand_policy)
     save_adjustment_model(adjustment, out / "adjustment_model.txt")
 
     spectrum = zip(model_full.eigenvalues, model_full.explained_variance_ratio)
@@ -298,6 +297,10 @@ def _cmd_score(cfg: PipelineConfig) -> int:
     model_dir = Path(cfg.model_dir)
     pca_model = load_pca_model(model_dir / "pca_model.txt")
     adjustment = load_adjustment_model(model_dir / "adjustment_model.txt")
+    # The cohort is scored as fit scored, and run_config.txt echoes how.
+    cfg.scale = pca_model.params.scale_mode
+    cfg.strand_policy = adjustment.strand_policy
+    cfg.prs_mode = adjustment.prs_mode
     matrix = _parse_vcf(cfg.test_vcf)
     weights = pio.parse_weights(cfg.weights)
 
@@ -404,13 +407,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", help="score weight table (TSV)")
     p.add_argument("--model-dir", dest="model_dir", help="directory holding the fitted models")
     p.add_argument("--phenotypes", help="phenotype table (TSV), optional")
-    p.add_argument(
-        "--strand-policy",
-        dest="strand_policy",
-        choices=("exclude", "keep"),
-        help="handling of strand-ambiguous variants",
-    )
-    p.add_argument("--prs-mode", dest="prs_mode", choices=("sum", "mean"), help="score aggregation")
     p.set_defaults(func=_cmd_score)
 
     p = sub.add_parser("evaluate", help="compute metrics from a scored report")

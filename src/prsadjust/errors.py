@@ -67,12 +67,8 @@ class DuplicateSample(ParseError):
     """The same sample id appears twice where ids must be unique."""
 
 
-class NonNumericWeight(ParseError):
+class NonNumericWeight(MalformedRow):
     """A weight field does not parse as a finite real number."""
-
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
 
 
 class EmptyPanel(ParseError):

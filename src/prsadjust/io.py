@@ -89,8 +89,8 @@ _GT_DOSAGE = {
     "1/1": 2.0, "1|1": 2.0,
 }
 _GT_MISSING = ("./.", ".|.")
-# A VCF Float, as DS carries it (the CLI reads its percentile the same way);
-# float() alone would also take "0_5", " 1", "nan" and non-ASCII digits.
+# A VCF Float, as DS carries it; float() alone would also take "0_5", " 1",
+# "nan" and non-ASCII digits.
 _VCF_FLOAT = re.compile(r"[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?", re.ASCII)
 # Entries a VCF memo table holds at most before it stops growing (a
 # 3-decimal GT:DS file has about 2,000 distinct entries).
@@ -112,6 +112,22 @@ _GT_WORDS, _GT_WORD_DOSAGE, _GT_WORD_MISSING = _gt_word_table()
 # The written GT call for codes 0, 1, 2 (dosage) and 3 (missing), each with
 # the tab that separates it from the field before.
 _GT_CALL_BYTES = np.frombuffer(b"\t0/0\t0/1\t1/1\t./.", dtype=np.uint8).reshape(4, 4)
+
+
+# The one rule for each kind of number read from a file, config value or
+# flag: int() and float() that raise their ValueError outside that rule.
+def _ascii_int(text: str) -> int:
+    """int() of ASCII digits only: no sign, space, "_" or other digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
+def _vcf_float(text: str) -> float:
+    """float() of an ASCII VCF Float (``_VCF_FLOAT``) only."""
+    if not _VCF_FLOAT.fullmatch(text):
+        raise ValueError(f"could not convert string to float: {text!r}")
+    return float(text)
 
 
 @contextmanager
@@ -208,8 +224,9 @@ def parse_vcf(source: Source) -> tuple[GenotypeMatrix, VcfParseReport]:
     which raises the error decoding the whole row would raise, and are
     stored while the table holds fewer than ``_MEMO_CAP``.
 
-    Each row's dosages and mask are appended to one byte buffer apiece;
-    the C-ordered (samples, variants) arrays are made from them at the end.
+    Each row's dosages and mask are appended to one byte buffer apiece.
+    The (samples, variants) arrays are F-ordered views of those buffers,
+    so the parse never holds a second copy of the matrix.
 
     A DS token is "." (missing) or an ASCII VCF Float: an optional sign,
     digits with an optional point and fraction (or a point and digits),
@@ -285,9 +302,10 @@ def parse_vcf(source: Source) -> tuple[GenotypeMatrix, VcfParseReport]:
             if not _ALLELE_RE.match(ref) or not _ALLELE_RE.match(alt) or ref == alt:
                 skipped.setdefault(SKIP_UNSUPPORTED_ALLELES, []).append(line_no)
                 continue
-            if not (pos_text.isascii() and pos_text.isdigit()):
-                raise MalformedRow(line_no, f"POS {pos_text!r} is not a run of ASCII digits")
-            pos = int(pos_text)
+            try:
+                pos = _ascii_int(pos_text)
+            except ValueError:
+                raise MalformedRow(line_no, f"POS {pos_text!r} is not a run of ASCII digits") from None
             if vid == "." or not vid:
                 vid = f"{chrom}:{pos}:{ref}:{alt}"
             if vid in seen_ids:
@@ -320,8 +338,8 @@ def parse_vcf(source: Source) -> tuple[GenotypeMatrix, VcfParseReport]:
     matrix = GenotypeMatrix(
         samples=tuple(SampleRecord(sample_id=name) for name in sample_names),
         variants=tuple(variants),
-        dosage=np.frombuffer(dosage_rows, np.float64).reshape(shape).T.copy(),
-        missing_mask=np.frombuffer(mask_rows, bool).reshape(shape).T.copy(),
+        dosage=np.frombuffer(dosage_rows, np.float64).reshape(shape).T,
+        missing_mask=np.frombuffer(mask_rows, bool).reshape(shape).T,
     )
     report = VcfParseReport(
         sample_names=sample_names,
@@ -515,11 +533,9 @@ def parse_weights(source: Source) -> ScoreWeightTable:
             if vid in seen:
                 raise DuplicateVariant(f"line {line_no}: variant {vid} repeated")
             try:
-                weight = float(weight_text)
+                weight = _vcf_float(weight_text)
             except ValueError:
-                raise NonNumericWeight(
-                    line_no, f"weight {weight_text!r} is not a number"
-                ) from None
+                raise NonNumericWeight(line_no, f"weight {weight_text!r} is not a number") from None
             if not np.isfinite(weight):
                 raise NonNumericWeight(line_no, f"weight {weight_text!r} is not finite")
             try:
@@ -639,7 +655,7 @@ def parse_phenotypes(source: Source) -> list[SampleRecord]:
                 obese = None
             else:
                 try:
-                    bmi = float(bmi_text)
+                    bmi = _vcf_float(bmi_text)
                 except ValueError:
                     raise MalformedRow(line_no, f"bmi {bmi_text!r} is not a number") from None
                 if not np.isfinite(bmi):
@@ -735,9 +751,9 @@ def read_report_csv(source: Source) -> CohortReport:
             if len(fields) != len(header):
                 raise MalformedRow(line_no, f"expected {len(header)} fields")
             try:
-                pcs = tuple(float(v) for v in fields[2:-3])
-                raw = float(fields[-3])
-                adjusted = float(fields[-2])
+                pcs = tuple(_vcf_float(v) for v in fields[2:-3])
+                raw = _vcf_float(fields[-3])
+                adjusted = _vcf_float(fields[-2])
             except ValueError:
                 raise MalformedRow(line_no, "non-numeric score field") from None
             obese_text = fields[-1]

@@ -78,9 +78,6 @@ class ScenarioConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "populations", tuple(self.populations))
-        self.validate()
-
-    def validate(self) -> None:
         if not self.populations:
             raise ConfigInvalid("populations: at least one population is required")
         labels = [p.label for p in self.populations]
@@ -162,7 +159,6 @@ def generate_cohort(config: ScenarioConfig) -> SyntheticCohort:
     split and the following ``n_test`` rows the held-out split; their
     indices into the full matrix are recorded on the returned cohort.
     """
-    config.validate()
     rng = np.random.default_rng(config.seed)
     n_anc, n_trait = config.n_ancestry_snps, config.n_trait_snps
     n_snps = n_anc + n_trait
@@ -307,14 +303,10 @@ def write_scenario(cohort: SyntheticCohort, out_dir: str | Path) -> list[Path]:
 # ---------------------------------------------------------------------------
 
 _SCALAR_KEYS = {
-    "seed": int,
-    "n_ancestry_snps": int,
-    "n_trait_snps": int,
-    "trait_weight_mean": float,
-    "trait_weight_sd": float,
-    "noise_sd": float,
-    "bmi_base": float,
-    "bmi_slope": float,
+    **dict.fromkeys(("seed", "n_ancestry_snps", "n_trait_snps"), pio._ascii_int),
+    **dict.fromkeys(
+        ("trait_weight_mean", "trait_weight_sd", "noise_sd", "bmi_base", "bmi_slope"), pio._vcf_float
+    ),
 }
 
 
@@ -322,8 +314,10 @@ def parse_scenario_config(source) -> ScenarioConfig:
     """Parse a flat key=value scenario file.
 
     One ``population=label:n:fst:offset[:n_test]`` line per population;
-    scalar keys as in the module's writer. Unknown keys and malformed
-    values raise :class:`ConfigInvalid` naming the offending field.
+    scalar keys as in the module's writer. Integers must be ASCII digits
+    and reals ASCII VCF Floats (``io._ascii_int``, ``io._vcf_float``).
+    Unknown keys and malformed values raise :class:`ConfigInvalid` naming
+    the offending field.
     """
     values: dict[str, object] = {}
     populations: list[PopulationConfig] = []
@@ -345,10 +339,10 @@ def parse_scenario_config(source) -> ScenarioConfig:
                 try:
                     pop = PopulationConfig(
                         label=parts[0],
-                        n_samples=int(parts[1]),
-                        fst=float(parts[2]),
-                        offset=float(parts[3]),
-                        n_test=int(parts[4]) if len(parts) == 5 else 0,
+                        n_samples=pio._ascii_int(parts[1]),
+                        fst=pio._vcf_float(parts[2]),
+                        offset=pio._vcf_float(parts[3]),
+                        n_test=pio._ascii_int(parts[4]) if len(parts) == 5 else 0,
                     )
                 except ValueError as exc:
                     raise ConfigInvalid(f"population: {exc}") from None
@@ -364,15 +358,7 @@ def parse_scenario_config(source) -> ScenarioConfig:
         raise ConfigInvalid("seed: required")
     if not populations:
         raise ConfigInvalid("population: at least one required")
-    kwargs = {
-        "seed": values["seed"],
-        "populations": tuple(populations),
-    }
-    for key, value in values.items():
-        if key == "seed":
-            continue
-        kwargs[key] = value
-    return ScenarioConfig(**kwargs)
+    return ScenarioConfig(populations=tuple(populations), **values)
 
 
 def write_scenario_config(config: ScenarioConfig, dest) -> None:

@@ -4,6 +4,8 @@ The coefficient path is validated against the Moore-Penrose pseudoinverse,
 which solves the same least-squares problem by an independent route.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,11 +22,11 @@ from prsadjust.pca import PcScores
 from prsadjust.scoring import PrsVector
 
 
-def _prs(scores, ids=None):
+def _prs(scores, ids=None, mode="sum"):
     scores = np.asarray(scores, dtype=float)
     ids = tuple(ids or (f"S{i + 1}" for i in range(len(scores))))
     return PrsVector(
-        scores=scores, sample_ids=ids, n_snps_used=10, skipped_variants=(), mode="sum"
+        scores=scores, sample_ids=ids, n_snps_used=10, skipped_variants=(), mode=mode
     )
 
 
@@ -135,8 +137,9 @@ def test_constant_scores_fit_cleanly(rng):
 
 def test_persistence_round_trip_is_exact(rng, tmp_path):
     Z = rng.normal(size=(30, 4))
-    raw = _prs(rng.normal(size=30))
-    model = fit_adjustment(raw, _pcs(Z))
+    raw = _prs(rng.normal(size=30), mode="mean")
+    model = replace(fit_adjustment(raw, _pcs(Z)), strand_policy="keep")
+    assert (model.strand_policy, model.prs_mode) == ("keep", "mean")
     path = tmp_path / "adjustment_model.txt"
     save_adjustment_model(model, path)
     loaded = load_adjustment_model(path)
@@ -145,6 +148,16 @@ def test_persistence_round_trip_is_exact(rng, tmp_path):
     assert loaded.r_squared == model.r_squared
     assert loaded.n_train == model.n_train
     assert loaded.pca_fingerprint == model.pca_fingerprint
+    assert loaded.strand_policy == "keep"
+    assert loaded.prs_mode == "mean"
+
+
+def test_recipe_defaults_are_exclude_and_sum(rng):
+    model = fit_adjustment(_prs(rng.normal(size=12)), _pcs(rng.normal(size=(12, 2))))
+    assert (model.strand_policy, model.prs_mode) == ("exclude", "sum")
+    lines = serialize_adjustment_model(model).splitlines()
+    assert lines[0] == "prsadjust-adjust v2"
+    assert lines[-2:] == ["strand_policy exclude", "prs_mode sum"]
 
 
 def test_persistence_handles_absent_fingerprint(tmp_path):
@@ -165,7 +178,11 @@ def test_corrupt_file_rejected(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "key", ["k", "n_train", "intercept", "coefficients", "r_squared", "pca_fingerprint"]
+    "key",
+    [
+        "k", "n_train", "intercept", "coefficients", "r_squared", "pca_fingerprint",
+        "strand_policy", "prs_mode",
+    ],
 )
 def test_missing_key_is_named(key, tmp_path):
     model = AdjustmentModel(

@@ -1,6 +1,7 @@
 """Command line driver: simulate | fit | score | evaluate."""
 
 import argparse
+import io as stdio
 import re
 import shutil
 import sys
@@ -13,10 +14,18 @@ import pytest
 
 from prsadjust import cli, pca
 from prsadjust import io as pio
-from prsadjust.adjust import fit_adjustment
+from prsadjust.adjust import apply_adjustment, fit_adjustment, load_adjustment_model
 from prsadjust.cli import _build_parser, _resolve, main
-from prsadjust.genotypes import fill_missing_mean, filter_by_panel
+from prsadjust.evaluation import scores_to_report
+from prsadjust.genotypes import (
+    PanelDefinition,
+    ScoreWeightTable,
+    align_effect_alleles,
+    fill_missing_mean,
+    filter_by_panel,
+)
 from prsadjust.io import read_report_csv
+from prsadjust.scoring import compute_raw_prs
 
 SMALL_SCENARIO = """\
 seed=11
@@ -64,6 +73,20 @@ def model_dir(scenario_dir, tmp_path_factory):
     )
     assert code == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def guard_cohort(tmp_path_factory):
+    """A 900-sample x 990-variant cohort for the traced-memory guards."""
+    root = tmp_path_factory.mktemp("guard")
+    config = root / "scenario.cfg"
+    config.write_text(
+        "seed=5\n"
+        + "".join(f"population=POP{c}:300:0.2:0\n" for c in "ABC")
+        + "n_ancestry_snps=900\nn_trait_snps=90\n"
+    )
+    assert main(["simulate", "--scenario", str(config), "--out", str(root / "d")]) == 0
+    return root / "d"
 
 
 class TestSimulate:
@@ -188,20 +211,13 @@ class TestFit:
         assert pcs.sample_ids == expected.sample_ids
         assert pcs.model_fingerprint == expected.model_fingerprint
 
-    def test_traced_peak_holds_one_full_size_genotype_copy(self, tmp_path):
+    def test_traced_peak_holds_one_full_size_genotype_copy(self, guard_cohort, tmp_path):
         """fit's traced peak stays within 3.5x the parsed dosage matrix.
 
         X, the Gram matrix and eigh's outputs come to about 3x; a second
         full-size copy of the genotypes alive through the eigensolve breaks it.
         """
-        config = tmp_path / "scenario.cfg"
-        config.write_text(
-            "seed=5\n"
-            + "".join(f"population=POP{c}:300:0.2:0\n" for c in "ABC")
-            + "n_ancestry_snps=900\nn_trait_snps=90\n"
-        )
-        data = tmp_path / "d"
-        assert main(["simulate", "--scenario", str(config), "--out", str(data)]) == 0
+        data = guard_cohort
         parsed, _ = pio.parse_vcf(data / "genotypes.vcf")
         assert parsed.dosage.shape == (900, 990)
         dosage_bytes = parsed.dosage.nbytes
@@ -222,6 +238,21 @@ class TestFit:
         finally:
             tracemalloc.stop()
         assert peak <= 3.5 * dosage_bytes
+
+    def test_parse_peak_holds_no_second_copy(self, guard_cohort):
+        """parse_vcf's traced peak stays within 1.75x the dosage matrix it returns.
+
+        The row buffers the matrix views take about 1.5x (9 bytes a cell plus
+        the buffers' growth); a copy of the matrix made from them takes 2.6x.
+        """
+        tracemalloc.start()
+        try:
+            parsed, _ = pio.parse_vcf(guard_cohort / "genotypes.vcf")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert parsed.dosage.shape == (900, 990)
+        assert peak <= 1.75 * parsed.dosage.nbytes
 
     def test_k_auto_keeps_the_tracy_widom_count(self, tmp_path, capsys):
         # the built-in scenario: three populations, so two significant axes
@@ -406,6 +437,107 @@ class TestScore:
         )
         assert code == 3
         assert err == "error: adjustment model has no 'intercept' line\n"
+
+    def test_scores_with_the_strand_policy_and_mode_stored_at_fit(self, scenario_dir, tmp_path):
+        """fit --strand-policy keep --prs-mode mean --scale binomial; score, given
+        none of them, follows the models and echoes what they store."""
+        weights = pio.parse_weights(scenario_dir / "weights.tsv")
+        at_id = weights.rows[0].variant_id
+        # The first weight variant becomes strand-ambiguous (A/T) everywhere.
+        for name in ("train_genotypes.vcf", "test_genotypes.vcf"):
+            matrix, _ = pio.parse_vcf(scenario_dir / name)
+            variants = tuple(
+                replace(v, ref_allele="A", alt_allele="T") if v.id == at_id else v
+                for v in matrix.variants
+            )
+            pio.write_vcf(replace(matrix, variants=variants), tmp_path / name)
+        rows = (replace(weights.rows[0], effect_allele="T", other_allele="A"), *weights.rows[1:])
+        pio.write_weights(ScoreWeightTable(rows), tmp_path / "weights.tsv")
+        models, scores = tmp_path / "m", tmp_path / "s"
+        assert main(
+            [
+                "fit",
+                "--train-vcf", str(tmp_path / "train_genotypes.vcf"),
+                "--panel", str(scenario_dir / "panel.txt"),
+                "--weights", str(tmp_path / "weights.tsv"),
+                "--strand-policy", "keep",
+                "--prs-mode", "mean",
+                "--scale", "binomial",
+                "--out", str(models),
+            ]
+        ) == 0
+        stored = (models / "adjustment_model.txt").read_text().splitlines()
+        assert stored[-2:] == ["strand_policy keep", "prs_mode mean"]
+        assert "scale_mode binomial" in (models / "pca_model.txt").read_text().splitlines()
+        assert main(
+            [
+                "score",
+                "--test-vcf", str(tmp_path / "test_genotypes.vcf"),
+                "--weights", str(tmp_path / "weights.tsv"),
+                "--model-dir", str(models),
+                "--phenotypes", str(scenario_dir / "phenotypes.tsv"),
+                "--out", str(scores),
+            ]
+        ) == 0
+        echoed = (scores / "run_config.txt").read_text().splitlines()
+        assert {"strand_policy=keep", "prs_mode=mean", "scale=binomial"} <= set(echoed)
+
+        def recompute(policy, mode):
+            matrix, _ = pio.parse_vcf(tmp_path / "test_genotypes.vcf")
+            model = pca.load_pca_model(models / "pca_model.txt")
+            panel = PanelDefinition("model", model.params.variant_ids)
+            pcs = pca.project(model, fill_missing_mean(filter_by_panel(matrix, panel)[0]))
+            weights = pio.parse_weights(tmp_path / "weights.tsv")
+            sub, _ = filter_by_panel(matrix, PanelDefinition("weights", weights.variant_ids))
+            aligned, alignment = align_effect_alleles(sub, weights, policy)
+            assert alignment.excluded == ((at_id,) if policy == "exclude" else ())
+            raw = compute_raw_prs(fill_missing_mean(aligned), weights, mode)
+            adjusted = apply_adjustment(load_adjustment_model(models / "adjustment_model.txt"), raw, pcs)
+            by_id = {rec.sample_id: rec for rec in pio.parse_phenotypes(scenario_dir / "phenotypes.tsv")}
+            report = scores_to_report([by_id[s] for s in matrix.sample_ids], pcs, raw, adjusted)
+            text = stdio.StringIO()
+            pio.write_report_csv(report, text)
+            return text.getvalue()
+
+        written = (scores / "report.csv").read_text()
+        assert written == recompute("keep", "mean")
+        assert written != recompute("exclude", "mean")
+        assert written != recompute("keep", "sum")
+
+    @pytest.mark.parametrize("flag, value", [("--strand-policy", "keep"), ("--prs-mode", "mean")])
+    def test_recipe_flags_are_fit_only(self, scenario_dir, model_dir, tmp_path, capsys, flag, value):
+        code, _, err = run(
+            "score",
+            "--test-vcf", str(scenario_dir / "test_genotypes.vcf"),
+            "--weights", str(scenario_dir / "weights.tsv"),
+            "--model-dir", str(model_dir),
+            flag, value,
+            "--out", str(tmp_path / "scores"),
+            capsys=capsys,
+        )
+        assert code == 2
+        assert flag in err
+        assert not (tmp_path / "scores").exists()
+
+    def test_v1_adjustment_model_exits_3(self, scenario_dir, model_dir, tmp_path, capsys):
+        old = tmp_path / "old"
+        old.mkdir()
+        shutil.copy(model_dir / "pca_model.txt", old / "pca_model.txt")
+        lines = (model_dir / "adjustment_model.txt").read_text().splitlines()
+        v1 = ["prsadjust-adjust v1"] + [
+            line for line in lines[1:] if line.split(" ")[0] not in ("strand_policy", "prs_mode")
+        ]
+        (old / "adjustment_model.txt").write_text("\n".join(v1) + "\n")
+        code, _, err = run(
+            "score",
+            "--test-vcf", str(scenario_dir / "test_genotypes.vcf"),
+            "--weights", str(scenario_dir / "weights.tsv"),
+            "--model-dir", str(old),
+            "--out", str(tmp_path / "scores"),
+            capsys=capsys,
+        )
+        assert code == 3
+        assert err == "error: not a prsadjust-adjust v2 file\n"
 
     def test_score_fingerprints_the_pca_model_once(self, scenario_dir, model_dir,
                                                    tmp_path, monkeypatch):

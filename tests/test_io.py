@@ -453,12 +453,15 @@ class TestWeights:
         with pytest.raises(DuplicateVariant, match="rs1"):
             parse_weights(stdio.StringIO(text))
 
-    @pytest.mark.parametrize("bad", ["abc", "inf", "nan"])
+    # float() takes "0_5" as 5.0 and Arabic-Indic "1.5"; a weight is an ASCII VCF Float.
+    @pytest.mark.parametrize("bad", ["abc", "inf", "nan", "1e999", "0_5", "\u0661.\u0665"])
     def test_non_numeric_or_non_finite_weight_rejected(self, bad):
         text = WEIGHTS_TEXT + f"rs9\tA\tG\t{bad}\n"
         with pytest.raises(NonNumericWeight) as exc:
             parse_weights(stdio.StringIO(text))
         assert exc.value.line_no == 4
+        assert isinstance(exc.value, MalformedRow)
+        assert str(exc.value).startswith(f"line 4: weight {bad!r} is not ")
 
     def test_header_must_match(self):
         with pytest.raises(ParseAbort):
@@ -522,6 +525,15 @@ class TestPhenotypes:
         text = PHENO_TEXT + "S5\tPOPA\tX\t20.0\n"
         with pytest.raises(UnknownSexToken):
             parse_phenotypes(stdio.StringIO(text))
+
+    # float() takes "2_8" as 28.0, which would label the sample obese.
+    @pytest.mark.parametrize("bad", ["2_8", "\u0662\u0668", " 28", "nan"])
+    def test_bmi_must_be_an_ascii_vcf_float(self, bad):
+        text = PHENO_TEXT + f"S5\tPOPA\tfemale\t{bad}\n"
+        with pytest.raises(MalformedRow) as exc:
+            parse_phenotypes(stdio.StringIO(text))
+        assert exc.value.line_no == 6
+        assert str(exc.value) == f"line 6: bmi {bad!r} is not a number"
 
     def test_negative_bmi(self):
         text = PHENO_TEXT + "S5\tPOPA\tfemale\t-1.0\n"
@@ -608,6 +620,20 @@ class TestReportCsv:
         with pytest.raises(ParseAbort):
             read_report_csv(stdio.StringIO("sample,pop,pc1,raw,adj,obese\n"))
 
+    # float() would read "1_0" as 10.0; report numbers are ASCII VCF Floats.
+    @pytest.mark.parametrize("column", [2, 4, 5])
+    @pytest.mark.parametrize("bad", ["1_0", "nan", " 2", "\u0661"])
+    def test_reader_reads_numbers_strictly(self, column, bad):
+        buf = stdio.StringIO()
+        write_report_csv(self._report(), buf)
+        header, first, *rest = buf.getvalue().splitlines()
+        fields = first.split(",")
+        fields[column] = bad
+        text = "\n".join([header, ",".join(fields), *rest]) + "\n"
+        with pytest.raises(MalformedRow) as exc:
+            read_report_csv(stdio.StringIO(text))
+        assert str(exc.value) == "line 2: non-numeric score field"
+
 
 @st.composite
 def mixed_vcf_rows(draw):
@@ -630,8 +656,9 @@ def mixed_vcf_rows(draw):
 class TestParseVcfLayout:
     @given(mixed_vcf_rows())
     def test_matches_stacked_per_row_decodes(self, drawn):
-        """One C-ordered float64 matrix and bool mask, bitwise what stacking
-        each parsed row's decode gives, also with no parsed row: (n, 0)."""
+        """One F-ordered float64 matrix and bool mask (views of the row
+        buffers), bitwise what stacking each parsed row's decode gives, also
+        with no parsed row: (n, 0)."""
         n, rows = drawn
         names = tuple(f"S{i}" for i in range(n))
         header = "#CHROM\tPOS\tID\tREF\tALT\tQUAL\tFILTER\tINFO\tFORMAT\t" + "\t".join(names)
@@ -653,5 +680,5 @@ class TestParseVcfLayout:
         assert report.rows_parsed == len(decoded)
         for got, want in ((matrix.dosage, dosage), (matrix.missing_mask, missing)):
             assert got.dtype == want.dtype and got.shape == (n, len(decoded))
-            assert got.flags["C_CONTIGUOUS"]
+            assert got.flags["F_CONTIGUOUS"]
             assert got.tobytes() == want.tobytes()

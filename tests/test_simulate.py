@@ -243,6 +243,22 @@ class TestScenarioConfigText:
         with pytest.raises(ConfigInvalid):
             parse_scenario_config(stdio.StringIO("seed=x\npopulation=A:10:0.1:0\n"))
 
+    # int() and float() would read each of these as a number ("1_2" as 12).
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ("seed = 1_2\npopulation=A:10:0.1:0\n", "seed"),
+            ("seed=1\npopulation=POPA:2_0:0.2:0\n", "population"),
+            ("seed=1\npopulation=POPB:+20:0.2:0\n", "population"),
+            ("seed=1\npopulation=A:10:0.1:0\nn_ancestry_snps = 5_0\n", "n_ancestry_snps"),
+            ("seed=1\npopulation=A:10:0.1:0\nnoise_sd=1_0\n", "noise_sd"),
+            ("seed=1\npopulation=A:10:0.1:0:\u0665\n", "population"),
+        ],
+    )
+    def test_numbers_are_read_strictly(self, text, field):
+        with pytest.raises(ConfigInvalid, match=f"^{field}: "):
+            parse_scenario_config(stdio.StringIO(text))
+
 
 class TestWriteScenario:
     def test_without_split_writes_four_files(self, tmp_path):
