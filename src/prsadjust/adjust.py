@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ModelMismatch, RankDeficient
-from .io import _text_dest, _text_source
+from .io import _ascii_int, _text_dest, _text_source, _vcf_float
 from .pca import PcScores, _real
 from .scoring import PrsVector
 
@@ -169,16 +169,16 @@ def load_adjustment_model(source) -> AdjustmentModel:
                 "strand_policy", "prs_mode"):
         if key not in fields:
             raise ValueError(f"adjustment model has no {key!r} line")
-    k = int(fields["k"])
-    coefficients = np.array([float(v) for v in fields["coefficients"].split(" ")])
+    k = _ascii_int(fields["k"])
+    coefficients = np.array([_vcf_float(v) for v in fields["coefficients"].split(" ")])
     if coefficients.shape != (k,):
         raise ValueError(f"expected {k} coefficients, got {coefficients.shape[0]}")
     fingerprint = fields["pca_fingerprint"]
     return AdjustmentModel(
-        intercept=float(fields["intercept"]),
+        intercept=_vcf_float(fields["intercept"]),
         coefficients=coefficients,
-        r_squared=float(fields["r_squared"]),
-        n_train=int(fields["n_train"]),
+        r_squared=_vcf_float(fields["r_squared"]),
+        n_train=_ascii_int(fields["n_train"]),
         pca_fingerprint=None if fingerprint == "." else fingerprint,
         strand_policy=fields["strand_policy"],
         prs_mode=fields["prs_mode"],

@@ -43,6 +43,7 @@ from .genotypes import (
 )
 from .pca import (
     PcScores,
+    _significant_count,
     fit_pca,
     load_pca_model,
     pca_model_fingerprint,
@@ -59,10 +60,6 @@ from .simulate import (
     write_scenario,
     write_scenario_config,
 )
-
-# Components shown in the explained-variance table when k is selected
-# automatically or is smaller than this.
-_VARIANCE_TABLE_COMPONENTS = 20
 
 
 @dataclass
@@ -257,17 +254,20 @@ def _cmd_fit(cfg: PipelineConfig) -> int:
     del matrix
     X, params = standardize(fill_missing_mean(panel_matrix), cfg.scale)
     del panel_matrix
+    # Pairs computed, and tabled: N + 1 for --k N; for auto 8, doubled while all pass.
     limit = min(X.shape[0] - 1, X.shape[1])
-    requested = None if cfg.k == "auto" else int(cfg.k)
-    k_max = min(limit, max(_VARIANCE_TABLE_COMPONENTS, requested or 1))
+    k_max = min(limit, 8 if cfg.k == "auto" else int(cfg.k) + 1)
     model_full = fit_pca(X, k_max, params)
-    if requested is None:
+    if cfg.k == "auto":
+        while k_max < limit and _significant_count(model_full) == k_max:
+            k_max = min(limit, 2 * k_max)
+            model_full = fit_pca(X, k_max, params)
         k = select_k(model_full)
         print(f"k auto: kept {k} components by the Tracy-Widom test at the 5% level", file=sys.stderr)
     else:
-        k = min(requested, k_max)
-        if k < requested:
-            print(f"k clamped from {requested} to {k} (data supports at most {k_max})", file=sys.stderr)
+        k = min(int(cfg.k), limit)
+        if k < int(cfg.k):
+            print(f"k clamped from {cfg.k} to {k} (data supports at most {limit})", file=sys.stderr)
     model = model_full.truncate(k)
     save_pca_model(model, out / "pca_model.txt")
 

@@ -1,24 +1,22 @@
 """Genotype standardization, covariance eigendecomposition and projection.
 
 The decomposition targets the column covariance C = X^T X / (n - 1) of the
-standardized (n, m) matrix X, computed exactly by a symmetric eigensolver
-on the smaller Gram matrix, whose eigenvalues are mu_j = (n - 1) lambda_j:
-X^T X when n > m, whose eigenvectors are the loadings, else X X^T, whose
-eigenvectors u_j map back to loadings v_j = X^T u_j / sqrt(mu_j). Loadings
-whose mu_j is zero to working precision are completed to an orthonormal
-set instead. The total variance is ||X||_F^2 / (n - 1), and ||C||_F^2 is the
-sum of mu_j^2 over the Gram matrix's full spectrum, divided by (n - 1)^2.
+standardized (n, m) matrix X through the smaller Gram matrix G, whose
+eigenvalues are mu_j = (n - 1) lambda_j: X^T X when n > m, whose
+eigenvectors are the loadings, else X X^T, whose eigenvectors u_j map back
+to loadings v_j = X^T u_j / sqrt(mu_j). Loadings whose mu_j is zero to
+working precision are completed to an orthonormal set instead. Only the
+leading pairs asked for are computed: by block Krylov iteration with
+Rayleigh-Ritz (Musco & Musco, 2015) when G is large and the pairs few, else,
+or when Krylov does not converge, by a dense symmetric eigensolver. The total
+variance is ||X||_F^2 / (n - 1), and ||C||_F^2 = ||G||_F^2 / (n - 1)^2.
 
-Forming a Gram matrix squares the condition number of X, so the error of
-lambda_j is about eps * lambda_1 and its relative error (and a map-back
-loading's loss of orthogonality) about eps * lambda_1 / lambda_j. That is
-harmless for the leading PCs the model keeps: at 2,100 x 2,093 the 20
-leading eigenvalues agree with a thin SVD of X to 1.4e-15 relative and the
-loadings to 3.7e-14.
-
-Eigenvector signs are fixed deterministically: within each component the
-entry of largest magnitude is made positive, ties resolved by the lowest
-index, so repeated fits of the same input agree bitwise.
+Forming G squares the condition number of X, so the relative error of
+lambda_j (and a map-back loading's loss of orthogonality) is about
+eps * lambda_1 / lambda_j: harmless for the leading PCs the model keeps (at
+2,100 x 2,093 the 20 leading eigenvalues agree with a thin SVD of X to
+1.4e-15 relative and the loadings to 3.7e-14). Loading signs are fixed as
+fit_pca documents, so repeated fits of the same input agree bitwise.
 """
 
 from __future__ import annotations
@@ -50,6 +48,12 @@ _MODEL_MAGIC = "prsadjust-pca v1"
 
 # The 95% quantile of the Tracy-Widom TW1 law: select_k's 5% level.
 _TW1_QUANTILE_95 = 0.9793
+
+# Block Krylov runs where its basis, capped at half the order of G, holds at least
+# _KRYLOV_MIN_BLOCKS blocks; elsewhere dense was as fast (timings in CHANGES.md).
+# Checked every 4 blocks, pairs converge at a residual <= _RESIDUAL_TOLERANCE * mu_1.
+_KRYLOV_MIN_BLOCKS = 64
+_RESIDUAL_TOLERANCE = 64 * np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,8 +87,8 @@ class PcaModel:
     loadings: (m, k) eigenvector matrix W with orthonormal columns.
     eigenvalues: the k leading eigenvalues of C, nonincreasing.
     total_variance: trace(C), the sum over its full spectrum.
-    frobenius_sq: ||C||_F^2, the sum of squares over its full spectrum;
-    None for a model read from file, which does not store it.
+    frobenius_sq: ||C||_F^2 = ||G||_F^2 / (n - 1)^2 of fit_pca's Gram matrix G on
+    either solve path; None for a model read from file, which does not store it.
     """
 
     loadings: np.ndarray
@@ -259,13 +263,19 @@ def fit_pca(
         raise DimensionError(f"k_max={k_max} outside [1, min(n - 1, m)] = [1, {limit}]")
     if params is not None and len(params.variant_ids) != m:
         raise DimensionError("params variant count must match X columns")
-    # Eigenpairs of the smaller Gram matrix; eigh sorts ascending.
+    # trace(C): the full spectrum's sum, also the denominator of the ratio.
+    total_variance = float(np.square(X).sum()) / (n - 1)
+    gram = X.T @ X if n > m else X @ X.T
+    frobenius_sq = float(np.vdot(gram, gram)) / (n - 1) ** 2
     try:
-        gram_values, gram_vectors = np.linalg.eigh(X.T @ X if n > m else X @ X.T)
+        top = _top_eigenpairs(gram, k_max)
+        if top is None:
+            gram_values, gram_vectors = np.linalg.eigh(gram)  # sorted ascending
+            top = gram_values[::-1][:k_max], gram_vectors[:, ::-1][:, :k_max]
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigendecomposition did not converge: {exc}") from exc
-    squared = np.clip(gram_values[::-1][:k_max], 0.0, None)  # clip round-off
-    vectors = gram_vectors[:, ::-1][:, :k_max]
+    del gram
+    squared, vectors = np.clip(top[0], 0.0, None), top[1]  # clip round-off
     if n > m:
         loadings = vectors.copy()
     else:
@@ -279,16 +289,50 @@ def fit_pca(
         if loadings[pivot, j] < 0:
             loadings[:, j] = -loadings[:, j]
     eigenvalues = squared / (n - 1)
-    # trace(C): the full spectrum's sum, also the denominator of the ratio.
-    total_variance = float(np.square(X).sum()) / (n - 1)
     return PcaModel(
         loadings=loadings,
         eigenvalues=eigenvalues,
         total_variance=total_variance,
         n_train=n,
         params=params,
-        frobenius_sq=float(np.square(gram_values).sum()) / (n - 1) ** 2,
+        frobenius_sq=frobenius_sq,
     )
+
+
+def _top_eigenpairs(gram: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The ``k`` leading eigenpairs of PSD ``gram``, values nonincreasing, or None.
+
+    Each block of the basis Q is G times the last, orthogonalized twice against
+    Q; with G Q kept, Q^T G Q grows a block column at a time and Rayleigh-Ritz
+    needs no other product with G. None where the capped basis holds too few
+    blocks or fills before every pair meets the residual rule.
+    """
+    order, block = gram.shape[0], max(8, k + 3)
+    blocks = order // (2 * block)
+    if blocks < _KRYLOV_MIN_BLOCKS:
+        return None
+    # F order, so only the columns in use are touched and become resident.
+    basis = np.empty((order, blocks * block), order="F")
+    products = np.empty_like(basis)
+    projected = np.zeros((blocks * block, blocks * block), order="F")
+    step = np.random.default_rng(0).standard_normal((order, block))
+    for done in range(block, blocks * block + 1, block):
+        new = slice(done - block, done)
+        for _ in range(2):
+            old = basis[:, : done - block]
+            step = np.linalg.qr(step - old @ (old.T @ step))[0]
+        basis[:, new] = step
+        products[:, new] = gram @ step
+        projected[:done, new] = basis[:, :done].T @ products[:, new]
+        if done % (4 * block) == 0 or done == blocks * block:
+            values, ritz = np.linalg.eigh(projected[:done, :done], UPLO="U")
+            values, ritz = values[::-1][:k], ritz[:, ::-1][:, :k]
+            vectors = basis[:, :done] @ ritz
+            residual = np.linalg.norm(products[:, :done] @ ritz - vectors * values, axis=0)
+            if np.all(residual <= _RESIDUAL_TOLERANCE * max(values[0], 0.0)):
+                return values, vectors
+        step = products[:, new]
+    return None
 
 
 def project(model: PcaModel, matrix: GenotypeMatrix) -> PcScores:
@@ -339,6 +383,14 @@ def select_k(model: PcaModel) -> int:
     ValueError
         If the model lacks ||C||_F^2, as a model read from file does.
     """
+    significant = _significant_count(model)
+    if significant == model.k:
+        logger.warning("all %d components pass the Tracy-Widom test; keeping all", model.k)
+    return max(1, significant)
+
+
+def _significant_count(model: PcaModel) -> int:
+    """select_k's count of significant leading components, possibly 0, without its warning."""
     if model.frobenius_sq is None:
         raise ValueError(
             "model carries no ||C||_F^2, as one read from file does; select k on a fitted model"
@@ -360,9 +412,7 @@ def select_k(model: PcaModel) -> int:
         significant = j
         s1 -= lam
         s2 -= lam * lam
-    if significant == model.k:
-        logger.warning("all %d components pass the Tracy-Widom test; keeping all", model.k)
-    return max(1, significant)
+    return significant
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +466,7 @@ def save_pca_model(model: PcaModel, dest) -> None:
 
 def load_pca_model(source) -> PcaModel:
     """Read back a model written by :func:`save_pca_model`."""
-    from .io import _text_source
+    from .io import _ascii_int, _text_source, _vcf_float
 
     with _text_source(source) as stream:
         text = stream.read()
@@ -440,12 +490,12 @@ def load_pca_model(source) -> PcaModel:
 
     if take() != _MODEL_MAGIC:
         raise ValueError(f"not a {_MODEL_MAGIC} file")
-    n_train = int(take_field("n_train"))
-    n_variants = int(take_field("n_variants"))
-    n_components = int(take_field("n_components"))
+    n_train = _ascii_int(take_field("n_train"))
+    n_variants = _ascii_int(take_field("n_variants"))
+    n_components = _ascii_int(take_field("n_components"))
     scale_mode = take_field("scale_mode")
-    total_variance = float(take_field("total_variance"))
-    n_dropped = int(take_field("n_dropped"))
+    total_variance = _vcf_float(take_field("total_variance"))
+    n_dropped = _ascii_int(take_field("n_dropped"))
     dropped = tuple(take() for _ in range(n_dropped))
     if take() != "variants":
         raise ValueError("expected 'variants' section")
@@ -455,11 +505,11 @@ def load_pca_model(source) -> PcaModel:
     for j in range(n_variants):
         vid, mean_text, scale_text = take().split(" ")
         variant_ids.append(vid)
-        mean[j] = float(mean_text)
-        scale[j] = float(scale_text)
+        mean[j] = _vcf_float(mean_text)
+        scale[j] = _vcf_float(scale_text)
     if take() != "eigenvalues":
         raise ValueError("expected 'eigenvalues' section")
-    eigenvalues = np.array([float(take()) for _ in range(n_components)])
+    eigenvalues = np.array([_vcf_float(take()) for _ in range(n_components)])
     if take() != "loadings":
         raise ValueError("expected 'loadings' section")
     loadings = np.empty((n_variants, n_components))
@@ -467,7 +517,7 @@ def load_pca_model(source) -> PcaModel:
         row = take().split(" ")
         if len(row) != n_components:
             raise ValueError(f"loading row {j} has {len(row)} values, expected {n_components}")
-        loadings[j] = [float(v) for v in row]
+        loadings[j] = [_vcf_float(v) for v in row]
     params = StandardizationParams(
         variant_ids=tuple(variant_ids),
         mean=mean,

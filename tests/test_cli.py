@@ -155,8 +155,8 @@ class TestFit:
         assert (model_dir / "adjustment_model.txt").exists()
         lines = (model_dir / "explained_variance.csv").read_text().splitlines()
         assert lines[0] == "component,eigenvalue,explained_variance_ratio,cumulative"
-        # the table reports the whole computed spectrum, not only the kept k
-        assert len(lines) >= 5
+        # the table lists the computed pairs: the 4 kept and the first dropped one
+        assert len(lines) == 6
         cumulative = [float(line.split(",")[3]) for line in lines[1:]]
         assert cumulative == sorted(cumulative)
 
@@ -270,8 +270,33 @@ class TestFit:
         assert "k auto: kept 2 components by the Tracy-Widom test at the 5% level" in err
         assert "n_components 2" in (tmp_path / "m" / "pca_model.txt").read_text().splitlines()
         assert "k 2" in (tmp_path / "m" / "adjustment_model.txt").read_text().splitlines()
+        # the first 8 pairs already hold the first one that fails, so no more are computed
         table = (tmp_path / "m" / "explained_variance.csv").read_text().splitlines()
-        assert len(table) == 21
+        assert len(table) == 9
+
+    def test_k_auto_doubles_the_pairs_while_all_pass(self, tmp_path, capsys):
+        # twelve populations: eleven significant axes, more than the first 8 pairs
+        config = tmp_path / "scenario.cfg"
+        config.write_text(
+            "seed=3\n"
+            + "".join(f"population=P{i:02d}:25:0.2:0\n" for i in range(12))
+            + "n_ancestry_snps=300\nn_trait_snps=20\n"
+        )
+        assert main(["simulate", "--scenario", str(config), "--out", str(tmp_path / "d")]) == 0
+        code, _, err = run(
+            "fit",
+            "--train-vcf", str(tmp_path / "d" / "genotypes.vcf"),
+            "--panel", str(tmp_path / "d" / "panel.txt"),
+            "--weights", str(tmp_path / "d" / "weights.tsv"),
+            "--k", "auto",
+            "--out", str(tmp_path / "m"),
+            capsys=capsys,
+        )
+        assert code == 0
+        assert "k auto: kept 11 components" in err
+        # the 8 pairs that all passed were extended, not reported as all passing
+        assert "pass the Tracy-Widom test" not in err
+        assert len((tmp_path / "m" / "explained_variance.csv").read_text().splitlines()) == 17
 
     @pytest.mark.parametrize(
         "source, value",
@@ -538,6 +563,42 @@ class TestScore:
         )
         assert code == 3
         assert err == "error: not a prsadjust-adjust v2 file\n"
+
+    # Each number in a model file is ASCII digits or an ASCII VCF Float, which
+    # may carry a sign; int() and float() would read all of these.
+    @pytest.mark.parametrize(
+        "name, key, value",
+        [
+            (name, key, value)
+            for name, int_key, float_key in (
+                ("pca_model.txt", "n_train", "total_variance"),
+                ("adjustment_model.txt", "n_train", "intercept"),
+            )
+            for key, values in (
+                (int_key, ("1_0", "+4", "\u0661", " 4")),
+                (float_key, ("1_0", "\u0661", " 4")),
+            )
+            for value in values
+        ],
+    )
+    def test_model_numbers_are_read_strictly(self, scenario_dir, model_dir, tmp_path, capsys,
+                                             name, key, value):
+        edited = tmp_path / "edited"
+        shutil.copytree(model_dir, edited)
+        lines = (edited / name).read_text().splitlines()
+        (i,) = [i for i, line in enumerate(lines) if line.split(" ")[0] == key]
+        lines[i] = f"{key} {value}"
+        (edited / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, _, err = run(
+            "score",
+            "--test-vcf", str(scenario_dir / "test_genotypes.vcf"),
+            "--weights", str(scenario_dir / "weights.tsv"),
+            "--model-dir", str(edited),
+            "--out", str(tmp_path / "scores"),
+            capsys=capsys,
+        )
+        assert code == 3
+        assert err.startswith("error: ") and repr(value) in err
 
     def test_score_fingerprints_the_pca_model_once(self, scenario_dir, model_dir,
                                                    tmp_path, monkeypatch):

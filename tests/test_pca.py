@@ -4,14 +4,17 @@ The fitting route is checked against a dense covariance eigensolver so the
 two derivations agree independently of how either is computed.
 """
 
+import functools
 import logging
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prsadjust import pca
 from prsadjust.errors import (
     ConvergenceFailure,
     DimensionError,
@@ -245,6 +248,120 @@ class TestFitPcaProperties:
         assert again.loadings.tobytes() == W.tobytes()
         assert again.eigenvalues.tobytes() == lam.tobytes()
         assert again.total_variance == model.total_variance
+
+
+def _dense_fit(X, k_max, params=None):
+    """fit_pca with the Krylov solver declining, so the dense eigh solves."""
+    with mock.patch.object(pca, "_top_eigenpairs", return_value=None):
+        return fit_pca(X, k_max, params)
+
+
+def _record_eigh(monkeypatch):
+    """The shapes np.linalg.eigh is called on from now on."""
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def record(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", record)
+    return shapes
+
+
+@functools.lru_cache(maxsize=1)
+def _structured_panel():
+    """Three populations, 1,300 samples x 1,300 variants: Krylov at k <= 5."""
+    scenario = ScenarioConfig(
+        seed=31,
+        populations=tuple(
+            PopulationConfig(f"P{i}", size, 0.1) for i, size in enumerate((434, 433, 433))
+        ),
+        n_ancestry_snps=1300,
+    )
+    return _cohort_panel(scenario)
+
+
+def _max_residual(G, values, vectors):
+    """max_j ||G v_j - mu_j v_j|| / mu_1."""
+    return np.linalg.norm(G @ vectors - vectors * values, axis=0).max() / values[0]
+
+
+class TestTopEigenpairs:
+    """The block Krylov path of fit_pca against the dense eigh of the same Gram matrix."""
+
+    def test_structured_panel_matches_the_dense_solve(self):
+        X, params = _structured_panel()
+        assert X.shape == (1300, 1300)
+        G = X @ X.T
+        values, vectors = pca._top_eigenpairs(G, 5)
+        assert _max_residual(G, values, vectors) <= pca._RESIDUAL_TOLERANCE
+        model, dense = fit_pca(X, 5, params), _dense_fit(X, 5, params)
+        np.testing.assert_allclose(model.eigenvalues, dense.eigenvalues, rtol=1e-12, atol=0)
+        cosines = np.abs(np.sum(model.loadings[:, :2] * dense.loadings[:, :2], axis=0))
+        assert np.all(cosines >= 1 - 1e-12)
+        assert select_k(model) == select_k(dense) >= 2
+
+    def test_refit_is_bitwise_deterministic(self):
+        X, params = _structured_panel()
+        a, b = fit_pca(X, 5, params), fit_pca(X.copy(), 5, params)
+        assert serialize_pca_model(a) == serialize_pca_model(b)
+        assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
+        assert a.frobenius_sq == b.frobenius_sq
+
+    @pytest.mark.parametrize("panel", ["duplicated-columns", "iid"])
+    def test_rank_deficient_and_unstructured_panels_match_the_dense_solve(self, monkeypatch, panel):
+        rng = np.random.default_rng(17)
+        if panel == "duplicated-columns":
+            # rank 3 < k_max, wide, so the map-back completes the loadings
+            base = rng.normal(size=(1250, 3))
+            X = (base - base.mean(axis=0))[:, rng.integers(0, 3, size=1300)]
+        else:
+            X = rng.binomial(2, 0.3, size=(1300, 1250)).astype(float)
+            X = (X - X.mean(axis=0)) / X.std(axis=0, ddof=1)
+        shapes = _record_eigh(monkeypatch)
+        model = fit_pca(X, 5)
+        assert (1250, 1250) not in shapes
+        dense = _dense_fit(X, 5)
+        lam = dense.eigenvalues
+        np.testing.assert_allclose(model.eigenvalues, lam, rtol=1e-12, atol=1e-12 * lam[0])
+        W = model.loadings
+        assert np.abs(W.T @ W - np.eye(5)).max() <= 1e-10
+
+    @pytest.mark.parametrize("n, m, k_max, krylov", [(1300, 1300, 5, True), (601, 600, 4, False)])
+    def test_dense_solve_runs_only_below_the_crossover(self, monkeypatch, n, m, k_max, krylov):
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(n, m))
+        shapes = _record_eigh(monkeypatch)
+        fit_pca(X - X.mean(axis=0), k_max)
+        full = [shape for shape in shapes if shape == (min(n, m), min(n, m))]
+        assert full == ([] if krylov else [(m, m)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        order=st.integers(16, 64),
+        k=st.integers(1, 4),
+        rank=st.one_of(st.integers(0, 8), st.integers(0, 64)),
+        flat=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_returned_pairs_meet_the_residual_rule(self, order, k, rank, flat, seed):
+        rng = np.random.default_rng(seed)
+        rank = min(rank, order)
+        scales = np.ones(rank) if flat else rng.uniform(0.1, 10.0, rank)
+        A = rng.normal(size=(order, rank)) * scales
+        G = A @ A.T
+        with mock.patch.object(pca, "_KRYLOV_MIN_BLOCKS", 1):
+            top = pca._top_eigenpairs(G, k)
+        if top is None:
+            return
+        values, vectors = top
+        leading = np.linalg.eigvalsh(G)[::-1][:k]
+        if values[0] > 0:
+            # G @ vectors rounds differently from the products the rule was checked on
+            assert _max_residual(G, values, vectors) <= 2 * pca._RESIDUAL_TOLERANCE
+        np.testing.assert_allclose(values, leading, rtol=0, atol=1e-12 * max(leading[0], 1e-300))
+        assert np.abs(vectors.T @ vectors - np.eye(k)).max() <= 1e-12
 
 
 def _tracy_widom_k_reference(X, k_max):
