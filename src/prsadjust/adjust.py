@@ -11,8 +11,8 @@ are uncorrelated with every PC up to numerical precision.
 An adjustment model remembers the fingerprint of the PCA model whose
 scores it was fitted on; applying it to scores from any other model is
 refused, since coefficients are meaningless in a different basis. It
-also stores how the raw scores were made (strand policy and PRS mode), so
-a cohort is scored with the recipe the coefficients were fitted on.
+also stores the strand policy the raw scores were aligned under, so a
+cohort is scored with the recipe the coefficients were fitted on.
 """
 
 from __future__ import annotations
@@ -26,7 +26,10 @@ from .io import _ascii_int, _text_dest, _text_source, _vcf_float
 from .pca import PcScores, _real
 from .scoring import PrsVector
 
-_MODEL_MAGIC = "prsadjust-adjust v2"
+_MODEL_MAGIC = "prsadjust-adjust v3"
+# The lines after the magic one; the reader wants each exactly once.
+_MODEL_KEYS = ("k", "n_train", "intercept", "coefficients", "r_squared", "pca_fingerprint",
+               "strand_policy")
 
 
 @dataclass(eq=False)
@@ -39,7 +42,6 @@ class AdjustmentModel:
     n_train: int
     pca_fingerprint: str | None = None
     strand_policy: str = "exclude"
-    prs_mode: str = "sum"
 
     def __post_init__(self):
         self.coefficients = np.asarray(self.coefficients, dtype=np.float64)
@@ -61,7 +63,7 @@ def _check_alignment(scores: PrsVector, pcs: PcScores) -> None:
 def fit_adjustment(scores: PrsVector, pcs: PcScores) -> AdjustmentModel:
     """Fit the adjustment regression on a training cohort.
 
-    The model records ``scores.mode``; the caller sets ``strand_policy``.
+    The caller sets ``strand_policy``.
 
     Requires at least k + 1 samples (with exactly k + 1 the fit is
     saturated and residuals vanish). Sample ids of the two inputs must
@@ -92,7 +94,6 @@ def fit_adjustment(scores: PrsVector, pcs: PcScores) -> AdjustmentModel:
         r_squared=r_squared,
         n_train=n,
         pca_fingerprint=pcs.model_fingerprint,
-        prs_mode=scores.mode,
     )
 
 
@@ -119,13 +120,7 @@ def apply_adjustment(
     if pcs.k != model.k:
         raise DimensionError(f"model expects {model.k} PCs, scores carry {pcs.k}")
     predicted = model.intercept + pcs.scores @ model.coefficients
-    return PrsVector(
-        scores=scores.scores - predicted,
-        sample_ids=scores.sample_ids,
-        n_snps_used=scores.n_snps_used,
-        skipped_variants=scores.skipped_variants,
-        mode=scores.mode,
-    )
+    return PrsVector(scores=scores.scores - predicted, sample_ids=scores.sample_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +138,6 @@ def serialize_adjustment_model(model: AdjustmentModel) -> str:
         f"r_squared {_real(model.r_squared)}",
         f"pca_fingerprint {model.pca_fingerprint if model.pca_fingerprint else '.'}",
         f"strand_policy {model.strand_policy}",
-        f"prs_mode {model.prs_mode}",
     ]
     return "\n".join(lines) + "\n"
 
@@ -164,9 +158,12 @@ def load_adjustment_model(source) -> AdjustmentModel:
         if not line:
             continue
         key, _, value = line.partition(" ")
+        if key not in _MODEL_KEYS:
+            raise ValueError(f"adjustment model has an unknown {key!r} line")
+        if key in fields:
+            raise ValueError(f"adjustment model repeats its {key!r} line")
         fields[key] = value
-    for key in ("k", "n_train", "intercept", "coefficients", "r_squared", "pca_fingerprint",
-                "strand_policy", "prs_mode"):
+    for key in _MODEL_KEYS:
         if key not in fields:
             raise ValueError(f"adjustment model has no {key!r} line")
     k = _ascii_int(fields["k"])
@@ -181,5 +178,4 @@ def load_adjustment_model(source) -> AdjustmentModel:
         n_train=_ascii_int(fields["n_train"]),
         pca_fingerprint=None if fingerprint == "." else fingerprint,
         strand_policy=fields["strand_policy"],
-        prs_mode=fields["prs_mode"],
     )

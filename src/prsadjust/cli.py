@@ -3,9 +3,11 @@
 Values resolve in three layers: built-in defaults, then a key=value config
 file (``--config``), then explicit flags, later layers winning. Every
 command echoes its resolved configuration to ``run_config.txt`` in the
-output directory. Data goes to files and standard output; diagnostics and
-errors go to standard error. Exit codes: 0 success, 2 configuration or
-usage error, 3 data or model error.
+output directory. A command creates that directory and writes its files
+only after every step that can fail on its inputs has run. Data goes to
+files and standard output; diagnostics and errors go to standard error.
+Exit codes: 0 success, 2 configuration or usage error, 3 data or model
+error.
 """
 
 from __future__ import annotations
@@ -79,7 +81,6 @@ class PipelineConfig:
     seed: int | None = None
     k: str = "4"
     percentile: float = DEFAULT_HIGH_RISK_PERCENTILE
-    prs_mode: str = "sum"
     scale: str = "sample-sd"
     strand_policy: str = "exclude"
 
@@ -90,7 +91,6 @@ _NUMBER_KEYS = {
     "percentile": (pio._vcf_float, "an ASCII decimal"),
 }
 _CHOICE_KEYS = {
-    "prs_mode": ("sum", "mean"),
     "scale": ("sample-sd", "binomial"),
     "strand_policy": ("exclude", "keep"),
 }
@@ -152,7 +152,6 @@ def _require(cfg: PipelineConfig, *names: str) -> None:
 
 
 def _out_dir(cfg: PipelineConfig) -> Path:
-    _require(cfg, "out")
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -181,11 +180,12 @@ def _sha256(path: Path) -> str:
 
 
 def _cmd_simulate(cfg: PipelineConfig) -> int:
-    out = _out_dir(cfg)
+    _require(cfg, "out")
     scenario = parse_scenario_config(cfg.scenario) if cfg.scenario else DEFAULT_SCENARIO
     if cfg.seed is not None:
         scenario = replace(scenario, seed=cfg.seed)
     cohort = generate_cohort(scenario)
+    out = _out_dir(cfg)
     paths = write_scenario(cohort, out)
     write_scenario_config(scenario, out / "scenario.txt")
     _echo_config(cfg, out)
@@ -220,7 +220,7 @@ def _raw_scores(cfg: PipelineConfig, weight_columns, weights):
     sub, coverage = weight_columns
     aligned, alignment = align_effect_alleles(sub, weights, cfg.strand_policy)
     filled = fill_missing_mean(aligned)
-    raw = compute_raw_prs(filled, weights, cfg.prs_mode)
+    raw = compute_raw_prs(filled, weights)
     if coverage.missing_ids or alignment.excluded:
         print(
             f"scoring: {coverage.n_matched}/{coverage.n_panel} weight variants found, "
@@ -232,8 +232,7 @@ def _raw_scores(cfg: PipelineConfig, weight_columns, weights):
 
 
 def _cmd_fit(cfg: PipelineConfig) -> int:
-    _require(cfg, "train_vcf", "panel", "weights")
-    out = _out_dir(cfg)
+    _require(cfg, "train_vcf", "panel", "weights", "out")
     matrix = _parse_vcf(cfg.train_vcf)
     panel = pio.parse_panel(cfg.panel)
     weights = pio.parse_weights(cfg.weights)
@@ -269,13 +268,11 @@ def _cmd_fit(cfg: PipelineConfig) -> int:
         if k < int(cfg.k):
             print(f"k clamped from {cfg.k} to {k} (data supports at most {limit})", file=sys.stderr)
     model = model_full.truncate(k)
-    save_pca_model(model, out / "pca_model.txt")
 
     # project(model, filled) computes this same product on the same layout.
     pcs = PcScores(X @ model.loadings, sample_ids, pca_model_fingerprint(model))
     raw = _raw_scores(cfg, weight_columns, weights)
     adjustment = replace(fit_adjustment(raw, pcs), strand_policy=cfg.strand_policy)
-    save_adjustment_model(adjustment, out / "adjustment_model.txt")
 
     spectrum = zip(model_full.eigenvalues, model_full.explained_variance_ratio)
     lines = ["component,eigenvalue,explained_variance_ratio,cumulative"]
@@ -284,6 +281,9 @@ def _cmd_fit(cfg: PipelineConfig) -> int:
         cumulative += float(ratio)
         lines.append(f"{i},{_format_real(eigenvalue)},{_format_real(ratio)},{_format_real(cumulative)}")
     table = "\n".join(lines) + "\n"
+    out = _out_dir(cfg)
+    save_pca_model(model, out / "pca_model.txt")
+    save_adjustment_model(adjustment, out / "adjustment_model.txt")
     with pio._text_dest(out / "explained_variance.csv") as handle:
         handle.write(table)
     print(table, end="")
@@ -292,15 +292,13 @@ def _cmd_fit(cfg: PipelineConfig) -> int:
 
 
 def _cmd_score(cfg: PipelineConfig) -> int:
-    _require(cfg, "test_vcf", "weights", "model_dir")
-    out = _out_dir(cfg)
+    _require(cfg, "test_vcf", "weights", "model_dir", "out")
     model_dir = Path(cfg.model_dir)
     pca_model = load_pca_model(model_dir / "pca_model.txt")
     adjustment = load_adjustment_model(model_dir / "adjustment_model.txt")
     # The cohort is scored as fit scored, and run_config.txt echoes how.
     cfg.scale = pca_model.params.scale_mode
     cfg.strand_policy = adjustment.strand_policy
-    cfg.prs_mode = adjustment.prs_mode
     matrix = _parse_vcf(cfg.test_vcf)
     weights = pio.parse_weights(cfg.weights)
 
@@ -320,6 +318,7 @@ def _cmd_score(cfg: PipelineConfig) -> int:
         by_id = {rec.sample_id: rec for rec in pio.parse_phenotypes(cfg.phenotypes)}
         samples = [by_id.get(rec.sample_id, rec) for rec in samples]
     report = scores_to_report(samples, pcs, raw, adjusted)
+    out = _out_dir(cfg)
     pio.write_report_csv(report, out / "report.csv")
     _echo_config(cfg, out)
     return 0
@@ -329,7 +328,6 @@ def _cmd_evaluate(cfg: PipelineConfig) -> int:
     _require(cfg, "report", "out")
     report = pio.read_report_csv(cfg.report)
 
-    # Everything that can fail runs before the first file is written.
     labeled = [row for row in report.rows if row.obese is not None]
     if report.rows and not labeled:
         raise EmptyInput("no row of the report has an obese label; run 'score' with --phenotypes")
@@ -398,7 +396,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("exclude", "keep"),
         help="handling of strand-ambiguous variants",
     )
-    p.add_argument("--prs-mode", dest="prs_mode", choices=("sum", "mean"), help="score aggregation")
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("score", help="score a cohort with fitted models")

@@ -234,24 +234,15 @@ def roc_auc(scores: Sequence[float] | np.ndarray, labels: Sequence[bool]) -> Roc
 
 
 def compare_models(
-    raw: PrsVector | np.ndarray,
-    adjusted: PrsVector | np.ndarray,
+    raw: Sequence[float] | np.ndarray,
+    adjusted: Sequence[float] | np.ndarray,
     labels: Sequence[bool],
 ) -> ModelComparison:
-    """ROC/AUC for raw and adjusted scores over the same labeled samples."""
-    if isinstance(raw, PrsVector) and isinstance(adjusted, PrsVector):
-        if raw.sample_ids != adjusted.sample_ids:
-            raise ValueError("raw and adjusted scores cover different samples")
-    raw_values = raw.scores if isinstance(raw, PrsVector) else np.asarray(raw)
-    adjusted_values = (
-        adjusted.scores if isinstance(adjusted, PrsVector) else np.asarray(adjusted)
-    )
-    if raw_values.shape != adjusted_values.shape:
-        raise ValueError("raw and adjusted scores must have equal length")
-    return ModelComparison(
-        roc_raw=roc_auc(raw_values, labels),
-        roc_adjusted=roc_auc(adjusted_values, labels),
-    )
+    """ROC/AUC for raw and adjusted scores over the same labeled samples.
+
+    ``roc_auc`` refuses either score list if its length differs from the labels.
+    """
+    return ModelComparison(roc_raw=roc_auc(raw, labels), roc_adjusted=roc_auc(adjusted, labels))
 
 
 def scores_to_report(

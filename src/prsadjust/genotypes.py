@@ -238,10 +238,6 @@ class PanelCoverageReport:
     n_matched: int
     missing_ids: tuple[str, ...]
 
-    @property
-    def coverage(self) -> float:
-        return self.n_matched / self.n_panel
-
 
 @dataclass(frozen=True)
 class AlignmentReport:
@@ -249,13 +245,10 @@ class AlignmentReport:
 
     flipped: variants whose dosages were recoded to count the effect allele.
     excluded: strand-ambiguous variants dropped under the exclude policy.
-    unmatched: weight-table variants absent from the matrix (left to the
-    scoring step to skip).
     """
 
     flipped: tuple[str, ...]
     excluded: tuple[str, ...]
-    unmatched: tuple[str, ...]
 
 
 def filter_by_panel(
@@ -342,11 +335,9 @@ def align_effect_alleles(
     drop: set[int] = set()
     flipped_ids: list[str] = []
     excluded_ids: list[str] = []
-    unmatched_ids: list[str] = []
     for row in weights.rows:
         j = index.get(row.variant_id)
         if j is None:
-            unmatched_ids.append(row.variant_id)
             continue
         variant = matrix.variants[j]
         ref, alt, eff = variant.ref_allele, variant.alt_allele, row.effect_allele
@@ -393,12 +384,7 @@ def align_effect_alleles(
     if drop:
         keep_idx = [j for j in range(matrix.n_variants) if j not in drop]
         aligned = aligned.take_variants(keep_idx)
-    report = AlignmentReport(
-        flipped=tuple(flipped_ids),
-        excluded=tuple(excluded_ids),
-        unmatched=tuple(unmatched_ids),
-    )
-    return aligned, report
+    return aligned, AlignmentReport(flipped=tuple(flipped_ids), excluded=tuple(excluded_ids))
 
 
 def fill_missing_mean(matrix: GenotypeMatrix) -> GenotypeMatrix:

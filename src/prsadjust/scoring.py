@@ -3,25 +3,19 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
 from .errors import NoUsableVariants
 from .genotypes import GenotypeMatrix, ScoreWeightTable
 
-PrsMode = Literal["sum", "mean"]
-
 
 @dataclass(eq=False)
 class PrsVector:
-    """Per-sample scores plus the bookkeeping of which weights were usable."""
+    """Per-sample scores, in sample order."""
 
     scores: np.ndarray
     sample_ids: tuple[str, ...]
-    n_snps_used: int
-    skipped_variants: tuple[str, ...]
-    mode: str = "sum"
 
     def __post_init__(self):
         self.scores = np.asarray(self.scores, dtype=np.float64)
@@ -30,39 +24,25 @@ class PrsVector:
             raise ValueError("scores must be one value per sample")
         if not np.all(np.isfinite(self.scores)):
             raise ValueError("scores must be finite")
-        if self.n_snps_used < 0:
-            raise ValueError("n_snps_used must be >= 0")
 
 
-def compute_raw_prs(
-    matrix: GenotypeMatrix, weights: ScoreWeightTable, mode: PrsMode = "sum"
-) -> PrsVector:
+def compute_raw_prs(matrix: GenotypeMatrix, weights: ScoreWeightTable) -> PrsVector:
     """Score every sample as sum_i w_i * dosage_i over usable weight rows.
 
     The matrix must already count effect alleles (see
     ``align_effect_alleles``) and contain no missing entries on the scored
-    variants. Weight rows absent from the matrix are skipped and reported
-    in ``skipped_variants``. Accumulation follows weight-table row order,
-    one variant at a time, so results are reproducible bitwise.
-
-    ``mode="mean"`` divides the sum by the number of variants used.
+    variants. Weight rows absent from the matrix are skipped; the weight
+    coverage is ``filter_by_panel``'s report. Accumulation follows
+    weight-table row order, one variant at a time, so results are
+    reproducible bitwise.
 
     Raises
     ------
     NoUsableVariants
         If no weight row matches a matrix variant.
     """
-    if mode not in ("sum", "mean"):
-        raise ValueError(f"unknown PRS mode {mode!r}")
     index = matrix.variant_index()
-    used: list[tuple[int, float]] = []
-    skipped: list[str] = []
-    for row in weights.rows:
-        j = index.get(row.variant_id)
-        if j is None:
-            skipped.append(row.variant_id)
-        else:
-            used.append((j, row.weight))
+    used = [(index[row.variant_id], row.weight) for row in weights.rows if row.variant_id in index]
     if not used:
         raise NoUsableVariants(
             f"none of the {len(weights)} weight variants is present in the matrix"
@@ -73,12 +53,4 @@ def compute_raw_prs(
     scores = np.zeros(matrix.n_samples, dtype=np.float64)
     for j, weight in used:
         scores += weight * matrix.dosage[:, j]
-    if mode == "mean":
-        scores /= len(used)
-    return PrsVector(
-        scores=scores,
-        sample_ids=matrix.sample_ids,
-        n_snps_used=len(used),
-        skipped_variants=tuple(skipped),
-        mode=mode,
-    )
+    return PrsVector(scores=scores, sample_ids=matrix.sample_ids)

@@ -188,10 +188,7 @@ def test_criterion_04_adjustment_residual_properties():
         # noiseless planted model on the same PCs
         beta0, beta = -0.75, np.array([1.5, -2.0, 0.5, 0.25])
         y = beta0 + pcs.scores @ beta
-        planted = type(raw)(
-            scores=y, sample_ids=raw.sample_ids, n_snps_used=raw.n_snps_used,
-            skipped_variants=(), mode="sum",
-        )
+        planted = type(raw)(scores=y, sample_ids=raw.sample_ids)
         model = fit_adjustment(planted, pcs)
         assert abs(model.intercept - beta0) <= 1e-10
         assert np.abs(model.coefficients - beta).max() <= 1e-10

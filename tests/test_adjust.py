@@ -22,12 +22,10 @@ from prsadjust.pca import PcScores
 from prsadjust.scoring import PrsVector
 
 
-def _prs(scores, ids=None, mode="sum"):
+def _prs(scores, ids=None):
     scores = np.asarray(scores, dtype=float)
     ids = tuple(ids or (f"S{i + 1}" for i in range(len(scores))))
-    return PrsVector(
-        scores=scores, sample_ids=ids, n_snps_used=10, skipped_variants=(), mode=mode
-    )
+    return PrsVector(scores=scores, sample_ids=ids)
 
 
 def _pcs(Z, ids=None, fingerprint="a" * 64):
@@ -123,8 +121,7 @@ def test_zero_coefficients_subtract_only_intercept():
     raw = _prs([2.5, 1.5, 0.5])
     adjusted = apply_adjustment(model, raw, _pcs(np.zeros((3, 2)), fingerprint=None))
     assert list(adjusted.scores) == [1.0, 0.0, -1.0]
-    assert adjusted.n_snps_used == raw.n_snps_used
-    assert adjusted.mode == raw.mode
+    assert adjusted.sample_ids == raw.sample_ids
 
 
 def test_constant_scores_fit_cleanly(rng):
@@ -137,9 +134,8 @@ def test_constant_scores_fit_cleanly(rng):
 
 def test_persistence_round_trip_is_exact(rng, tmp_path):
     Z = rng.normal(size=(30, 4))
-    raw = _prs(rng.normal(size=30), mode="mean")
+    raw = _prs(rng.normal(size=30))
     model = replace(fit_adjustment(raw, _pcs(Z)), strand_policy="keep")
-    assert (model.strand_policy, model.prs_mode) == ("keep", "mean")
     path = tmp_path / "adjustment_model.txt"
     save_adjustment_model(model, path)
     loaded = load_adjustment_model(path)
@@ -149,15 +145,14 @@ def test_persistence_round_trip_is_exact(rng, tmp_path):
     assert loaded.n_train == model.n_train
     assert loaded.pca_fingerprint == model.pca_fingerprint
     assert loaded.strand_policy == "keep"
-    assert loaded.prs_mode == "mean"
 
 
-def test_recipe_defaults_are_exclude_and_sum(rng):
+def test_recipe_default_is_exclude(rng):
     model = fit_adjustment(_prs(rng.normal(size=12)), _pcs(rng.normal(size=(12, 2))))
-    assert (model.strand_policy, model.prs_mode) == ("exclude", "sum")
+    assert model.strand_policy == "exclude"
     lines = serialize_adjustment_model(model).splitlines()
-    assert lines[0] == "prsadjust-adjust v2"
-    assert lines[-2:] == ["strand_policy exclude", "prs_mode sum"]
+    assert lines[0] == "prsadjust-adjust v3"
+    assert lines[-1] == "strand_policy exclude"
 
 
 def test_persistence_handles_absent_fingerprint(tmp_path):
@@ -177,20 +172,38 @@ def test_corrupt_file_rejected(tmp_path):
         load_adjustment_model(path)
 
 
-@pytest.mark.parametrize(
-    "key",
-    [
-        "k", "n_train", "intercept", "coefficients", "r_squared", "pca_fingerprint",
-        "strand_policy", "prs_mode",
-    ],
-)
-def test_missing_key_is_named(key, tmp_path):
+def _two_pc_model_lines():
     model = AdjustmentModel(
         intercept=0.25, coefficients=np.array([1.0, -2.0]), r_squared=0.5, n_train=9,
         pca_fingerprint="a" * 64,
     )
-    lines = serialize_adjustment_model(model).splitlines()
+    return serialize_adjustment_model(model).splitlines()
+
+
+@pytest.mark.parametrize(
+    "key",
+    ["k", "n_train", "intercept", "coefficients", "r_squared", "pca_fingerprint", "strand_policy"],
+)
+def test_missing_key_is_named(key, tmp_path):
+    lines = _two_pc_model_lines()
     path = tmp_path / "adjustment_model.txt"
     path.write_text("\n".join(line for line in lines if line.split(" ")[0] != key) + "\n")
     with pytest.raises(ValueError, match=f"no '{key}' line"):
+        load_adjustment_model(path)
+
+
+# A v2 file whose magic line was edited to v3 still carries its prs_mode line.
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ("prs_mode mean", "unknown 'prs_mode' line"),
+        ("prs_mode sum", "unknown 'prs_mode' line"),
+        ("intercept 0.5", "repeats its 'intercept' line"),
+        ("strand_policy keep", "repeats its 'strand_policy' line"),
+    ],
+)
+def test_unknown_or_repeated_key_is_named(extra, message, tmp_path):
+    path = tmp_path / "adjustment_model.txt"
+    path.write_text("\n".join(_two_pc_model_lines() + [extra]) + "\n")
+    with pytest.raises(ValueError, match=message):
         load_adjustment_model(path)

@@ -47,6 +47,15 @@ def run(*argv, capsys=None):
     return code, captured.out, captured.err
 
 
+def _write_mismatched_weights(scenario_dir, dest):
+    """The scenario's weights with the first effect allele made "AT", which
+    matches neither allele of its variant, so fit and score fail at alignment."""
+    weights = pio.parse_weights(scenario_dir / "weights.tsv")
+    rows = (replace(weights.rows[0], effect_allele="AT"), *weights.rows[1:])
+    pio.write_weights(ScoreWeightTable(rows), dest)
+    return dest
+
+
 @pytest.fixture(scope="module")
 def scenario_dir(tmp_path_factory):
     """One small simulated scenario shared read-only across tests."""
@@ -354,6 +363,29 @@ class TestFit:
         for name in ("pca_model.txt", "adjustment_model.txt", "explained_variance.csv"):
             assert (tmp_path / "m" / name).read_bytes() == (model_dir / name).read_bytes()
 
+    def test_failing_fit_writes_nothing(self, scenario_dir, model_dir, tmp_path, capsys):
+        """The allele check fails after the PCA is fitted: a reused model
+        directory (fitted at --k 4, so a k = 3 PCA model would differ) keeps
+        its bytes, and a fresh --out is not created."""
+        weights = _write_mismatched_weights(scenario_dir, tmp_path / "weights.tsv")
+        reused = tmp_path / "reused"
+        shutil.copytree(model_dir, reused)
+        before = {path.name: path.read_bytes() for path in reused.iterdir()}
+        for out in (reused, tmp_path / "fresh"):
+            code, _, err = run(
+                "fit",
+                "--train-vcf", str(scenario_dir / "train_genotypes.vcf"),
+                "--panel", str(scenario_dir / "panel.txt"),
+                "--weights", str(weights),
+                "--k", "3",
+                "--out", str(out),
+                capsys=capsys,
+            )
+            assert code == 3
+            assert err.startswith("error: variant ") and "'AT'" in err
+        assert {path.name: path.read_bytes() for path in reused.iterdir()} == before
+        assert not (tmp_path / "fresh").exists()
+
     def test_missing_required_input_exits_2(self, scenario_dir, tmp_path, capsys):
         code, _, err = run(
             "fit",
@@ -446,6 +478,25 @@ class TestScore:
         assert "error:" in err
         assert "different PCA model" in err
 
+    def test_failing_score_writes_nothing(self, scenario_dir, model_dir, tmp_path, capsys):
+        reused = tmp_path / "reused"
+        assert self._score(scenario_dir, model_dir, reused) == 0
+        before = {path.name: path.read_bytes() for path in reused.iterdir()}
+        weights = _write_mismatched_weights(scenario_dir, tmp_path / "weights.tsv")
+        for out in (reused, tmp_path / "fresh"):
+            code, _, err = run(
+                "score",
+                "--test-vcf", str(scenario_dir / "test_genotypes.vcf"),
+                "--weights", str(weights),
+                "--model-dir", str(model_dir),
+                "--out", str(out),
+                capsys=capsys,
+            )
+            assert code == 3
+            assert "'AT'" in err
+        assert {path.name: path.read_bytes() for path in reused.iterdir()} == before
+        assert not (tmp_path / "fresh").exists()
+
     def test_truncated_adjustment_model_exits_3(self, scenario_dir, model_dir, tmp_path, capsys):
         truncated = tmp_path / "truncated"
         truncated.mkdir()
@@ -463,9 +514,9 @@ class TestScore:
         assert code == 3
         assert err == "error: adjustment model has no 'intercept' line\n"
 
-    def test_scores_with_the_strand_policy_and_mode_stored_at_fit(self, scenario_dir, tmp_path):
-        """fit --strand-policy keep --prs-mode mean --scale binomial; score, given
-        none of them, follows the models and echoes what they store."""
+    def test_scores_with_the_strand_policy_stored_at_fit(self, scenario_dir, tmp_path):
+        """fit --strand-policy keep --scale binomial; score, given neither,
+        follows the models and echoes what they store."""
         weights = pio.parse_weights(scenario_dir / "weights.tsv")
         at_id = weights.rows[0].variant_id
         # The first weight variant becomes strand-ambiguous (A/T) everywhere.
@@ -486,13 +537,12 @@ class TestScore:
                 "--panel", str(scenario_dir / "panel.txt"),
                 "--weights", str(tmp_path / "weights.tsv"),
                 "--strand-policy", "keep",
-                "--prs-mode", "mean",
                 "--scale", "binomial",
                 "--out", str(models),
             ]
         ) == 0
         stored = (models / "adjustment_model.txt").read_text().splitlines()
-        assert stored[-2:] == ["strand_policy keep", "prs_mode mean"]
+        assert stored[-1] == "strand_policy keep"
         assert "scale_mode binomial" in (models / "pca_model.txt").read_text().splitlines()
         assert main(
             [
@@ -505,9 +555,9 @@ class TestScore:
             ]
         ) == 0
         echoed = (scores / "run_config.txt").read_text().splitlines()
-        assert {"strand_policy=keep", "prs_mode=mean", "scale=binomial"} <= set(echoed)
+        assert {"strand_policy=keep", "scale=binomial"} <= set(echoed)
 
-        def recompute(policy, mode):
+        def recompute(policy):
             matrix, _ = pio.parse_vcf(tmp_path / "test_genotypes.vcf")
             model = pca.load_pca_model(models / "pca_model.txt")
             panel = PanelDefinition("model", model.params.variant_ids)
@@ -516,7 +566,7 @@ class TestScore:
             sub, _ = filter_by_panel(matrix, PanelDefinition("weights", weights.variant_ids))
             aligned, alignment = align_effect_alleles(sub, weights, policy)
             assert alignment.excluded == ((at_id,) if policy == "exclude" else ())
-            raw = compute_raw_prs(fill_missing_mean(aligned), weights, mode)
+            raw = compute_raw_prs(fill_missing_mean(aligned), weights)
             adjusted = apply_adjustment(load_adjustment_model(models / "adjustment_model.txt"), raw, pcs)
             by_id = {rec.sample_id: rec for rec in pio.parse_phenotypes(scenario_dir / "phenotypes.tsv")}
             report = scores_to_report([by_id[s] for s in matrix.sample_ids], pcs, raw, adjusted)
@@ -525,11 +575,10 @@ class TestScore:
             return text.getvalue()
 
         written = (scores / "report.csv").read_text()
-        assert written == recompute("keep", "mean")
-        assert written != recompute("exclude", "mean")
-        assert written != recompute("keep", "sum")
+        assert written == recompute("keep")
+        assert written != recompute("exclude")
 
-    @pytest.mark.parametrize("flag, value", [("--strand-policy", "keep"), ("--prs-mode", "mean")])
+    @pytest.mark.parametrize("flag, value", [("--strand-policy", "keep"), ("--scale", "binomial")])
     def test_recipe_flags_are_fit_only(self, scenario_dir, model_dir, tmp_path, capsys, flag, value):
         code, _, err = run(
             "score",
@@ -544,15 +593,21 @@ class TestScore:
         assert flag in err
         assert not (tmp_path / "scores").exists()
 
-    def test_v1_adjustment_model_exits_3(self, scenario_dir, model_dir, tmp_path, capsys):
+    @pytest.mark.parametrize("version", ["v1", "v2"])
+    def test_older_adjustment_model_exits_3(self, scenario_dir, model_dir, tmp_path, capsys,
+                                            version):
         old = tmp_path / "old"
         old.mkdir()
         shutil.copy(model_dir / "pca_model.txt", old / "pca_model.txt")
         lines = (model_dir / "adjustment_model.txt").read_text().splitlines()
-        v1 = ["prsadjust-adjust v1"] + [
-            line for line in lines[1:] if line.split(" ")[0] not in ("strand_policy", "prs_mode")
-        ]
-        (old / "adjustment_model.txt").write_text("\n".join(v1) + "\n")
+        # v1 had no recipe lines; v2 ended with strand_policy and prs_mode.
+        if version == "v1":
+            body = [line for line in lines[1:] if not line.startswith("strand_policy ")]
+        else:
+            body = lines[1:] + ["prs_mode sum"]
+        (old / "adjustment_model.txt").write_text(
+            "\n".join([f"prsadjust-adjust {version}"] + body) + "\n"
+        )
         code, _, err = run(
             "score",
             "--test-vcf", str(scenario_dir / "test_genotypes.vcf"),
@@ -562,7 +617,7 @@ class TestScore:
             capsys=capsys,
         )
         assert code == 3
-        assert err == "error: not a prsadjust-adjust v2 file\n"
+        assert err == "error: not a prsadjust-adjust v3 file\n"
 
     # Each number in a model file is ASCII digits or an ASCII VCF Float, which
     # may carry a sign; int() and float() would read all of these.
@@ -761,15 +816,17 @@ class TestConfigLayering:
             assert err.startswith(f"error: {key}: expected ") and repr(token) in err
             assert not out.exists()
 
-    def test_unknown_config_key_exits_2(self, tmp_path, capsys):
+    # prs_mode was a key until the raw score had one recipe.
+    @pytest.mark.parametrize("line", ["frobnicate=1", "prs_mode=sum"])
+    def test_unknown_config_key_exits_2(self, line, tmp_path, capsys):
         config = tmp_path / "bad.cfg"
-        config.write_text("frobnicate=1\n")
+        config.write_text(line + "\n")
         code, _, err = run(
             "simulate", "--config", str(config), "--out", str(tmp_path / "d"),
             capsys=capsys,
         )
         assert code == 2
-        assert "frobnicate" in err
+        assert err == f"error: {line.partition('=')[0]}: unknown config key\n"
 
 
 class TestUsage:
@@ -777,9 +834,11 @@ class TestUsage:
         code, _, _ = run(capsys=capsys)
         assert code == 2
 
-    def test_unknown_flag_exits_2(self, capsys):
-        code, _, _ = run("fit", "--bogus", capsys=capsys)
+    @pytest.mark.parametrize("flag", [["--bogus"], ["--prs-mode", "sum"]])
+    def test_unknown_flag_exits_2(self, flag, capsys):
+        code, _, err = run("fit", *flag, capsys=capsys)
         assert code == 2
+        assert "unrecognized arguments: " + " ".join(flag) in err
 
 
 def test_readme_names_exactly_the_subcommand_flags():

@@ -104,14 +104,14 @@ class TestFilterByPanel:
         sub, report = filter_by_panel(self.matrix, panel)
         assert sub.variant_ids == ("rs3", "rs1")
         assert np.array_equal(sub.dosage, [[2, 0], [0, 2]])
-        assert report.n_matched == 2 and report.coverage == 1.0
+        assert (report.n_matched, report.n_panel, report.missing_ids) == (2, 2, ())
 
     def test_reports_missing_panel_ids(self):
         panel = PanelDefinition(name="p", variant_ids=("rs2", "rs9"))
         sub, report = filter_by_panel(self.matrix, panel)
         assert sub.variant_ids == ("rs2",)
         assert report.missing_ids == ("rs9",)
-        assert report.coverage == 0.5
+        assert (report.n_matched, report.n_panel) == (1, 2)
 
     def test_no_overlap_raises(self):
         panel = PanelDefinition(name="p", variant_ids=("rs8", "rs9"))
@@ -206,11 +206,12 @@ class TestAlignEffectAlleles:
         with pytest.raises(AlleleMismatch):
             align_effect_alleles(m, w)
 
-    def test_unmatched_weight_rows_reported_not_fatal(self):
+    def test_weight_rows_absent_from_matrix_are_not_fatal(self):
         m = make_matrix([[0.0]], alleles={"rs1": ("A", "G")})
         w = _weights(("rs1", "G", "A", 0.5), ("rs9", "A", "G", 0.4))
-        _, report = align_effect_alleles(m, w)
-        assert report.unmatched == ("rs9",)
+        aligned, report = align_effect_alleles(m, w)
+        assert aligned.variant_ids == ("rs1",)
+        assert (report.flipped, report.excluded) == ((), ())
 
     def test_matrix_variants_without_weights_pass_through(self):
         m = make_matrix([[0.0, 1.5]], variant_ids=["rs1", "rs2"])

@@ -1,12 +1,24 @@
-"""Raw PRS accumulation."""
+"""Raw PRS accumulation, alone and behind the weight path that feeds it."""
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prsadjust.errors import NoUsableVariants
-from prsadjust.genotypes import ScoreWeightTable, WeightRow
+from prsadjust.errors import (
+    AlleleMismatch,
+    AllMissingVariant,
+    EmptyIntersection,
+    NoUsableVariants,
+)
+from prsadjust.genotypes import (
+    PanelDefinition,
+    ScoreWeightTable,
+    WeightRow,
+    align_effect_alleles,
+    fill_missing_mean,
+    filter_by_panel,
+)
 from prsadjust.scoring import compute_raw_prs
 from conftest import make_matrix
 
@@ -21,26 +33,13 @@ def test_weighted_sum_hand_case():
     m = make_matrix([[2.0, 1.0], [0.0, 1.0]])
     prs = compute_raw_prs(m, _table(("rs1", 0.2), ("rs2", -0.1)))
     assert prs.scores == pytest.approx([0.3, -0.1], rel=1e-15)
-    assert prs.n_snps_used == 2
-    assert prs.skipped_variants == ()
-    assert prs.mode == "sum"
     assert prs.sample_ids == ("S1", "S2")
 
 
-def test_mean_mode_divides_by_variants_used():
-    m = make_matrix([[2.0, 1.0]])
-    total = compute_raw_prs(m, _table(("rs1", 0.2), ("rs2", -0.1)))
-    mean = compute_raw_prs(m, _table(("rs1", 0.2), ("rs2", -0.1)), mode="mean")
-    assert mean.scores[0] == total.scores[0] / 2
-    assert mean.mode == "mean"
-
-
-def test_absent_weight_variants_are_skipped_and_reported():
+def test_absent_weight_variants_are_skipped():
     m = make_matrix([[1.0]])
     prs = compute_raw_prs(m, _table(("rs1", 0.5), ("rs9", 1.0)))
     assert prs.scores[0] == 0.5
-    assert prs.n_snps_used == 1
-    assert prs.skipped_variants == ("rs9",)
 
 
 def test_no_overlap_raises():
@@ -97,3 +96,105 @@ def test_dyadic_weights_accumulate_exactly(rows):
     prs = compute_raw_prs(m, table)
     expected = [0.5 * r[0] - 0.25 * r[1] + 1.5 * r[2] for r in rows]
     assert list(prs.scores) == expected
+
+
+# --- the weight path: filter_by_panel -> align_effect_alleles -> fill_missing_mean
+# -> compute_raw_prs, as the fit and score commands run it ---------------------
+
+_COMPLEMENT = {"A": "T", "C": "G", "G": "C", "T": "A"}
+_ABSENT_IDS = ("rs90", "rs91", "rs92")
+
+
+@st.composite
+def _weight_path_cases(draw):
+    """A small matrix with missing calls, weights over it and a strand policy.
+
+    Dosages and weights are dyadic, so every column sum is exact and the
+    oracle's arithmetic can be compared bit for bit.
+    """
+    n = draw(st.integers(min_value=1, max_value=5))
+    m = draw(st.integers(min_value=1, max_value=6))
+    ids = [f"rs{j + 1}" for j in range(m)]
+    # One in three ordered pairs of distinct bases is strand-ambiguous (A/T, C/G).
+    alleles = {vid: tuple(draw(st.permutations("ACGT"))[:2]) for vid in ids}
+    cells = draw(
+        st.lists(
+            st.lists(st.sampled_from((0.0, 0.5, 1.0, 1.5, 2.0, None)), min_size=m, max_size=m),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    chosen = draw(st.lists(st.sampled_from(ids + list(_ABSENT_IDS)), min_size=1, unique=True))
+    rows = []
+    for vid in chosen:
+        ref, alt = alleles.get(vid, ("A", "G"))
+        # alt, ref or either reverse complement; one draw in twenty matches nothing.
+        how = draw(st.integers(min_value=0, max_value=19))
+        effect = "CC" if how == 19 else (alt, ref, _COMPLEMENT[alt], _COMPLEMENT[ref])[how % 4]
+        weight = draw(st.integers(min_value=-8, max_value=8)) / 4
+        rows.append(WeightRow(vid, effect, None, weight))
+    matrix = make_matrix(
+        [[0.0 if d is None else d for d in row] for row in cells],
+        alleles=alleles,
+        missing=[(i, j) for i, row in enumerate(cells) for j, d in enumerate(row) if d is None],
+    )
+    policy = draw(st.sampled_from(("exclude", "keep")))
+    return matrix, cells, alleles, ScoreWeightTable(tuple(rows)), policy
+
+
+def _per_sample_oracle(cells, alleles, weights, policy):
+    """Each sample's score in weight-table order, or the error the path must raise."""
+    columns = []  # (column, flip, weight) for every weight row that is scored
+    if not any(row.variant_id in alleles for row in weights.rows):
+        return EmptyIntersection
+    for row in weights.rows:
+        if row.variant_id not in alleles:
+            continue
+        ref, alt = alleles[row.variant_id]
+        ambiguous = ref == _COMPLEMENT[alt]
+        if ambiguous and policy == "exclude":
+            continue
+        matches = (alt, ref) if ambiguous else (alt, ref, _COMPLEMENT[alt], _COMPLEMENT[ref])
+        if row.effect_allele not in matches:
+            return AlleleMismatch
+        flip = matches.index(row.effect_allele) % 2 == 1
+        columns.append((int(row.variant_id[2:]) - 1, flip, row.weight))
+    means = []
+    for j, flip, _ in columns:
+        observed = [2.0 - r[j] if flip else r[j] for r in cells if r[j] is not None]
+        if not observed:
+            return AllMissingVariant
+        means.append(sum(observed) / len(observed))
+    if not columns:
+        return NoUsableVariants
+    scores = []
+    for r in cells:
+        total = 0.0
+        for (j, flip, weight), mean in zip(columns, means):
+            dosage = mean if r[j] is None else (2.0 - r[j] if flip else r[j])
+            total += weight * dosage
+        scores.append(total)
+    return scores
+
+
+@settings(max_examples=300, deadline=None)
+@given(_weight_path_cases())
+def test_weight_path_matches_per_sample_loop(case):
+    matrix, cells, alleles, weights, policy = case
+    expected = _per_sample_oracle(cells, alleles, weights, policy)
+    try:
+        sub, coverage = filter_by_panel(matrix, PanelDefinition("weights", weights.variant_ids))
+        aligned, alignment = align_effect_alleles(sub, weights, policy)
+        raw = compute_raw_prs(fill_missing_mean(aligned), weights)
+    except (EmptyIntersection, AlleleMismatch, AllMissingVariant, NoUsableVariants) as exc:
+        assert type(exc) is expected
+        return
+    assert list(raw.scores) == expected
+    assert raw.sample_ids == matrix.sample_ids
+    # Weights absent from the matrix are named once, by the panel filter.
+    assert coverage.missing_ids == tuple(v for v in weights.variant_ids if v not in alleles)
+    ambiguous = tuple(
+        v for v in weights.variant_ids
+        if v in alleles and alleles[v][0] == _COMPLEMENT[alleles[v][1]]
+    )
+    assert alignment.excluded == (ambiguous if policy == "exclude" else ())
