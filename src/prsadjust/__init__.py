@@ -17,10 +17,8 @@ from .adjust import (
 )
 from .errors import PipelineError
 from .evaluation import (
-    CohortReport,
     ModelComparison,
     PopulationSummary,
-    ReportRow,
     RocResult,
     compare_models,
     percentile_threshold,
@@ -41,6 +39,8 @@ from .genotypes import (
     filter_by_panel,
 )
 from .io import (
+    CohortReport,
+    ReportRow,
     parse_panel,
     parse_phenotypes,
     parse_vcf,

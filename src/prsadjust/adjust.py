@@ -22,8 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ModelMismatch, RankDeficient
-from .io import _ascii_int, _text_dest, _text_source, _vcf_float
-from .pca import PcScores, _real
+from .genotypes import STRAND_POLICIES
+from .io import _ascii_int, _model_text, _read_model, _real, _reals, _text_dest, _vcf_float
+from .pca import PcScores
 from .scoring import PrsVector
 
 _MODEL_MAGIC = "prsadjust-adjust v3"
@@ -49,6 +50,8 @@ class AdjustmentModel:
             raise ValueError("coefficients must be 1-D")
         if not np.isfinite(self.intercept) or not np.all(np.isfinite(self.coefficients)):
             raise ValueError("model coefficients must be finite")
+        if self.strand_policy not in STRAND_POLICIES:
+            raise ValueError(f"unknown strand policy {self.strand_policy!r}")
 
     @property
     def k(self) -> int:
@@ -129,17 +132,16 @@ def apply_adjustment(
 
 
 def serialize_adjustment_model(model: AdjustmentModel) -> str:
-    lines = [
-        _MODEL_MAGIC,
-        f"k {model.k}",
-        f"n_train {model.n_train}",
-        f"intercept {_real(model.intercept)}",
-        "coefficients " + " ".join(_real(c) for c in model.coefficients),
-        f"r_squared {_real(model.r_squared)}",
-        f"pca_fingerprint {model.pca_fingerprint if model.pca_fingerprint else '.'}",
-        f"strand_policy {model.strand_policy}",
-    ]
-    return "\n".join(lines) + "\n"
+    fields = {
+        "k": str(model.k),
+        "n_train": str(model.n_train),
+        "intercept": _real(model.intercept),
+        "coefficients": " ".join(map(_real, model.coefficients.tolist())),
+        "r_squared": _real(model.r_squared),
+        "pca_fingerprint": model.pca_fingerprint or ".",
+        "strand_policy": model.strand_policy,
+    }
+    return _model_text(_MODEL_MAGIC, fields)
 
 
 def save_adjustment_model(model: AdjustmentModel, dest) -> None:
@@ -148,26 +150,9 @@ def save_adjustment_model(model: AdjustmentModel, dest) -> None:
 
 
 def load_adjustment_model(source) -> AdjustmentModel:
-    with _text_source(source) as stream:
-        text = stream.read()
-    lines = text.splitlines()
-    if not lines or lines[0] != _MODEL_MAGIC:
-        raise ValueError(f"not a {_MODEL_MAGIC} file")
-    fields: dict[str, str] = {}
-    for line in lines[1:]:
-        if not line:
-            continue
-        key, _, value = line.partition(" ")
-        if key not in _MODEL_KEYS:
-            raise ValueError(f"adjustment model has an unknown {key!r} line")
-        if key in fields:
-            raise ValueError(f"adjustment model repeats its {key!r} line")
-        fields[key] = value
-    for key in _MODEL_KEYS:
-        if key not in fields:
-            raise ValueError(f"adjustment model has no {key!r} line")
+    fields, _ = _read_model(source, _MODEL_MAGIC, _MODEL_KEYS, "adjustment model")
     k = _ascii_int(fields["k"])
-    coefficients = np.array([_vcf_float(v) for v in fields["coefficients"].split(" ")])
+    coefficients = np.array(_reals(fields["coefficients"]))
     if coefficients.shape != (k,):
         raise ValueError(f"expected {k} coefficients, got {coefficients.shape[0]}")
     fingerprint = fields["pca_fingerprint"]

@@ -28,7 +28,6 @@ from .adjust import (
 from .errors import ConfigInvalid, EmptyInput, PipelineError
 from .evaluation import (
     DEFAULT_HIGH_RISK_PERCENTILE,
-    _format_real,
     compare_models,
     percentile_threshold,
     scores_to_report,
@@ -38,12 +37,14 @@ from .evaluation import (
     write_roc_csv,
 )
 from .genotypes import (
+    STRAND_POLICIES,
     PanelDefinition,
     align_effect_alleles,
     fill_missing_mean,
     filter_by_panel,
 )
 from .pca import (
+    SCALE_MODES,
     PcScores,
     _significant_count,
     fit_pca,
@@ -90,33 +91,15 @@ _NUMBER_KEYS = {
     "seed": (pio._ascii_int, "ASCII digits"),
     "percentile": (pio._vcf_float, "an ASCII decimal"),
 }
-_CHOICE_KEYS = {
-    "scale": ("sample-sd", "binomial"),
-    "strand_policy": ("exclude", "keep"),
-}
-
-
-def _load_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
-    known = {f.name for f in fields(PipelineConfig)} - {"command"}
-    with pio._text_source(path) as stream:
-        for _line_no, raw in pio._data_lines(stream):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if not sep or key not in known:
-                raise ConfigInvalid(f"{key}: unknown config key")
-            values[key] = value
-    return values
+_CHOICE_KEYS = {"scale": SCALE_MODES, "strand_policy": STRAND_POLICIES}
+_CONFIG_KEYS = {f.name for f in fields(PipelineConfig)} - {"command"}
 
 
 def _resolve(args: argparse.Namespace) -> PipelineConfig:
     cfg = PipelineConfig(command=args.command)
     layers: list[dict[str, str]] = []
     if getattr(args, "config", None):
-        layers.append(_load_config_file(args.config))
+        layers.append(dict(pio._key_values(args.config)))
     flag_layer = {
         name: value
         for name, value in vars(args).items()
@@ -125,6 +108,8 @@ def _resolve(args: argparse.Namespace) -> PipelineConfig:
     layers.append({k: str(v) for k, v in flag_layer.items()})
     for layer in layers:
         for key, text in layer.items():
+            if key not in _CONFIG_KEYS:
+                raise ConfigInvalid(f"{key}: unknown config key")
             value = text
             if key in _NUMBER_KEYS:
                 convert, noun = _NUMBER_KEYS[key]
@@ -279,7 +264,7 @@ def _cmd_fit(cfg: PipelineConfig) -> int:
     cumulative = 0.0
     for i, (eigenvalue, ratio) in enumerate(spectrum, start=1):
         cumulative += float(ratio)
-        lines.append(f"{i},{_format_real(eigenvalue)},{_format_real(ratio)},{_format_real(cumulative)}")
+        lines.append(",".join([str(i), *map(pio._format_real, (eigenvalue, ratio, cumulative))]))
     table = "\n".join(lines) + "\n"
     out = _out_dir(cfg)
     save_pca_model(model, out / "pca_model.txt")
@@ -389,11 +374,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--panel", help="ancestry panel variant ids, one per line")
     p.add_argument("--weights", help="score weight table (TSV)")
     p.add_argument("--k", help="number of PCs, or 'auto' to pick by the Tracy-Widom test")
-    p.add_argument("--scale", choices=("sample-sd", "binomial"), help="standardization scale")
+    p.add_argument("--scale", choices=SCALE_MODES, help="standardization scale")
     p.add_argument(
         "--strand-policy",
         dest="strand_policy",
-        choices=("exclude", "keep"),
+        choices=STRAND_POLICIES,
         help="handling of strand-ambiguous variants",
     )
     p.set_defaults(func=_cmd_fit)

@@ -20,22 +20,11 @@ import numpy as np
 
 from .errors import DegenerateLabels, EmptyInput
 from .genotypes import SampleRecord
-from .pca import PcScores, _real
+from .io import CohortReport, ReportRow, _format_real, _real, _text_dest
+from .pca import PcScores
 from .scoring import PrsVector
 
 DEFAULT_HIGH_RISK_PERCENTILE = 76.0
-
-
-@dataclass(frozen=True)
-class ReportRow:
-    """One scored sample: ancestry coordinates, both scores and the label."""
-
-    sample_id: str
-    population: str | None
-    pcs: tuple[float, ...]
-    raw_prs: float
-    adjusted_prs: float
-    obese: bool | None
 
 
 @dataclass(frozen=True)
@@ -58,21 +47,6 @@ class PopulationSummary:
     @property
     def highrisk_adjusted(self) -> float:
         return self.n_highrisk_adjusted / self.n
-
-
-@dataclass(eq=False)
-class CohortReport:
-    """Per-sample rows in a fixed order."""
-
-    rows: tuple[ReportRow, ...]
-
-    def __post_init__(self):
-        self.rows = tuple(self.rows)
-        seen: set[str] = set()
-        for row in self.rows:
-            if row.sample_id in seen:
-                raise ValueError(f"report repeats sample {row.sample_id}")
-            seen.add(row.sample_id)
 
 
 @dataclass(eq=False)
@@ -274,15 +248,8 @@ def scores_to_report(
 # ---------------------------------------------------------------------------
 
 
-def _format_real(value: float) -> str:
-    """A real in the report and table files: 10 significant digits, "." if not finite."""
-    return format(value, ".10g") if math.isfinite(value) else "."
-
-
 def write_roc_csv(roc: RocResult, dest) -> None:
     """Write ROC points as ``fpr,tpr`` CSV in sweep order."""
-    from .io import _text_dest  # io imports this module
-
     with _text_dest(dest) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["fpr", "tpr"])
@@ -291,8 +258,6 @@ def write_roc_csv(roc: RocResult, dest) -> None:
 
 
 def write_population_summary_csv(summaries: Iterable[PopulationSummary], dest) -> None:
-    from .io import _text_dest  # io imports this module
-
     with _text_dest(dest) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(
@@ -324,8 +289,6 @@ def write_population_summary_csv(summaries: Iterable[PopulationSummary], dest) -
 
 def write_metrics(metrics: Mapping[str, float | int | str], dest) -> None:
     """Write metrics as ``key=value`` lines in the mapping's order."""
-    from .io import _text_dest  # io imports this module
-
     with _text_dest(dest) as handle:
         for key, value in metrics.items():
             if isinstance(value, float):

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import AlleleMismatch, AllMissingVariant, EmptyIntersection
 
-StrandPolicy = Literal["exclude", "keep"]
+STRAND_POLICIES = ("exclude", "keep")
 
 SEX_TOKENS = ("male", "female", "unknown")
 OBESITY_BMI_THRESHOLD = 27.0
@@ -52,8 +52,8 @@ class Variant:
     alt_allele: str
 
     def __post_init__(self):
-        if not self.id:
-            raise ValueError("variant id must be non-empty")
+        if not self.id or " " in self.id:  # model files separate ids by spaces
+            raise ValueError(f"variant id {self.id!r} must be non-empty and hold no space")
         if not self.chromosome:
             raise ValueError(f"variant {self.id}: chromosome must be non-empty")
         if self.position < 1:
@@ -300,7 +300,7 @@ def filter_by_panel(
 def align_effect_alleles(
     matrix: GenotypeMatrix,
     weights: ScoreWeightTable,
-    policy: StrandPolicy = "exclude",
+    policy: str = "exclude",
 ) -> tuple[GenotypeMatrix, AlignmentReport]:
     """Recode dosages so they count each weight's effect allele.
 
@@ -328,7 +328,7 @@ def align_effect_alleles(
         If an effect allele matches neither allele on either strand, which
         signals weights built against a different reference.
     """
-    if policy not in ("exclude", "keep"):
+    if policy not in STRAND_POLICIES:
         raise ValueError(f"unknown strand policy {policy!r}")
     index = matrix.variant_index()
     flip: set[int] = set()

@@ -30,23 +30,28 @@ then stored. Values and text therefore come from the same code with or
 without the tables, so results are bitwise and byte-for-byte the same.
 Each table stops growing at ``_MEMO_CAP`` entries; later rows with new
 entries are decoded or written whole, uncached.
+
+Both model files share one codec: a magic line, a ``key value`` line per
+field, then the table rows (:func:`_model_text`, :func:`_read_model`).
 """
 
 from __future__ import annotations
 
 import csv
 import logging
+import math
 import os
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from io import TextIOBase, TextIOWrapper
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
 from .errors import (
+    ConfigInvalid,
     DuplicateSample,
     DuplicateVariant,
     EmptyPanel,
@@ -56,7 +61,6 @@ from .errors import (
     ParseAbort,
     UnknownSexToken,
 )
-from .evaluation import CohortReport, ReportRow, _format_real
 from .genotypes import (
     GenotypeMatrix,
     PanelDefinition,
@@ -91,7 +95,9 @@ _GT_DOSAGE = {
 _GT_MISSING = ("./.", ".|.")
 # A VCF Float, as DS carries it; float() alone would also take "0_5", " 1",
 # "nan" and non-ASCII digits.
-_VCF_FLOAT = re.compile(r"[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?", re.ASCII)
+_VCF_FLOAT = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?", re.ASCII)
+# A row of VCF Floats joined by single spaces, as the model files hold them.
+_REAL_ROW = re.compile(rf"{_VCF_FLOAT.pattern}(?: {_VCF_FLOAT.pattern})*", re.ASCII)
 # Entries a VCF memo table holds at most before it stops growing (a
 # 3-decimal GT:DS file has about 2,000 distinct entries).
 _MEMO_CAP = 1 << 16
@@ -130,6 +136,24 @@ def _vcf_float(text: str) -> float:
     return float(text)
 
 
+def _reals(text: str) -> list[float]:
+    """float() of each value of a ``_REAL_ROW``; else _vcf_float's error for the first bad one."""
+    if not _REAL_ROW.fullmatch(text):
+        for token in text.split(" "):
+            _vcf_float(token)
+    return list(map(float, text.split(" ")))
+
+
+def _real(value: float) -> str:
+    """A real in the model and metrics files: 17 significant digits round-trip a float64."""
+    return format(float(value), ".17g")
+
+
+def _format_real(value: float) -> str:
+    """A real in the report and table files: 10 significant digits, "." if not finite."""
+    return format(value, ".10g") if math.isfinite(value) else "."
+
+
 @contextmanager
 def _text_source(source: Source) -> Iterator[IO]:
     """Yield a text stream for a path, text stream or byte stream."""
@@ -161,6 +185,20 @@ def _data_lines(stream: IO) -> Iterator[tuple[int, str]]:
     """Yield (1-based line number, line without trailing newline)."""
     for line_no, raw in enumerate(stream, start=1):
         yield line_no, raw.rstrip("\r\n")
+
+
+def _key_values(source: Source) -> Iterator[tuple[str, str]]:
+    """Yield (key, value), both stripped, for each ``key=value`` line of a config
+    file; blank and ``#`` lines are skipped, and a line with no "=" is refused."""
+    with _text_source(source) as stream:
+        for raw in stream:
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, sep, value = line.partition("=")
+            if not sep:
+                raise ConfigInvalid(f"{key}: expected key=value")
+            yield key.strip(), value.strip()
 
 
 def _headed_rows(stream: IO, header: tuple[str, ...], kind: str) -> Iterator[tuple[int, list[str]]]:
@@ -698,6 +736,33 @@ def write_phenotypes(records: list[SampleRecord], dest: Source) -> None:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class ReportRow:
+    """One scored sample: ancestry coordinates, both scores and the label."""
+
+    sample_id: str
+    population: str | None
+    pcs: tuple[float, ...]
+    raw_prs: float
+    adjusted_prs: float
+    obese: bool | None
+
+
+@dataclass(eq=False)
+class CohortReport:
+    """Per-sample rows in a fixed order."""
+
+    rows: tuple[ReportRow, ...]
+
+    def __post_init__(self):
+        self.rows = tuple(self.rows)
+        seen: set[str] = set()
+        for row in self.rows:
+            if row.sample_id in seen:
+                raise ValueError(f"report repeats sample {row.sample_id}")
+            seen.add(row.sample_id)
+
+
 def write_report_csv(report: CohortReport, dest: Source) -> None:
     """Write per-sample results: ids, PCs, raw and adjusted scores, label.
 
@@ -776,3 +841,44 @@ def read_report_csv(source: Source) -> CohortReport:
     if not rows:
         raise ParseAbort("report CSV has no data rows")
     return CohortReport(rows=tuple(rows))
+
+
+# ---------------------------------------------------------------------------
+# model files
+# ---------------------------------------------------------------------------
+
+
+def _model_text(magic: str, fields: dict[str, str], rows: Iterable[str] = ()) -> str:
+    """A model file: the magic line, a ``key value`` line per field, then the rows."""
+    lines = [magic, *(f"{key} {value}" for key, value in fields.items()), *rows]
+    return "\n".join(lines) + "\n"
+
+
+def _read_model(
+    source: Source, magic: str, keys: tuple[str, ...], kind: str, count_key: str | None = None
+) -> tuple[dict[str, str], list[str]]:
+    """Read a :func:`_model_text` file back: (field values by key, rows).
+
+    Each key must have exactly one line and no other key any. With
+    ``count_key`` the fields are the ``len(keys)`` lines after the magic one
+    and the rows must number that field's value; without, there are no rows.
+    """
+    with _text_source(source) as stream:
+        lines = stream.read().removesuffix("\n").split("\n")
+    if lines[0] != magic:
+        raise ValueError(f"not a {magic} file")
+    end = 1 + len(keys) if count_key else len(lines)
+    fields: dict[str, str] = {}
+    for key, _, value in (line.partition(" ") for line in lines[1:end]):
+        if key not in keys:
+            raise ValueError(f"{kind} has an unknown {key!r} line")
+        if key in fields:
+            raise ValueError(f"{kind} repeats its {key!r} line")
+        fields[key] = value
+    for key in keys:
+        if key not in fields:
+            raise ValueError(f"{kind} has no {key!r} line")
+    rows = lines[end:]
+    if count_key and len(rows) != _ascii_int(fields[count_key]):
+        raise ValueError(f"{kind} has {len(rows)} rows, expected {fields[count_key]}")
+    return fields, rows

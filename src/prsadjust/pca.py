@@ -25,7 +25,6 @@ import hashlib
 import logging
 import math
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
@@ -36,15 +35,16 @@ from .errors import (
     NoVariantsRetained,
 )
 from .genotypes import GenotypeMatrix
+from .io import _ascii_int, _model_text, _read_model, _real, _reals, _text_dest, _vcf_float
 
 logger = logging.getLogger(__name__)
 
-ScaleMode = Literal["sample-sd", "binomial"]
+SCALE_MODES = ("sample-sd", "binomial")
 
-SCALE_SAMPLE_SD = "sample-sd"
-SCALE_BINOMIAL = "binomial"
-
-_MODEL_MAGIC = "prsadjust-pca v1"
+_MODEL_MAGIC = "prsadjust-pca v2"
+# The field lines after the magic one, before the rows; the reader wants each exactly once.
+_MODEL_KEYS = ("n_train", "n_variants", "n_components", "scale_mode", "total_variance",
+               "dropped", "eigenvalues")
 
 # The 95% quantile of the Tracy-Widom TW1 law: select_k's 5% level.
 _TW1_QUANTILE_95 = 0.9793
@@ -78,6 +78,8 @@ class StandardizationParams:
             raise ValueError("mean/scale length must match variant_ids")
         if not np.all(self.scale > 0):
             raise ValueError("scales must be strictly positive")
+        if self.scale_mode not in SCALE_MODES:
+            raise ValueError(f"unknown scale mode {self.scale_mode!r}")
 
 
 @dataclass(eq=False)
@@ -166,7 +168,7 @@ class PcScores:
 
 
 def standardize(
-    matrix: GenotypeMatrix, scale_mode: ScaleMode = SCALE_SAMPLE_SD
+    matrix: GenotypeMatrix, scale_mode: str = "sample-sd"
 ) -> tuple[np.ndarray, StandardizationParams]:
     """Center and scale dosage columns; drop constant columns.
 
@@ -192,7 +194,7 @@ def standardize(
     NoVariantsRetained
         If every column is constant.
     """
-    if scale_mode not in (SCALE_SAMPLE_SD, SCALE_BINOMIAL):
+    if scale_mode not in SCALE_MODES:
         raise ValueError(f"unknown scale mode {scale_mode!r}")
     if matrix.missing_mask.any():
         raise ValueError("matrix has missing dosages; run fill_missing_mean first")
@@ -203,7 +205,7 @@ def standardize(
     keep = sd > 0.0
     if not keep.any():
         raise NoVariantsRetained("every column is constant")
-    if scale_mode == SCALE_SAMPLE_SD:
+    if scale_mode == "sample-sd":
         scale = sd[keep]
     else:
         # Observed alt allele frequency; sd > 0 guarantees 0 < p < 1.
@@ -420,36 +422,25 @@ def _significant_count(model: PcaModel) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _real(value: float) -> str:
-    """A real in the model and metrics files: 17 significant digits round-trip a float64."""
-    return format(float(value), ".17g")
-
-
 def serialize_pca_model(model: PcaModel) -> str:
-    """Render a model as versioned text; 17 significant digits round-trip
+    """Render a model as versioned text: its fields, then one ``id mean scale
+    loading_1 .. loading_k`` row per variant. 17 significant digits round-trip
     every float64 exactly, so load-after-save projects bitwise identically."""
     if model.params is None:
         raise ValueError("cannot serialize a model without standardization params")
     p = model.params
-    lines = [
-        _MODEL_MAGIC,
-        f"n_train {model.n_train}",
-        f"n_variants {model.n_variants}",
-        f"n_components {model.k}",
-        f"scale_mode {p.scale_mode}",
-        f"total_variance {_real(model.total_variance)}",
-        f"n_dropped {len(p.dropped_variants)}",
-    ]
-    lines.extend(p.dropped_variants)
-    lines.append("variants")
-    for j, vid in enumerate(p.variant_ids):
-        lines.append(f"{vid} {_real(p.mean[j])} {_real(p.scale[j])}")
-    lines.append("eigenvalues")
-    lines.extend(_real(v) for v in model.eigenvalues)
-    lines.append("loadings")
-    for row in model.loadings:
-        lines.append(" ".join(_real(v) for v in row))
-    return "\n".join(lines) + "\n"
+    fields = {
+        "n_train": str(model.n_train),
+        "n_variants": str(model.n_variants),
+        "n_components": str(model.k),
+        "scale_mode": p.scale_mode,
+        "total_variance": _real(model.total_variance),
+        "dropped": " ".join(p.dropped_variants),
+        "eigenvalues": " ".join(map(_real, model.eigenvalues.tolist())),
+    }
+    table = np.column_stack([p.mean, p.scale, model.loadings]).tolist()
+    rows = (" ".join([vid, *map(_real, values)]) for vid, values in zip(p.variant_ids, table))
+    return _model_text(_MODEL_MAGIC, fields, rows)
 
 
 def pca_model_fingerprint(model: PcaModel) -> str:
@@ -458,77 +449,30 @@ def pca_model_fingerprint(model: PcaModel) -> str:
 
 
 def save_pca_model(model: PcaModel, dest) -> None:
-    from .io import _text_dest  # io imports evaluation, which imports this module
-
     with _text_dest(dest) as out:
         out.write(serialize_pca_model(model))
 
 
 def load_pca_model(source) -> PcaModel:
     """Read back a model written by :func:`save_pca_model`."""
-    from .io import _ascii_int, _text_source, _vcf_float
-
-    with _text_source(source) as stream:
-        text = stream.read()
-    lines = text.splitlines()
-    pos = 0
-
-    def take() -> str:
-        nonlocal pos
-        if pos >= len(lines):
-            raise ValueError("model file truncated")
-        line = lines[pos]
-        pos += 1
-        return line
-
-    def take_field(key: str) -> str:
-        line = take()
-        head, _, value = line.partition(" ")
-        if head != key:
-            raise ValueError(f"expected {key!r} line, got {line!r}")
-        return value
-
-    if take() != _MODEL_MAGIC:
-        raise ValueError(f"not a {_MODEL_MAGIC} file")
-    n_train = _ascii_int(take_field("n_train"))
-    n_variants = _ascii_int(take_field("n_variants"))
-    n_components = _ascii_int(take_field("n_components"))
-    scale_mode = take_field("scale_mode")
-    total_variance = _vcf_float(take_field("total_variance"))
-    n_dropped = _ascii_int(take_field("n_dropped"))
-    dropped = tuple(take() for _ in range(n_dropped))
-    if take() != "variants":
-        raise ValueError("expected 'variants' section")
-    variant_ids: list[str] = []
-    mean = np.empty(n_variants)
-    scale = np.empty(n_variants)
-    for j in range(n_variants):
-        vid, mean_text, scale_text = take().split(" ")
-        variant_ids.append(vid)
-        mean[j] = _vcf_float(mean_text)
-        scale[j] = _vcf_float(scale_text)
-    if take() != "eigenvalues":
-        raise ValueError("expected 'eigenvalues' section")
-    eigenvalues = np.array([_vcf_float(take()) for _ in range(n_components)])
-    if take() != "loadings":
-        raise ValueError("expected 'loadings' section")
-    loadings = np.empty((n_variants, n_components))
-    for j in range(n_variants):
-        row = take().split(" ")
-        if len(row) != n_components:
-            raise ValueError(f"loading row {j} has {len(row)} values, expected {n_components}")
-        loadings[j] = [_vcf_float(v) for v in row]
+    fields, rows = _read_model(source, _MODEL_MAGIC, _MODEL_KEYS, "PCA model", "n_variants")
+    k = _ascii_int(fields["n_components"])
+    if any(row.count(" ") != 2 + k for row in rows):
+        raise ValueError(f"a PCA model row does not hold an id and {2 + k} numbers")
+    variant_ids, numbers = zip(*(row.split(" ", 1) for row in rows))
+    table = np.array([_reals(text) for text in numbers])
+    dropped = fields["dropped"]
     params = StandardizationParams(
-        variant_ids=tuple(variant_ids),
-        mean=mean,
-        scale=scale,
-        dropped_variants=dropped,
-        scale_mode=scale_mode,
+        variant_ids=variant_ids,
+        mean=table[:, 0].copy(),
+        scale=table[:, 1].copy(),
+        dropped_variants=tuple(dropped.split(" ")) if dropped else (),
+        scale_mode=fields["scale_mode"],
     )
     return PcaModel(
-        loadings=loadings,
-        eigenvalues=eigenvalues,
-        total_variance=total_variance,
-        n_train=n_train,
+        loadings=np.ascontiguousarray(table[:, 2:]),
+        eigenvalues=_reals(fields["eigenvalues"]),
+        total_variance=_vcf_float(fields["total_variance"]),
+        n_train=_ascii_int(fields["n_train"]),
         params=params,
     )

@@ -321,39 +321,31 @@ def parse_scenario_config(source) -> ScenarioConfig:
     """
     values: dict[str, object] = {}
     populations: list[PopulationConfig] = []
-    with pio._text_source(source) as stream:
-        for _line_no, line in pio._data_lines(stream):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            key, sep, value = text.partition("=")
-            key, value = key.strip(), value.strip()
-            if not sep:
-                raise ConfigInvalid(f"{key}: expected key=value")
-            if key == "population":
-                parts = value.split(":")
-                if len(parts) not in (4, 5):
-                    raise ConfigInvalid(
-                        f"population: expected label:n:fst:offset[:n_test], got {value!r}"
-                    )
-                try:
-                    pop = PopulationConfig(
-                        label=parts[0],
-                        n_samples=pio._ascii_int(parts[1]),
-                        fst=pio._vcf_float(parts[2]),
-                        offset=pio._vcf_float(parts[3]),
-                        n_test=pio._ascii_int(parts[4]) if len(parts) == 5 else 0,
-                    )
-                except ValueError as exc:
-                    raise ConfigInvalid(f"population: {exc}") from None
-                populations.append(pop)
-            elif key in _SCALAR_KEYS:
-                try:
-                    values[key] = _SCALAR_KEYS[key](value)
-                except ValueError:
-                    raise ConfigInvalid(f"{key}: cannot parse {value!r}") from None
-            else:
-                raise ConfigInvalid(f"{key}: unknown scenario key")
+    for key, value in pio._key_values(source):
+        if key == "population":
+            parts = value.split(":")
+            if len(parts) not in (4, 5):
+                raise ConfigInvalid(
+                    f"population: expected label:n:fst:offset[:n_test], got {value!r}"
+                )
+            try:
+                pop = PopulationConfig(
+                    label=parts[0],
+                    n_samples=pio._ascii_int(parts[1]),
+                    fst=pio._vcf_float(parts[2]),
+                    offset=pio._vcf_float(parts[3]),
+                    n_test=pio._ascii_int(parts[4]) if len(parts) == 5 else 0,
+                )
+            except ValueError as exc:
+                raise ConfigInvalid(f"population: {exc}") from None
+            populations.append(pop)
+        elif key in _SCALAR_KEYS:
+            try:
+                values[key] = _SCALAR_KEYS[key](value)
+            except ValueError:
+                raise ConfigInvalid(f"{key}: cannot parse {value!r}") from None
+        else:
+            raise ConfigInvalid(f"{key}: unknown scenario key")
     if "seed" not in values:
         raise ConfigInvalid("seed: required")
     if not populations:

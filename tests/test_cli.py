@@ -655,6 +655,33 @@ class TestScore:
         assert code == 3
         assert err.startswith("error: ") and repr(value) in err
 
+    # Each is refused where its model is read, before the cohort's VCF is opened.
+    @pytest.mark.parametrize(
+        "name, key, value, message",
+        [
+            ("pca_model.txt", "scale_mode", "foo", "unknown scale mode 'foo'"),
+            ("adjustment_model.txt", "strand_policy", "maybe", "unknown strand policy 'maybe'"),
+        ],
+    )
+    def test_model_choices_are_checked_at_load(self, scenario_dir, model_dir, tmp_path, capsys,
+                                               name, key, value, message):
+        edited = tmp_path / "edited"
+        shutil.copytree(model_dir, edited)
+        lines = (edited / name).read_text().splitlines()
+        (i,) = [i for i, line in enumerate(lines) if line.split(" ")[0] == key]
+        lines[i] = f"{key} {value}"
+        (edited / name).write_text("\n".join(lines) + "\n")
+        code, _, err = run(
+            "score",
+            "--test-vcf", str(tmp_path / "absent.vcf"),
+            "--weights", str(scenario_dir / "weights.tsv"),
+            "--model-dir", str(edited),
+            "--out", str(tmp_path / "scores"),
+            capsys=capsys,
+        )
+        assert code == 3
+        assert err == f"error: {message}\n"
+
     def test_score_fingerprints_the_pca_model_once(self, scenario_dir, model_dir,
                                                    tmp_path, monkeypatch):
         original = pca.pca_model_fingerprint
@@ -817,8 +844,15 @@ class TestConfigLayering:
             assert not out.exists()
 
     # prs_mode was a key until the raw score had one recipe.
-    @pytest.mark.parametrize("line", ["frobnicate=1", "prs_mode=sum"])
-    def test_unknown_config_key_exits_2(self, line, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("frobnicate=1", "frobnicate: unknown config key"),
+            ("prs_mode=sum", "prs_mode: unknown config key"),
+            (" seed 7 ", "seed 7: expected key=value"),
+        ],
+    )
+    def test_unknown_config_key_exits_2(self, line, message, tmp_path, capsys):
         config = tmp_path / "bad.cfg"
         config.write_text(line + "\n")
         code, _, err = run(
@@ -826,7 +860,7 @@ class TestConfigLayering:
             capsys=capsys,
         )
         assert code == 2
-        assert err == f"error: {line.partition('=')[0]}: unknown config key\n"
+        assert err == f"error: {message}\n"
 
 
 class TestUsage:

@@ -1,4 +1,4 @@
-"""File formats: VCF subset, weights, panel, phenotypes, report CSV."""
+"""File formats: VCF subset, weights, panel, phenotypes, report CSV, model files."""
 
 import io as stdio
 import logging
@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import prsadjust.io
+from prsadjust.adjust import AdjustmentModel, load_adjustment_model, serialize_adjustment_model
 from prsadjust.errors import (
     DuplicateSample,
     DuplicateVariant,
@@ -23,7 +24,7 @@ from prsadjust.errors import (
     UnknownSexToken,
 )
 from prsadjust.evaluation import CohortReport, ReportRow
-from prsadjust.genotypes import SampleRecord, ScoreWeightTable, WeightRow
+from prsadjust.genotypes import STRAND_POLICIES, SampleRecord, ScoreWeightTable, WeightRow
 from prsadjust.io import (
     SKIP_DUPLICATE_VARIANT,
     SKIP_MULTI_ALLELIC,
@@ -38,6 +39,16 @@ from prsadjust.io import (
     write_report_csv,
     write_vcf,
     write_weights,
+)
+from prsadjust.pca import (
+    SCALE_MODES,
+    PcaModel,
+    StandardizationParams,
+    fit_pca,
+    load_pca_model,
+    pca_model_fingerprint,
+    serialize_pca_model,
+    standardize,
 )
 from conftest import make_matrix
 
@@ -108,6 +119,7 @@ class TestParseVcf:
             "x\t900\trs7\tA\tG\t.\t.\t.\tGT\t0/0\t0/0",  # short + bad, still malformed
             "1\t0\trs7\tA\tG\t.\t.\t.\tGT\t0/0\t0/0\t0/0",  # POS below 1
             "\t900\trs7\tA\tG\t.\t.\t.\tGT\t0/0\t0/0\t0/0",  # empty CHROM
+            "1\t900\trs 7\tA\tG\t.\t.\t.\tGT\t0/0\t0/0\t0/0",  # an ID with a space
             # POS that int() would accept but is not a run of ASCII digits
             "1\t1_000\t.\tA\tG\t.\t.\t.\tGT\t0/0\t0/0\t0/0",
             "1\t+7\t.\tA\tG\t.\t.\t.\tGT\t0/0\t0/0\t0/0",
@@ -682,3 +694,134 @@ class TestParseVcfLayout:
             assert got.dtype == want.dtype and got.shape == (n, len(decoded))
             assert got.flags["F_CONTIGUOUS"]
             assert got.tobytes() == want.tobytes()
+
+
+# Model files: every float64 the writer can meet, subnormals and -0.0 included.
+_FLOATS = st.one_of(
+    st.sampled_from([-0.0, 5e-324, -2.2250738585072009e-308, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_NONNEGATIVE = st.one_of(st.just(-0.0), st.floats(min_value=0.0, allow_infinity=False))
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_IDS = st.text("abcdefghijklmnopqrstuvwxyz0123456789_:.", min_size=1, max_size=8)
+
+
+@st.composite
+def pca_models(draw):
+    m, k = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    names = draw(st.lists(_IDS, min_size=m, max_size=m + 3, unique=True))
+    params = StandardizationParams(
+        variant_ids=tuple(names[:m]),
+        mean=draw(st.lists(_FLOATS, min_size=m, max_size=m)),
+        scale=draw(st.lists(_POSITIVE, min_size=m, max_size=m)),
+        dropped_variants=tuple(names[m:]),
+        scale_mode=draw(st.sampled_from(SCALE_MODES)),
+    )
+    return PcaModel(
+        loadings=np.reshape(draw(st.lists(_FLOATS, min_size=m * k, max_size=m * k)), (m, k)),
+        eigenvalues=sorted(draw(st.lists(_NONNEGATIVE, min_size=k, max_size=k)), reverse=True),
+        total_variance=draw(_FLOATS),
+        n_train=draw(st.integers(0, 10**6)),
+        params=params,
+    )
+
+
+@st.composite
+def adjustment_models(draw):
+    k = draw(st.integers(1, 5))
+    return AdjustmentModel(
+        intercept=draw(_FLOATS),
+        coefficients=np.array(draw(st.lists(_FLOATS, min_size=k, max_size=k))),
+        r_squared=draw(_FLOATS),
+        n_train=draw(st.integers(0, 10**6)),
+        pca_fingerprint=draw(st.none() | st.text("0123456789abcdef", min_size=64, max_size=64)),
+        strand_policy=draw(st.sampled_from(STRAND_POLICIES)),
+    )
+
+
+def _bits(*values):
+    return [np.asarray(v, dtype=np.float64).tobytes() for v in values]
+
+
+def _mutations(text):
+    """(name, text) for the text with a line appended, and with each line
+    duplicated or deleted in turn."""
+    lines = text.splitlines(keepends=True)
+    yield "appended line", text + "extra 1\n"
+    for i in range(len(lines)):
+        yield f"line {i + 1} duplicated", "".join(lines[: i + 1] + lines[i:])
+        yield f"line {i + 1} deleted", "".join(lines[:i] + lines[i + 1:])
+
+
+def _saved_pca_model():
+    dosage = np.random.default_rng(5).integers(0, 3, size=(12, 5)).astype(float)
+    dosage[:, 1] = 1.0  # constant: dropped, so the dropped list is not empty
+    X, params = standardize(make_matrix(dosage))
+    return serialize_pca_model(fit_pca(X, 2, params))
+
+
+def _saved_adjustment_model():
+    model = AdjustmentModel(0.25, np.array([1.0, -2.0]), 0.5, 9, "a" * 64, "keep")
+    return serialize_adjustment_model(model)
+
+
+class TestModelFiles:
+    @given(pca_models())
+    def test_pca_round_trip_is_bitwise(self, model):
+        text = serialize_pca_model(model)
+        loaded = load_pca_model(stdio.StringIO(text))
+        p, q = model.params, loaded.params
+        assert loaded.loadings.shape == model.loadings.shape
+        assert _bits(loaded.loadings, loaded.eigenvalues, q.mean, q.scale, loaded.total_variance) == (
+            _bits(model.loadings, model.eigenvalues, p.mean, p.scale, model.total_variance)
+        )
+        assert (q.variant_ids, q.dropped_variants, q.scale_mode) == (
+            p.variant_ids, p.dropped_variants, p.scale_mode
+        )
+        assert loaded.n_train == model.n_train
+        assert pca_model_fingerprint(loaded) == pca_model_fingerprint(model)
+        assert serialize_pca_model(loaded) == text
+
+    @given(adjustment_models())
+    def test_adjustment_round_trip_is_bitwise(self, model):
+        text = serialize_adjustment_model(model)
+        loaded = load_adjustment_model(stdio.StringIO(text))
+        assert _bits(loaded.intercept, loaded.coefficients, loaded.r_squared) == (
+            _bits(model.intercept, model.coefficients, model.r_squared)
+        )
+        assert (loaded.n_train, loaded.pca_fingerprint, loaded.strand_policy) == (
+            model.n_train, model.pca_fingerprint, model.strand_policy
+        )
+        assert serialize_adjustment_model(loaded) == text
+
+    @pytest.mark.parametrize(
+        "saved, load",
+        [(_saved_pca_model, load_pca_model), (_saved_adjustment_model, load_adjustment_model)],
+    )
+    def test_any_added_or_lost_line_is_refused(self, saved, load):
+        text = saved()
+        load(stdio.StringIO(text))
+        accepted = []
+        for name, mutated in _mutations(text):
+            try:
+                load(stdio.StringIO(mutated))
+            except ValueError:
+                continue
+            accepted.append(name)
+        assert accepted == []
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("prsadjust-pca v2", "prsadjust-pca v1", "not a prsadjust-pca v2 file"),
+            ("n_variants 4", "n_variants 3", "PCA model has 4 rows, expected 3"),
+            ("dropped rs2", "drop rs2", "PCA model has an unknown 'drop' line"),
+            ("\nrs1 ", "\nrs1  ", "a PCA model row does not hold an id and 4 numbers"),
+        ],
+    )
+    def test_pca_model_layout_errors(self, old, new, message):
+        text = _saved_pca_model()
+        assert old in text
+        with pytest.raises(ValueError) as exc:
+            load_pca_model(stdio.StringIO(text.replace(old, new, 1)))
+        assert str(exc.value) == message

@@ -558,7 +558,7 @@ class TestPersistence:
     def test_serialized_text_is_stable(self, rng):
         model = _fit_matrix(_random_matrix(rng, 12, 6), k_max=3)
         assert serialize_pca_model(model) == serialize_pca_model(model)
-        assert serialize_pca_model(model).startswith("prsadjust-pca v1\n")
+        assert serialize_pca_model(model).startswith("prsadjust-pca v2\n")
 
     def test_truncate_matches_smaller_projection(self, rng):
         m = _random_matrix(rng, 30, 10)
