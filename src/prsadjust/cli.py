@@ -1,11 +1,12 @@
 """Command line front end: simulate | fit | score | evaluate.
 
-Values resolve in three layers: built-in defaults, then a key=value config
-file (``--config``), then explicit flags, later layers winning. Every
-command echoes its resolved configuration to ``run_config.txt`` in the
-output directory. A command creates that directory and writes its files
-only after every step that can fail on its inputs has run. Data goes to
-files and standard output; diagnostics and errors go to standard error.
+A command's settings are its own flags. Each resolves in three layers:
+built-in default, then a key=value config file (``--config``), then the
+flag, later layers winning. Every command echoes its resolved settings to
+``run_config.txt`` in the output directory. A command creates that
+directory and writes its files only after every step that can fail on its
+inputs has run. Data goes to files and standard output; diagnostics and
+errors go to standard error.
 Exit codes: 0 success, 2 configuration or usage error, 3 data or model
 error.
 """
@@ -15,7 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 from . import io as pio
@@ -65,50 +66,32 @@ from .simulate import (
 )
 
 
-@dataclass
-class PipelineConfig:
-    """Resolved settings for one command invocation."""
-
-    command: str = "."
-    train_vcf: str | None = None
-    test_vcf: str | None = None
-    panel: str | None = None
-    weights: str | None = None
-    phenotypes: str | None = None
-    model_dir: str | None = None
-    report: str | None = None
-    scenario: str | None = None
-    out: str | None = None
-    seed: int | None = None
-    k: str = "4"
-    percentile: float = DEFAULT_HIGH_RISK_PERCENTILE
-    scale: str = "sample-sd"
-    strand_policy: str = "exclude"
-
-
+# A setting with no flag or config value takes its default here, else None.
+_DEFAULTS = {
+    "k": "4",
+    "percentile": DEFAULT_HIGH_RISK_PERCENTILE,
+    "scale": "sample-sd",
+    "strand_policy": "exclude",
+}
 # key: (io's strict int() or float(), what it must be), for flags and config values.
 _NUMBER_KEYS = {
     "seed": (pio._ascii_int, "ASCII digits"),
     "percentile": (pio._vcf_float, "an ASCII decimal"),
 }
 _CHOICE_KEYS = {"scale": SCALE_MODES, "strand_policy": STRAND_POLICIES}
-_CONFIG_KEYS = {f.name for f in fields(PipelineConfig)} - {"command"}
 
 
-def _resolve(args: argparse.Namespace) -> PipelineConfig:
-    cfg = PipelineConfig(command=args.command)
-    layers: list[dict[str, str]] = []
-    if getattr(args, "config", None):
-        layers.append(dict(pio._key_values(args.config)))
-    flag_layer = {
-        name: value
-        for name, value in vars(args).items()
-        if name not in ("command", "config", "func") and value is not None
+def _resolve(args: argparse.Namespace) -> argparse.Namespace:
+    """The command and its settings: one per flag of the command, and no other."""
+    flags = {
+        name: value for name, value in vars(args).items() if name not in ("command", "config", "func")
     }
-    layers.append({k: str(v) for k, v in flag_layer.items()})
+    cfg = argparse.Namespace(command=args.command, **{name: _DEFAULTS.get(name) for name in flags})
+    layers = [dict(pio._key_values(args.config))] if args.config else []
+    layers.append({name: value for name, value in flags.items() if value is not None})
     for layer in layers:
         for key, text in layer.items():
-            if key not in _CONFIG_KEYS:
+            if key not in flags:
                 raise ConfigInvalid(f"{key}: unknown config key")
             value = text
             if key in _NUMBER_KEYS:
@@ -120,33 +103,33 @@ def _resolve(args: argparse.Namespace) -> PipelineConfig:
             elif key in _CHOICE_KEYS and text not in _CHOICE_KEYS[key]:
                 raise ConfigInvalid(f"{key}: must be one of {_CHOICE_KEYS[key]}, got {text!r}")
             setattr(cfg, key, value)
-    try:
-        if cfg.k != "auto" and pio._ascii_int(cfg.k) < 1:
-            raise ValueError
-    except ValueError:
-        raise ConfigInvalid(f"k: expected a positive integer or 'auto', got {cfg.k!r}") from None
-    if not 0.0 < cfg.percentile < 100.0:
+    if "k" in flags and cfg.k != "auto":
+        try:
+            k = pio._ascii_int(cfg.k)
+            if k < 1:
+                raise ValueError
+        except ValueError:
+            raise ConfigInvalid(f"k: expected a positive integer or 'auto', got {cfg.k!r}") from None
+        cfg.k = k
+    if "percentile" in flags and not 0.0 < cfg.percentile < 100.0:
         raise ConfigInvalid(f"percentile: must be in (0, 100), got {cfg.percentile}")
     return cfg
 
 
-def _require(cfg: PipelineConfig, *names: str) -> None:
+def _require(cfg: argparse.Namespace, *names: str) -> None:
     for name in names:
         if getattr(cfg, name) is None:
             raise ConfigInvalid(f"{name}: required for '{cfg.command}'")
 
 
-def _out_dir(cfg: PipelineConfig) -> Path:
+def _out_dir(cfg: argparse.Namespace) -> Path:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _echo_config(cfg: PipelineConfig, out: Path) -> None:
-    lines = []
-    for f in sorted(fields(PipelineConfig), key=lambda f: f.name):
-        value = getattr(cfg, f.name)
-        lines.append(f"{f.name}={'.' if value is None else value}")
+def _echo_config(cfg: argparse.Namespace, out: Path) -> None:
+    lines = [f"{key}={'.' if value is None else value}" for key, value in sorted(vars(cfg).items())]
     with pio._text_dest(out / "run_config.txt") as handle:
         handle.write("\n".join(lines) + "\n")
 
@@ -164,7 +147,7 @@ def _sha256(path: Path) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_simulate(cfg: PipelineConfig) -> int:
+def _cmd_simulate(cfg: argparse.Namespace) -> int:
     _require(cfg, "out")
     scenario = parse_scenario_config(cfg.scenario) if cfg.scenario else DEFAULT_SCENARIO
     if cfg.seed is not None:
@@ -179,8 +162,15 @@ def _cmd_simulate(cfg: PipelineConfig) -> int:
     return 0
 
 
-def _parse_vcf(path: str):
-    """Parse a VCF, naming skipped rows by reason on stderr."""
+def _columns(path: str, panel: PanelDefinition, weights):
+    """(samples, (panel submatrix, coverage), (weight submatrix, coverage)) of a
+    VCF, naming its skipped rows by reason on stderr.
+
+    Only the submatrices outlive the parsed matrix, so one full-size copy of
+    the genotypes is alive at a time. The small weight submatrix is taken
+    first: allocated after the panel submatrix, it kept the freed heap below
+    it resident (about 9 MB at 2,100 samples x 2,310 variants).
+    """
     matrix, report = pio.parse_vcf(path)
     if report.skipped:
         reasons = ", ".join(
@@ -191,17 +181,12 @@ def _parse_vcf(path: str):
             f"({reasons})",
             file=sys.stderr,
         )
-    return matrix
+    weight_columns = filter_by_panel(matrix, PanelDefinition("weights", weights.variant_ids))
+    return matrix.samples, filter_by_panel(matrix, panel), weight_columns
 
 
-def _weight_columns(matrix, weights):
-    """The matrix restricted to the weight variants, with its coverage report."""
-    panel = PanelDefinition(name="weights", variant_ids=weights.variant_ids)
-    return filter_by_panel(matrix, panel)
-
-
-def _raw_scores(cfg: PipelineConfig, weight_columns, weights):
-    """Raw scores of fit and score from ``_weight_columns``: align, fill, score."""
+def _raw_scores(cfg: argparse.Namespace, weight_columns, weights):
+    """Raw scores of fit and score from ``_columns``' weights: align, fill, score."""
     sub, coverage = weight_columns
     aligned, alignment = align_effect_alleles(sub, weights, cfg.strand_policy)
     filled = fill_missing_mean(aligned)
@@ -216,31 +201,22 @@ def _raw_scores(cfg: PipelineConfig, weight_columns, weights):
     return raw
 
 
-def _cmd_fit(cfg: PipelineConfig) -> int:
+def _cmd_fit(cfg: argparse.Namespace) -> int:
     _require(cfg, "train_vcf", "panel", "weights", "out")
-    matrix = _parse_vcf(cfg.train_vcf)
     panel = pio.parse_panel(cfg.panel)
     weights = pio.parse_weights(cfg.weights)
-
-    # Only the two submatrices outlive the parsed matrix, and only X the
-    # panel's, so one full-size copy of the genotypes is alive at a time.
-    # The small weight submatrix is taken first: allocated after the panel
-    # submatrix, it kept the freed heap below it resident (about 9 MB at
-    # 2,100 samples x 2,310 variants).
-    weight_columns = _weight_columns(matrix, weights)
-    panel_matrix, coverage = filter_by_panel(matrix, panel)
+    samples, (panel_matrix, coverage), weight_columns = _columns(cfg.train_vcf, panel, weights)
     if coverage.missing_ids:
         print(
             f"panel {panel.name}: {coverage.n_matched}/{coverage.n_panel} variants found",
             file=sys.stderr,
         )
-    sample_ids = matrix.sample_ids
-    del matrix
+    # Only X outlives the panel submatrix.
     X, params = standardize(fill_missing_mean(panel_matrix), cfg.scale)
     del panel_matrix
     # Pairs computed, and tabled: N + 1 for --k N; for auto 8, doubled while all pass.
     limit = min(X.shape[0] - 1, X.shape[1])
-    k_max = min(limit, 8 if cfg.k == "auto" else int(cfg.k) + 1)
+    k_max = min(limit, 8 if cfg.k == "auto" else cfg.k + 1)
     model_full = fit_pca(X, k_max, params)
     if cfg.k == "auto":
         while k_max < limit and _significant_count(model_full) == k_max:
@@ -249,12 +225,13 @@ def _cmd_fit(cfg: PipelineConfig) -> int:
         k = select_k(model_full)
         print(f"k auto: kept {k} components by the Tracy-Widom test at the 5% level", file=sys.stderr)
     else:
-        k = min(int(cfg.k), limit)
-        if k < int(cfg.k):
+        k = min(cfg.k, limit)
+        if k < cfg.k:
             print(f"k clamped from {cfg.k} to {k} (data supports at most {limit})", file=sys.stderr)
     model = model_full.truncate(k)
 
     # project(model, filled) computes this same product on the same layout.
+    sample_ids = tuple(record.sample_id for record in samples)
     pcs = PcScores(X @ model.loadings, sample_ids, pca_model_fingerprint(model))
     raw = _raw_scores(cfg, weight_columns, weights)
     adjustment = replace(fit_adjustment(raw, pcs), strand_policy=cfg.strand_policy)
@@ -276,25 +253,20 @@ def _cmd_fit(cfg: PipelineConfig) -> int:
     return 0
 
 
-def _cmd_score(cfg: PipelineConfig) -> int:
+def _cmd_score(cfg: argparse.Namespace) -> int:
     _require(cfg, "test_vcf", "weights", "model_dir", "out")
     model_dir = Path(cfg.model_dir)
     pca_model = load_pca_model(model_dir / "pca_model.txt")
     adjustment = load_adjustment_model(model_dir / "adjustment_model.txt")
     # The cohort is scored as fit scored, and run_config.txt echoes how.
-    cfg.scale = pca_model.params.scale_mode
+    cfg.k, cfg.scale = pca_model.k, pca_model.params.scale_mode
     cfg.strand_policy = adjustment.strand_policy
-    matrix = _parse_vcf(cfg.test_vcf)
     weights = pio.parse_weights(cfg.weights)
 
     # project names any model variant the VCF lacks; apply_adjustment
-    # refuses an adjustment model fitted against another PCA model. As in
-    # fit, the parsed matrix is dropped once its submatrices are taken.
+    # refuses an adjustment model fitted against another PCA model.
     model_panel = PanelDefinition(name="pca_model", variant_ids=pca_model.params.variant_ids)
-    panel_matrix, _ = filter_by_panel(matrix, model_panel)
-    weight_columns = _weight_columns(matrix, weights)
-    samples = list(matrix.samples)
-    del matrix
+    samples, (panel_matrix, _), weight_columns = _columns(cfg.test_vcf, model_panel, weights)
     pcs = project(pca_model, fill_missing_mean(panel_matrix))
     raw = _raw_scores(cfg, weight_columns, weights)
     adjusted = apply_adjustment(adjustment, raw, pcs)
@@ -309,7 +281,7 @@ def _cmd_score(cfg: PipelineConfig) -> int:
     return 0
 
 
-def _cmd_evaluate(cfg: PipelineConfig) -> int:
+def _cmd_evaluate(cfg: argparse.Namespace) -> int:
     _require(cfg, "report", "out")
     report = pio.read_report_csv(cfg.report)
 

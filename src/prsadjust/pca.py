@@ -457,6 +457,8 @@ def load_pca_model(source) -> PcaModel:
     """Read back a model written by :func:`save_pca_model`."""
     fields, rows = _read_model(source, _MODEL_MAGIC, _MODEL_KEYS, "PCA model", "n_variants")
     k = _ascii_int(fields["n_components"])
+    if not rows:
+        raise ValueError("PCA model has no variants")
     if any(row.count(" ") != 2 + k for row in rows):
         raise ValueError(f"a PCA model row does not hold an id and {2 + k} numbers")
     variant_ids, numbers = zip(*(row.split(" ", 1) for row in rows))

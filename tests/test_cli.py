@@ -39,6 +39,18 @@ noise_sd=1.0
 """
 
 
+# Each command's settings: its flags' dests, the only keys its --config file
+# may set and, with "command", the keys of its run_config.txt.
+SETTINGS = {
+    "simulate": {"out", "scenario", "seed"},
+    "fit": {"out", "train_vcf", "panel", "weights", "k", "scale", "strand_policy"},
+    "score": {"out", "test_vcf", "weights", "model_dir", "phenotypes"},
+    "evaluate": {"out", "report", "percentile"},
+}
+# A value each key accepts, so that a refusal can only be of the key itself.
+VALUES = {"seed": "5", "k": "9", "scale": "binomial", "strand_policy": "keep", "percentile": "90"}
+
+
 def run(*argv, capsys=None):
     code = main(list(argv))
     if capsys is None:
@@ -282,6 +294,15 @@ class TestFit:
         # the first 8 pairs already hold the first one that fails, so no more are computed
         table = (tmp_path / "m" / "explained_variance.csv").read_text().splitlines()
         assert len(table) == 9
+        # score echoes the k its models keep, not fit's default
+        assert main([
+            "score",
+            "--test-vcf", str(tmp_path / "d" / "genotypes.vcf"),
+            "--weights", str(tmp_path / "d" / "weights.tsv"),
+            "--model-dir", str(tmp_path / "m"),
+            "--out", str(tmp_path / "s"),
+        ]) == 0
+        assert "k=2" in (tmp_path / "s" / "run_config.txt").read_text().splitlines()
 
     def test_k_auto_doubles_the_pairs_while_all_pass(self, tmp_path, capsys):
         # twelve populations: eleven significant axes, more than the first 8 pairs
@@ -861,6 +882,49 @@ class TestConfigLayering:
         )
         assert code == 2
         assert err == f"error: {message}\n"
+
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [
+            (command, key)
+            for command, own in SETTINGS.items()
+            for key in sorted(set().union(*SETTINGS.values()) - own)
+        ],
+    )
+    def test_another_commands_key_exits_2(self, command, key, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{key}={VALUES.get(key, 'x')}\n")
+        code, _, err = run(command, "--config", str(config), "--out", str(tmp_path / "d"),
+                           capsys=capsys)
+        assert code == 2
+        assert err == f"error: {key}: unknown config key\n"
+        assert not (tmp_path / "d").exists()
+
+    def test_run_config_echoes_only_the_commands_settings(self, scenario_dir, model_dir, tmp_path):
+        tiny = tmp_path / "tiny.cfg"
+        tiny.write_text("seed=3\npopulation=POPA:10:0.2:0\npopulation=POPB:10:0.2:0\n"
+                        "n_ancestry_snps=30\nn_trait_snps=5\n")
+        assert main(["simulate", "--scenario", str(tiny), "--out", str(tmp_path / "d")]) == 0
+        assert main([
+            "score",
+            "--test-vcf", str(scenario_dir / "test_genotypes.vcf"),
+            "--weights", str(scenario_dir / "weights.tsv"),
+            "--model-dir", str(model_dir),
+            "--phenotypes", str(scenario_dir / "phenotypes.tsv"),
+            "--out", str(tmp_path / "s"),
+        ]) == 0
+        assert main(["evaluate", "--report", str(tmp_path / "s" / "report.csv"),
+                     "--out", str(tmp_path / "e")]) == 0
+        # score adds the k, scale and strand policy its models were fitted with
+        recipe = {"k", "scale", "strand_policy"}
+        for command, out in (("simulate", tmp_path / "d"), ("fit", model_dir),
+                             ("score", tmp_path / "s"), ("evaluate", tmp_path / "e")):
+            lines = (out / "run_config.txt").read_text().splitlines()
+            keys = [line.partition("=")[0] for line in lines]
+            assert keys == sorted(keys)
+            assert set(keys) == {"command"} | SETTINGS[command] | (recipe if command == "score" else set())
+            assert f"command={command}" in lines
 
 
 class TestUsage:

@@ -825,3 +825,9 @@ class TestModelFiles:
         with pytest.raises(ValueError) as exc:
             load_pca_model(stdio.StringIO(text.replace(old, new, 1)))
         assert str(exc.value) == message
+
+    def test_pca_model_without_variants_is_refused(self):
+        lines = _saved_pca_model().replace("n_variants 4", "n_variants 0").splitlines()
+        header = [line for line in lines if not line.startswith("rs")]
+        with pytest.raises(ValueError, match="^PCA model has no variants$"):
+            load_pca_model(stdio.StringIO("\n".join(header) + "\n"))
