@@ -10,27 +10,25 @@ are uncorrelated with every PC up to numerical precision.
 
 An adjustment model remembers the fingerprint of the PCA model whose
 scores it was fitted on; applying it to scores from any other model is
-refused, since coefficients are meaningless in a different basis. It
-also stores the strand policy the raw scores were aligned under, so a
-cohort is scored with the recipe the coefficients were fitted on.
+refused, since coefficients are meaningless in a different basis.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, ModelMismatch, RankDeficient
-from .genotypes import STRAND_POLICIES
 from .io import _ascii_int, _model_text, _read_model, _real, _reals, _text_dest, _vcf_float
 from .pca import PcScores
 from .scoring import PrsVector
 
-_MODEL_MAGIC = "prsadjust-adjust v3"
+_MODEL_MAGIC = "prsadjust-adjust v4"
 # The lines after the magic one; the reader wants each exactly once.
-_MODEL_KEYS = ("k", "n_train", "intercept", "coefficients", "r_squared", "pca_fingerprint",
-               "strand_policy")
+_MODEL_KEYS = ("k", "n_train", "intercept", "coefficients", "r_squared", "pca_fingerprint")
+_FINGERPRINT_RE = re.compile(r"[0-9a-f]{64}\Z")
 
 
 @dataclass(eq=False)
@@ -41,8 +39,7 @@ class AdjustmentModel:
     coefficients: np.ndarray
     r_squared: float
     n_train: int
-    pca_fingerprint: str | None = None
-    strand_policy: str = "exclude"
+    pca_fingerprint: str
 
     def __post_init__(self):
         self.coefficients = np.asarray(self.coefficients, dtype=np.float64)
@@ -50,8 +47,8 @@ class AdjustmentModel:
             raise ValueError("coefficients must be 1-D")
         if not np.isfinite(self.intercept) or not np.all(np.isfinite(self.coefficients)):
             raise ValueError("model coefficients must be finite")
-        if self.strand_policy not in STRAND_POLICIES:
-            raise ValueError(f"unknown strand policy {self.strand_policy!r}")
+        if not _FINGERPRINT_RE.match(self.pca_fingerprint):
+            raise ValueError(f"pca_fingerprint {self.pca_fingerprint!r} is not 64 lowercase hex digits")
 
     @property
     def k(self) -> int:
@@ -65,8 +62,6 @@ def _check_alignment(scores: PrsVector, pcs: PcScores) -> None:
 
 def fit_adjustment(scores: PrsVector, pcs: PcScores) -> AdjustmentModel:
     """Fit the adjustment regression on a training cohort.
-
-    The caller sets ``strand_policy``.
 
     Requires at least k + 1 samples (with exactly k + 1 the fit is
     saturated and residuals vanish). Sample ids of the two inputs must
@@ -116,7 +111,7 @@ def apply_adjustment(
         If the number of PC columns differs from the model's k.
     """
     _check_alignment(scores, pcs)
-    if model.pca_fingerprint is not None and pcs.model_fingerprint != model.pca_fingerprint:
+    if pcs.model_fingerprint != model.pca_fingerprint:
         raise ModelMismatch(
             "PC scores come from a different PCA model than this adjustment was fitted on"
         )
@@ -138,8 +133,7 @@ def serialize_adjustment_model(model: AdjustmentModel) -> str:
         "intercept": _real(model.intercept),
         "coefficients": " ".join(map(_real, model.coefficients.tolist())),
         "r_squared": _real(model.r_squared),
-        "pca_fingerprint": model.pca_fingerprint or ".",
-        "strand_policy": model.strand_policy,
+        "pca_fingerprint": model.pca_fingerprint,
     }
     return _model_text(_MODEL_MAGIC, fields)
 
@@ -155,12 +149,10 @@ def load_adjustment_model(source) -> AdjustmentModel:
     coefficients = np.array(_reals(fields["coefficients"]))
     if coefficients.shape != (k,):
         raise ValueError(f"expected {k} coefficients, got {coefficients.shape[0]}")
-    fingerprint = fields["pca_fingerprint"]
     return AdjustmentModel(
         intercept=_vcf_float(fields["intercept"]),
         coefficients=coefficients,
         r_squared=_vcf_float(fields["r_squared"]),
         n_train=_ascii_int(fields["n_train"]),
-        pca_fingerprint=None if fingerprint == "." else fingerprint,
-        strand_policy=fields["strand_policy"],
+        pca_fingerprint=fields["pca_fingerprint"],
     )

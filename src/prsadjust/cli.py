@@ -38,7 +38,6 @@ from .evaluation import (
     write_roc_csv,
 )
 from .genotypes import (
-    STRAND_POLICIES,
     PanelDefinition,
     align_effect_alleles,
     fill_missing_mean,
@@ -71,14 +70,13 @@ _DEFAULTS = {
     "k": "4",
     "percentile": DEFAULT_HIGH_RISK_PERCENTILE,
     "scale": "sample-sd",
-    "strand_policy": "exclude",
 }
 # key: (io's strict int() or float(), what it must be), for flags and config values.
 _NUMBER_KEYS = {
     "seed": (pio._ascii_int, "ASCII digits"),
     "percentile": (pio._vcf_float, "an ASCII decimal"),
 }
-_CHOICE_KEYS = {"scale": SCALE_MODES, "strand_policy": STRAND_POLICIES}
+_CHOICE_KEYS = {"scale": SCALE_MODES}
 
 
 def _resolve(args: argparse.Namespace) -> argparse.Namespace:
@@ -185,10 +183,10 @@ def _columns(path: str, panel: PanelDefinition, weights):
     return matrix.samples, filter_by_panel(matrix, panel), weight_columns
 
 
-def _raw_scores(cfg: argparse.Namespace, weight_columns, weights):
+def _raw_scores(weight_columns, weights):
     """Raw scores of fit and score from ``_columns``' weights: align, fill, score."""
     sub, coverage = weight_columns
-    aligned, alignment = align_effect_alleles(sub, weights, cfg.strand_policy)
+    aligned, alignment = align_effect_alleles(sub, weights)
     filled = fill_missing_mean(aligned)
     raw = compute_raw_prs(filled, weights)
     if coverage.missing_ids or alignment.excluded:
@@ -233,8 +231,7 @@ def _cmd_fit(cfg: argparse.Namespace) -> int:
     # project(model, filled) computes this same product on the same layout.
     sample_ids = tuple(record.sample_id for record in samples)
     pcs = PcScores(X @ model.loadings, sample_ids, pca_model_fingerprint(model))
-    raw = _raw_scores(cfg, weight_columns, weights)
-    adjustment = replace(fit_adjustment(raw, pcs), strand_policy=cfg.strand_policy)
+    adjustment = fit_adjustment(_raw_scores(weight_columns, weights), pcs)
 
     spectrum = zip(model_full.eigenvalues, model_full.explained_variance_ratio)
     lines = ["component,eigenvalue,explained_variance_ratio,cumulative"]
@@ -260,7 +257,6 @@ def _cmd_score(cfg: argparse.Namespace) -> int:
     adjustment = load_adjustment_model(model_dir / "adjustment_model.txt")
     # The cohort is scored as fit scored, and run_config.txt echoes how.
     cfg.k, cfg.scale = pca_model.k, pca_model.params.scale_mode
-    cfg.strand_policy = adjustment.strand_policy
     weights = pio.parse_weights(cfg.weights)
 
     # project names any model variant the VCF lacks; apply_adjustment
@@ -268,7 +264,7 @@ def _cmd_score(cfg: argparse.Namespace) -> int:
     model_panel = PanelDefinition(name="pca_model", variant_ids=pca_model.params.variant_ids)
     samples, (panel_matrix, _), weight_columns = _columns(cfg.test_vcf, model_panel, weights)
     pcs = project(pca_model, fill_missing_mean(panel_matrix))
-    raw = _raw_scores(cfg, weight_columns, weights)
+    raw = _raw_scores(weight_columns, weights)
     adjusted = apply_adjustment(adjustment, raw, pcs)
 
     if cfg.phenotypes:
@@ -347,12 +343,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", help="score weight table (TSV)")
     p.add_argument("--k", help="number of PCs, or 'auto' to pick by the Tracy-Widom test")
     p.add_argument("--scale", choices=SCALE_MODES, help="standardization scale")
-    p.add_argument(
-        "--strand-policy",
-        dest="strand_policy",
-        choices=STRAND_POLICIES,
-        help="handling of strand-ambiguous variants",
-    )
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("score", help="score a cohort with fitted models")

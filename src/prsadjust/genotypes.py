@@ -17,8 +17,6 @@ import numpy as np
 
 from .errors import AlleleMismatch, AllMissingVariant, EmptyIntersection
 
-STRAND_POLICIES = ("exclude", "keep")
-
 SEX_TOKENS = ("male", "female", "unknown")
 OBESITY_BMI_THRESHOLD = 27.0
 
@@ -75,20 +73,19 @@ class SampleRecord:
     population: str | None = None
     sex: str | None = None
     bmi: float | None = None
-    obese: bool | None = None
 
     def __post_init__(self):
         if not self.sample_id:
             raise ValueError("sample_id must be non-empty")
         if self.sex is not None and self.sex not in SEX_TOKENS:
             raise ValueError(f"sample {self.sample_id}: sex {self.sex!r} not in {SEX_TOKENS}")
-        if self.bmi is not None:
-            if not np.isfinite(self.bmi):
-                raise ValueError(f"sample {self.sample_id}: bmi must be finite")
-            if self.obese is not None and self.obese != (self.bmi > OBESITY_BMI_THRESHOLD):
-                raise ValueError(
-                    f"sample {self.sample_id}: obese flag contradicts bmi {self.bmi}"
-                )
+        if self.bmi is not None and not np.isfinite(self.bmi):
+            raise ValueError(f"sample {self.sample_id}: bmi must be finite")
+
+    @property
+    def obese(self) -> bool | None:
+        """The obesity label: BMI strictly above the threshold, None without a BMI."""
+        return None if self.bmi is None else self.bmi > OBESITY_BMI_THRESHOLD
 
 
 @dataclass(frozen=True)
@@ -244,7 +241,7 @@ class AlignmentReport:
     """Audit trail of effect-allele alignment.
 
     flipped: variants whose dosages were recoded to count the effect allele.
-    excluded: strand-ambiguous variants dropped under the exclude policy.
+    excluded: strand-ambiguous variants, dropped.
     """
 
     flipped: tuple[str, ...]
@@ -300,7 +297,6 @@ def filter_by_panel(
 def align_effect_alleles(
     matrix: GenotypeMatrix,
     weights: ScoreWeightTable,
-    policy: str = "exclude",
 ) -> tuple[GenotypeMatrix, AlignmentReport]:
     """Recode dosages so they count each weight's effect allele.
 
@@ -313,9 +309,8 @@ def align_effect_alleles(
       source just reported the opposite strand.
 
     Strand-ambiguous variants (A/T, C/G style pairs) cannot be resolved by
-    complementing. Under ``policy="exclude"`` (default) they are dropped
-    from the returned matrix; under ``policy="keep"`` the effect allele is
-    matched literally against ref/alt with no complementing.
+    complementing, so they are dropped from the returned matrix and listed
+    in the report's ``excluded``.
 
     Flipped variants also swap their ref/alt metadata, so in the returned
     matrix dosages still count alt copies and re-aligning with the same
@@ -328,8 +323,6 @@ def align_effect_alleles(
         If an effect allele matches neither allele on either strand, which
         signals weights built against a different reference.
     """
-    if policy not in STRAND_POLICIES:
-        raise ValueError(f"unknown strand policy {policy!r}")
     index = matrix.variant_index()
     flip: set[int] = set()
     drop: set[int] = set()
@@ -341,7 +334,7 @@ def align_effect_alleles(
             continue
         variant = matrix.variants[j]
         ref, alt, eff = variant.ref_allele, variant.alt_allele, row.effect_allele
-        if is_strand_ambiguous(ref, alt) and policy == "exclude":
+        if is_strand_ambiguous(ref, alt):
             drop.add(j)
             excluded_ids.append(variant.id)
             continue
@@ -351,14 +344,13 @@ def align_effect_alleles(
             flip.add(j)
             flipped_ids.append(variant.id)
             continue
-        if not is_strand_ambiguous(ref, alt):
-            # Same alleles read off the opposite strand.
-            if eff == reverse_complement(alt):
-                continue
-            if eff == reverse_complement(ref):
-                flip.add(j)
-                flipped_ids.append(variant.id)
-                continue
+        # Same alleles read off the opposite strand.
+        if eff == reverse_complement(alt):
+            continue
+        if eff == reverse_complement(ref):
+            flip.add(j)
+            flipped_ids.append(variant.id)
+            continue
         raise AlleleMismatch(
             f"variant {variant.id}: effect allele {eff!r} matches neither "
             f"ref {ref!r} nor alt {alt!r} on either strand"

@@ -68,7 +68,6 @@ from .genotypes import (
     ScoreWeightTable,
     Variant,
     WeightRow,
-    OBESITY_BMI_THRESHOLD,
     SEX_TOKENS,
     _ALLELE_RE,
 )
@@ -187,18 +186,24 @@ def _data_lines(stream: IO) -> Iterator[tuple[int, str]]:
         yield line_no, raw.rstrip("\r\n")
 
 
-def _key_values(source: Source) -> Iterator[tuple[str, str]]:
+def _key_values(source: Source, repeatable: tuple[str, ...] = ()) -> Iterator[tuple[str, str]]:
     """Yield (key, value), both stripped, for each ``key=value`` line of a config
-    file; blank and ``#`` lines are skipped, and a line with no "=" is refused."""
+    file; blank and ``#`` lines are skipped, and a line with no "=" is refused,
+    as is a second line for a key not in ``repeatable``."""
+    seen: set[str] = set()
     with _text_source(source) as stream:
         for raw in stream:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             key, sep, value = line.partition("=")
+            key = key.strip()
             if not sep:
                 raise ConfigInvalid(f"{key}: expected key=value")
-            yield key.strip(), value.strip()
+            if key in seen and key not in repeatable:
+                raise ConfigInvalid(f"{key}: repeated config key")
+            seen.add(key)
+            yield key, value.strip()
 
 
 def _headed_rows(stream: IO, header: tuple[str, ...], kind: str) -> Iterator[tuple[int, list[str]]]:
@@ -687,10 +692,8 @@ def parse_phenotypes(source: Source) -> list[SampleRecord]:
                         f"line {line_no}: sex {sex_text!r} not {'/'.join(SEX_TOKENS)}/."
                     )
             bmi: float | None
-            obese: bool | None
             if bmi_text == ".":
                 bmi = None
-                obese = None
             else:
                 try:
                     bmi = _vcf_float(bmi_text)
@@ -700,7 +703,6 @@ def parse_phenotypes(source: Source) -> list[SampleRecord]:
                     raise MalformedRow(line_no, f"bmi {bmi_text!r} is not finite")
                 if bmi < 0:
                     raise NegativeBmi(f"line {line_no}: bmi {bmi_text} is negative")
-                obese = bmi > OBESITY_BMI_THRESHOLD
             seen.add(sample_id)
             records.append(
                 SampleRecord(
@@ -708,7 +710,6 @@ def parse_phenotypes(source: Source) -> list[SampleRecord]:
                     population=None if population == "." else population,
                     sex=sex,
                     bmi=bmi,
-                    obese=obese,
                 )
             )
     return records

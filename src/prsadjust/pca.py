@@ -154,7 +154,7 @@ class PcScores:
 
     scores: np.ndarray
     sample_ids: tuple[str, ...]
-    model_fingerprint: str | None = None
+    model_fingerprint: str
 
     def __post_init__(self):
         self.scores = np.asarray(self.scores, dtype=np.float64)

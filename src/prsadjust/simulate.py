@@ -42,7 +42,6 @@ from .genotypes import (
     ScoreWeightTable,
     Variant,
     WeightRow,
-    OBESITY_BMI_THRESHOLD,
 )
 
 # Non-ambiguous alt choices per ref base: never the base itself and never
@@ -216,7 +215,6 @@ def generate_cohort(config: ScenarioConfig) -> SyntheticCohort:
                     population=pop.label,
                     sex="male" if sexes[row] == 0 else "female",
                     bmi=float(bmi[row]),
-                    obese=bool(bmi[row] > OBESITY_BMI_THRESHOLD),
                 )
             )
             (train_indices if i < pop.n_samples else test_indices).append(row)
@@ -316,12 +314,12 @@ def parse_scenario_config(source) -> ScenarioConfig:
     One ``population=label:n:fst:offset[:n_test]`` line per population;
     scalar keys as in the module's writer. Integers must be ASCII digits
     and reals ASCII VCF Floats (``io._ascii_int``, ``io._vcf_float``).
-    Unknown keys and malformed values raise :class:`ConfigInvalid` naming
-    the offending field.
+    Unknown keys, a second line for any key but ``population`` and malformed
+    values raise :class:`ConfigInvalid` naming the offending field.
     """
     values: dict[str, object] = {}
     populations: list[PopulationConfig] = []
-    for key, value in pio._key_values(source):
+    for key, value in pio._key_values(source, repeatable=("population",)):
         if key == "population":
             parts = value.split(":")
             if len(parts) not in (4, 5):

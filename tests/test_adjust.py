@@ -4,8 +4,6 @@ The coefficient path is validated against the Moore-Penrose pseudoinverse,
 which solves the same least-squares problem by an independent route.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -116,10 +114,11 @@ def test_apply_rejects_wrong_component_count(rng):
 
 def test_zero_coefficients_subtract_only_intercept():
     model = AdjustmentModel(
-        intercept=1.5, coefficients=np.zeros(2), r_squared=0.0, n_train=10
+        intercept=1.5, coefficients=np.zeros(2), r_squared=0.0, n_train=10,
+        pca_fingerprint="c" * 64,
     )
     raw = _prs([2.5, 1.5, 0.5])
-    adjusted = apply_adjustment(model, raw, _pcs(np.zeros((3, 2)), fingerprint=None))
+    adjusted = apply_adjustment(model, raw, _pcs(np.zeros((3, 2)), fingerprint="c" * 64))
     assert list(adjusted.scores) == [1.0, 0.0, -1.0]
     assert adjusted.sample_ids == raw.sample_ids
 
@@ -135,7 +134,7 @@ def test_constant_scores_fit_cleanly(rng):
 def test_persistence_round_trip_is_exact(rng, tmp_path):
     Z = rng.normal(size=(30, 4))
     raw = _prs(rng.normal(size=30))
-    model = replace(fit_adjustment(raw, _pcs(Z)), strand_policy="keep")
+    model = fit_adjustment(raw, _pcs(Z))
     path = tmp_path / "adjustment_model.txt"
     save_adjustment_model(model, path)
     loaded = load_adjustment_model(path)
@@ -144,25 +143,19 @@ def test_persistence_round_trip_is_exact(rng, tmp_path):
     assert loaded.r_squared == model.r_squared
     assert loaded.n_train == model.n_train
     assert loaded.pca_fingerprint == model.pca_fingerprint
-    assert loaded.strand_policy == "keep"
 
 
-def test_recipe_default_is_exclude(rng):
+def test_model_stores_no_recipe(rng):
     model = fit_adjustment(_prs(rng.normal(size=12)), _pcs(rng.normal(size=(12, 2))))
-    assert model.strand_policy == "exclude"
     lines = serialize_adjustment_model(model).splitlines()
-    assert lines[0] == "prsadjust-adjust v3"
-    assert lines[-1] == "strand_policy exclude"
+    assert lines[0] == "prsadjust-adjust v4"
+    assert lines[-1] == "pca_fingerprint " + "a" * 64
 
 
-def test_persistence_handles_absent_fingerprint(tmp_path):
-    model = AdjustmentModel(
-        intercept=0.25, coefficients=np.array([1.0]), r_squared=0.5, n_train=9
-    )
-    text = serialize_adjustment_model(model)
-    path = tmp_path / "adjustment_model.txt"
-    path.write_text(text)
-    assert load_adjustment_model(path).pca_fingerprint is None
+@pytest.mark.parametrize("fingerprint", [".", "a" * 63, "a" * 65, "A" * 64, "g" * 64])
+def test_model_must_name_its_pca_model(fingerprint):
+    with pytest.raises(ValueError, match="not 64 lowercase hex digits"):
+        AdjustmentModel(0.25, np.array([1.0]), 0.5, 9, fingerprint)
 
 
 def test_corrupt_file_rejected(tmp_path):
@@ -182,7 +175,7 @@ def _two_pc_model_lines():
 
 @pytest.mark.parametrize(
     "key",
-    ["k", "n_train", "intercept", "coefficients", "r_squared", "pca_fingerprint", "strand_policy"],
+    ["k", "n_train", "intercept", "coefficients", "r_squared", "pca_fingerprint"],
 )
 def test_missing_key_is_named(key, tmp_path):
     lines = _two_pc_model_lines()
@@ -192,14 +185,15 @@ def test_missing_key_is_named(key, tmp_path):
         load_adjustment_model(path)
 
 
-# A v2 file whose magic line was edited to v3 still carries its prs_mode line.
+# An older file whose magic line was edited to v4 still carries its recipe lines.
 @pytest.mark.parametrize(
     "extra, message",
     [
         ("prs_mode mean", "unknown 'prs_mode' line"),
         ("prs_mode sum", "unknown 'prs_mode' line"),
+        ("strand_policy exclude", "unknown 'strand_policy' line"),
+        ("strand_policy keep", "unknown 'strand_policy' line"),
         ("intercept 0.5", "repeats its 'intercept' line"),
-        ("strand_policy keep", "repeats its 'strand_policy' line"),
     ],
 )
 def test_unknown_or_repeated_key_is_named(extra, message, tmp_path):

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from prsadjust import cli, pca
+from prsadjust import adjust, cli, pca
 from prsadjust import io as pio
 from prsadjust.adjust import apply_adjustment, fit_adjustment, load_adjustment_model
 from prsadjust.cli import _build_parser, _resolve, main
@@ -43,12 +43,12 @@ noise_sd=1.0
 # may set and, with "command", the keys of its run_config.txt.
 SETTINGS = {
     "simulate": {"out", "scenario", "seed"},
-    "fit": {"out", "train_vcf", "panel", "weights", "k", "scale", "strand_policy"},
+    "fit": {"out", "train_vcf", "panel", "weights", "k", "scale"},
     "score": {"out", "test_vcf", "weights", "model_dir", "phenotypes"},
     "evaluate": {"out", "report", "percentile"},
 }
 # A value each key accepts, so that a refusal can only be of the key itself.
-VALUES = {"seed": "5", "k": "9", "scale": "binomial", "strand_policy": "keep", "percentile": "90"}
+VALUES = {"seed": "5", "k": "9", "scale": "binomial", "percentile": "90"}
 
 
 def run(*argv, capsys=None):
@@ -535,9 +535,9 @@ class TestScore:
         assert code == 3
         assert err == "error: adjustment model has no 'intercept' line\n"
 
-    def test_scores_with_the_strand_policy_stored_at_fit(self, scenario_dir, tmp_path):
-        """fit --strand-policy keep --scale binomial; score, given neither,
-        follows the models and echoes what they store."""
+    def test_scores_with_the_scale_stored_at_fit(self, scenario_dir, tmp_path):
+        """fit --scale binomial; score, not given it, follows the PCA model,
+        echoes its scale and drops the A/T weight variant as fit did."""
         weights = pio.parse_weights(scenario_dir / "weights.tsv")
         at_id = weights.rows[0].variant_id
         # The first weight variant becomes strand-ambiguous (A/T) everywhere.
@@ -557,13 +557,10 @@ class TestScore:
                 "--train-vcf", str(tmp_path / "train_genotypes.vcf"),
                 "--panel", str(scenario_dir / "panel.txt"),
                 "--weights", str(tmp_path / "weights.tsv"),
-                "--strand-policy", "keep",
                 "--scale", "binomial",
                 "--out", str(models),
             ]
         ) == 0
-        stored = (models / "adjustment_model.txt").read_text().splitlines()
-        assert stored[-1] == "strand_policy keep"
         assert "scale_mode binomial" in (models / "pca_model.txt").read_text().splitlines()
         assert main(
             [
@@ -576,17 +573,17 @@ class TestScore:
             ]
         ) == 0
         echoed = (scores / "run_config.txt").read_text().splitlines()
-        assert {"strand_policy=keep", "scale=binomial"} <= set(echoed)
+        assert "scale=binomial" in echoed
 
-        def recompute(policy):
+        def recompute():
             matrix, _ = pio.parse_vcf(tmp_path / "test_genotypes.vcf")
             model = pca.load_pca_model(models / "pca_model.txt")
             panel = PanelDefinition("model", model.params.variant_ids)
             pcs = pca.project(model, fill_missing_mean(filter_by_panel(matrix, panel)[0]))
             weights = pio.parse_weights(tmp_path / "weights.tsv")
             sub, _ = filter_by_panel(matrix, PanelDefinition("weights", weights.variant_ids))
-            aligned, alignment = align_effect_alleles(sub, weights, policy)
-            assert alignment.excluded == ((at_id,) if policy == "exclude" else ())
+            aligned, alignment = align_effect_alleles(sub, weights)
+            assert alignment.excluded == (at_id,)
             raw = compute_raw_prs(fill_missing_mean(aligned), weights)
             adjusted = apply_adjustment(load_adjustment_model(models / "adjustment_model.txt"), raw, pcs)
             by_id = {rec.sample_id: rec for rec in pio.parse_phenotypes(scenario_dir / "phenotypes.tsv")}
@@ -595,11 +592,9 @@ class TestScore:
             pio.write_report_csv(report, text)
             return text.getvalue()
 
-        written = (scores / "report.csv").read_text()
-        assert written == recompute("keep")
-        assert written != recompute("exclude")
+        assert (scores / "report.csv").read_text() == recompute()
 
-    @pytest.mark.parametrize("flag, value", [("--strand-policy", "keep"), ("--scale", "binomial")])
+    @pytest.mark.parametrize("flag, value", [("--scale", "binomial")])
     def test_recipe_flags_are_fit_only(self, scenario_dir, model_dir, tmp_path, capsys, flag, value):
         code, _, err = run(
             "score",
@@ -614,18 +609,17 @@ class TestScore:
         assert flag in err
         assert not (tmp_path / "scores").exists()
 
-    @pytest.mark.parametrize("version", ["v1", "v2"])
+    @pytest.mark.parametrize("version", ["v1", "v2", "v3"])
     def test_older_adjustment_model_exits_3(self, scenario_dir, model_dir, tmp_path, capsys,
                                             version):
         old = tmp_path / "old"
         old.mkdir()
         shutil.copy(model_dir / "pca_model.txt", old / "pca_model.txt")
         lines = (model_dir / "adjustment_model.txt").read_text().splitlines()
-        # v1 had no recipe lines; v2 ended with strand_policy and prs_mode.
-        if version == "v1":
-            body = [line for line in lines[1:] if not line.startswith("strand_policy ")]
-        else:
-            body = lines[1:] + ["prs_mode sum"]
+        # v1 had no recipe lines, v2 ended with strand_policy and prs_mode,
+        # v3 with strand_policy.
+        body = lines[1:] + {"v1": [], "v2": ["strand_policy exclude", "prs_mode sum"],
+                            "v3": ["strand_policy exclude"]}[version]
         (old / "adjustment_model.txt").write_text(
             "\n".join([f"prsadjust-adjust {version}"] + body) + "\n"
         )
@@ -638,7 +632,7 @@ class TestScore:
             capsys=capsys,
         )
         assert code == 3
-        assert err == "error: not a prsadjust-adjust v3 file\n"
+        assert err == "error: not a prsadjust-adjust v4 file\n"
 
     # Each number in a model file is ASCII digits or an ASCII VCF Float, which
     # may carry a sign; int() and float() would read all of these.
@@ -677,14 +671,19 @@ class TestScore:
         assert err.startswith("error: ") and repr(value) in err
 
     # Each is refused where its model is read, before the cohort's VCF is opened.
+    # An adjustment model must name the PCA model it was fitted against.
     @pytest.mark.parametrize(
         "name, key, value, message",
         [
             ("pca_model.txt", "scale_mode", "foo", "unknown scale mode 'foo'"),
-            ("adjustment_model.txt", "strand_policy", "maybe", "unknown strand policy 'maybe'"),
+            *(
+                ("adjustment_model.txt", "pca_fingerprint", value,
+                 f"pca_fingerprint {value!r} is not 64 lowercase hex digits")
+                for value in (".", "a" * 63)
+            ),
         ],
     )
-    def test_model_choices_are_checked_at_load(self, scenario_dir, model_dir, tmp_path, capsys,
+    def test_model_fields_are_checked_at_load(self, scenario_dir, model_dir, tmp_path, capsys,
                                                name, key, value, message):
         edited = tmp_path / "edited"
         shutil.copytree(model_dir, edited)
@@ -864,24 +863,38 @@ class TestConfigLayering:
             assert err.startswith(f"error: {key}: expected ") and repr(token) in err
             assert not out.exists()
 
-    # prs_mode was a key until the raw score had one recipe.
+    # prs_mode and strand_policy were fit keys until each had one value.
     @pytest.mark.parametrize(
-        "line, message",
+        "command, line, message",
         [
-            ("frobnicate=1", "frobnicate: unknown config key"),
-            ("prs_mode=sum", "prs_mode: unknown config key"),
-            (" seed 7 ", "seed 7: expected key=value"),
+            ("simulate", "frobnicate=1", "frobnicate: unknown config key"),
+            ("simulate", "prs_mode=sum", "prs_mode: unknown config key"),
+            ("fit", "strand_policy=keep", "strand_policy: unknown config key"),
+            ("simulate", " seed 7 ", "seed 7: expected key=value"),
         ],
     )
-    def test_unknown_config_key_exits_2(self, line, message, tmp_path, capsys):
+    def test_unknown_config_key_exits_2(self, command, line, message, tmp_path, capsys):
         config = tmp_path / "bad.cfg"
         config.write_text(line + "\n")
         code, _, err = run(
-            "simulate", "--config", str(config), "--out", str(tmp_path / "d"),
+            command, "--config", str(config), "--out", str(tmp_path / "d"),
             capsys=capsys,
         )
         assert code == 2
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "command, key, first, second",
+        [("evaluate", "percentile", "90", "50"), ("fit", "k", "4", "4"), ("simulate", "out", "a", "b")],
+    )
+    def test_repeated_config_key_exits_2(self, command, key, first, second, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{key}={first}\n{key}={second}\n")
+        code, _, err = run(command, "--config", str(config), "--out", str(tmp_path / "d"),
+                           capsys=capsys)
+        assert code == 2
+        assert err == f"error: {key}: repeated config key\n"
+        assert not (tmp_path / "d").exists()
 
 
     @pytest.mark.parametrize(
@@ -916,8 +929,8 @@ class TestConfigLayering:
         ]) == 0
         assert main(["evaluate", "--report", str(tmp_path / "s" / "report.csv"),
                      "--out", str(tmp_path / "e")]) == 0
-        # score adds the k, scale and strand policy its models were fitted with
-        recipe = {"k", "scale", "strand_policy"}
+        # score adds the k and scale its models were fitted with
+        recipe = {"k", "scale"}
         for command, out in (("simulate", tmp_path / "d"), ("fit", model_dir),
                              ("score", tmp_path / "s"), ("evaluate", tmp_path / "e")):
             lines = (out / "run_config.txt").read_text().splitlines()
@@ -932,16 +945,21 @@ class TestUsage:
         code, _, _ = run(capsys=capsys)
         assert code == 2
 
-    @pytest.mark.parametrize("flag", [["--bogus"], ["--prs-mode", "sum"]])
-    def test_unknown_flag_exits_2(self, flag, capsys):
-        code, _, err = run("fit", *flag, capsys=capsys)
+    # --prs-mode and --strand-policy were fit flags until each had one value.
+    @pytest.mark.parametrize("flag", [["--bogus"], ["--prs-mode", "sum"], ["--strand-policy", "keep"]])
+    @pytest.mark.parametrize("command", ["fit", "score"])
+    def test_unknown_flag_exits_2(self, command, flag, capsys):
+        code, _, err = run(command, *flag, capsys=capsys)
         assert code == 2
         assert "unrecognized arguments: " + " ".join(flag) in err
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def test_readme_names_exactly_the_subcommand_flags():
     """README and the parser list the same long flags, so neither outlives the other."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = README.read_text(encoding="utf-8")
     # pip's flag, in the install instructions
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", readme)) - {"--no-build-isolation"}
     (subcommands,) = [
@@ -957,3 +975,9 @@ def test_readme_names_exactly_the_subcommand_flags():
     }
     assert named - flags == set(), "README names flags no subcommand has"
     assert flags - named == set(), "subcommand flags missing from README"
+
+
+def test_readme_names_exactly_the_model_formats():
+    """README names each model file's current magic line, and no other format."""
+    named = set(re.findall(r"prsadjust-[a-z]+ v\d+", README.read_text(encoding="utf-8")))
+    assert named == {pca._MODEL_MAGIC, adjust._MODEL_MAGIC}

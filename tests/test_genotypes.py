@@ -36,12 +36,12 @@ class TestDomainTypes:
         with pytest.raises(ValueError, match="position"):
             Variant(id="rs1", chromosome="1", position=0, ref_allele="A", alt_allele="G")
 
-    def test_sample_obese_flag_must_match_bmi(self):
-        with pytest.raises(ValueError):
-            SampleRecord(sample_id="S1", bmi=30.0, obese=False)
+    @given(st.none() | st.floats(min_value=0.0, max_value=80.0) | st.just(np.nextafter(27.0, 28.0)))
+    def test_sample_obese_is_bmi_above_threshold(self, bmi):
+        rec = SampleRecord(sample_id="S1", bmi=bmi)
+        assert rec.obese == (None if bmi is None else bmi > 27.0)
         # threshold is strict: 27.0 exactly is not obese
-        rec = SampleRecord(sample_id="S1", bmi=OBESITY_BMI_THRESHOLD, obese=False)
-        assert rec.obese is False
+        assert SampleRecord(sample_id="S1", bmi=OBESITY_BMI_THRESHOLD).obese is False
 
     def test_weight_table_rejects_duplicate_variant(self):
         row = WeightRow(variant_id="rs1", effect_allele="A", other_allele="G", weight=0.1)
@@ -176,7 +176,7 @@ class TestAlignEffectAlleles:
         assert np.array_equal(aligned.dosage.ravel(), [1.0, 0.0])
         assert report.flipped == ("rs1",)
 
-    def test_ambiguous_variant_excluded_by_default(self):
+    def test_ambiguous_variant_is_excluded(self):
         m = make_matrix(
             [[0.0, 1.0]],
             variant_ids=["rs1", "rs2"],
@@ -186,19 +186,6 @@ class TestAlignEffectAlleles:
         aligned, report = align_effect_alleles(m, w)
         assert aligned.variant_ids == ("rs2",)
         assert report.excluded == ("rs1",)
-
-    def test_ambiguous_variant_kept_literal_under_keep_policy(self):
-        m = make_matrix([[2.0]], alleles={"rs1": ("A", "T")})
-        w = _weights(("rs1", "A", "T", 0.3))
-        aligned, report = align_effect_alleles(m, w, policy="keep")
-        assert np.array_equal(aligned.dosage.ravel(), [0.0])
-        assert report.flipped == ("rs1",) and report.excluded == ()
-
-    def test_ambiguous_keep_policy_mismatch_raises(self):
-        m = make_matrix([[0.0]], alleles={"rs1": ("A", "T")})
-        w = _weights(("rs1", "C", "G", 0.3))
-        with pytest.raises(AlleleMismatch, match="rs1"):
-            align_effect_alleles(m, w, policy="keep")
 
     def test_multibase_mismatch_raises(self):
         m = make_matrix([[0.0]], alleles={"rs1": ("AT", "G")})

@@ -24,7 +24,7 @@ from prsadjust.errors import (
     UnknownSexToken,
 )
 from prsadjust.evaluation import CohortReport, ReportRow
-from prsadjust.genotypes import STRAND_POLICIES, SampleRecord, ScoreWeightTable, WeightRow
+from prsadjust.genotypes import SampleRecord, ScoreWeightTable, WeightRow
 from prsadjust.io import (
     SKIP_DUPLICATE_VARIANT,
     SKIP_MULTI_ALLELIC,
@@ -734,8 +734,7 @@ def adjustment_models(draw):
         coefficients=np.array(draw(st.lists(_FLOATS, min_size=k, max_size=k))),
         r_squared=draw(_FLOATS),
         n_train=draw(st.integers(0, 10**6)),
-        pca_fingerprint=draw(st.none() | st.text("0123456789abcdef", min_size=64, max_size=64)),
-        strand_policy=draw(st.sampled_from(STRAND_POLICIES)),
+        pca_fingerprint=draw(st.text("0123456789abcdef", min_size=64, max_size=64)),
     )
 
 
@@ -761,7 +760,7 @@ def _saved_pca_model():
 
 
 def _saved_adjustment_model():
-    model = AdjustmentModel(0.25, np.array([1.0, -2.0]), 0.5, 9, "a" * 64, "keep")
+    model = AdjustmentModel(0.25, np.array([1.0, -2.0]), 0.5, 9, "a" * 64)
     return serialize_adjustment_model(model)
 
 
@@ -789,9 +788,7 @@ class TestModelFiles:
         assert _bits(loaded.intercept, loaded.coefficients, loaded.r_squared) == (
             _bits(model.intercept, model.coefficients, model.r_squared)
         )
-        assert (loaded.n_train, loaded.pca_fingerprint, loaded.strand_policy) == (
-            model.n_train, model.pca_fingerprint, model.strand_policy
-        )
+        assert (loaded.n_train, loaded.pca_fingerprint) == (model.n_train, model.pca_fingerprint)
         assert serialize_adjustment_model(loaded) == text
 
     @pytest.mark.parametrize(

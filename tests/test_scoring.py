@@ -107,7 +107,7 @@ _ABSENT_IDS = ("rs90", "rs91", "rs92")
 
 @st.composite
 def _weight_path_cases(draw):
-    """A small matrix with missing calls, weights over it and a strand policy.
+    """A small matrix with missing calls and weights over it.
 
     Dosages and weights are dyadic, so every column sum is exact and the
     oracle's arithmetic can be compared bit for bit.
@@ -138,11 +138,10 @@ def _weight_path_cases(draw):
         alleles=alleles,
         missing=[(i, j) for i, row in enumerate(cells) for j, d in enumerate(row) if d is None],
     )
-    policy = draw(st.sampled_from(("exclude", "keep")))
-    return matrix, cells, alleles, ScoreWeightTable(tuple(rows)), policy
+    return matrix, cells, alleles, ScoreWeightTable(tuple(rows))
 
 
-def _per_sample_oracle(cells, alleles, weights, policy):
+def _per_sample_oracle(cells, alleles, weights):
     """Each sample's score in weight-table order, or the error the path must raise."""
     columns = []  # (column, flip, weight) for every weight row that is scored
     if not any(row.variant_id in alleles for row in weights.rows):
@@ -151,10 +150,9 @@ def _per_sample_oracle(cells, alleles, weights, policy):
         if row.variant_id not in alleles:
             continue
         ref, alt = alleles[row.variant_id]
-        ambiguous = ref == _COMPLEMENT[alt]
-        if ambiguous and policy == "exclude":
+        if ref == _COMPLEMENT[alt]:  # strand-ambiguous: dropped
             continue
-        matches = (alt, ref) if ambiguous else (alt, ref, _COMPLEMENT[alt], _COMPLEMENT[ref])
+        matches = (alt, ref, _COMPLEMENT[alt], _COMPLEMENT[ref])
         if row.effect_allele not in matches:
             return AlleleMismatch
         flip = matches.index(row.effect_allele) % 2 == 1
@@ -180,11 +178,11 @@ def _per_sample_oracle(cells, alleles, weights, policy):
 @settings(max_examples=300, deadline=None)
 @given(_weight_path_cases())
 def test_weight_path_matches_per_sample_loop(case):
-    matrix, cells, alleles, weights, policy = case
-    expected = _per_sample_oracle(cells, alleles, weights, policy)
+    matrix, cells, alleles, weights = case
+    expected = _per_sample_oracle(cells, alleles, weights)
     try:
         sub, coverage = filter_by_panel(matrix, PanelDefinition("weights", weights.variant_ids))
-        aligned, alignment = align_effect_alleles(sub, weights, policy)
+        aligned, alignment = align_effect_alleles(sub, weights)
         raw = compute_raw_prs(fill_missing_mean(aligned), weights)
     except (EmptyIntersection, AlleleMismatch, AllMissingVariant, NoUsableVariants) as exc:
         assert type(exc) is expected
@@ -197,4 +195,4 @@ def test_weight_path_matches_per_sample_loop(case):
         v for v in weights.variant_ids
         if v in alleles and alleles[v][0] == _COMPLEMENT[alleles[v][1]]
     )
-    assert alignment.excluded == (ambiguous if policy == "exclude" else ())
+    assert alignment.excluded == ambiguous

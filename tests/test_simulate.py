@@ -235,6 +235,14 @@ class TestScenarioConfigText:
         with pytest.raises(ConfigInvalid, match="mystery"):
             parse_scenario_config(stdio.StringIO("seed=1\nmystery=2\n"))
 
+    # One population line per population is the format; every other key is read once.
+    @pytest.mark.parametrize("key, value", [("seed", "2"), ("noise_sd", "1.0")])
+    def test_repeated_scalar_key_rejected(self, key, value):
+        text = "seed=1\nnoise_sd=1.0\npopulation=A:10:0.1:0\npopulation=B:10:0.1:0\n"
+        assert len(parse_scenario_config(stdio.StringIO(text)).populations) == 2
+        with pytest.raises(ConfigInvalid, match=f"^{key}: repeated config key$"):
+            parse_scenario_config(stdio.StringIO(text + f"{key}={value}\n"))
+
     def test_population_line_arity_checked(self):
         with pytest.raises(ConfigInvalid):
             parse_scenario_config(stdio.StringIO("seed=1\npopulation=A:10\n"))
