@@ -161,13 +161,12 @@ def _cmd_simulate(cfg: argparse.Namespace) -> int:
 
 
 def _columns(path: str, panel: PanelDefinition, weights):
-    """(samples, (panel submatrix, coverage), (weight submatrix, coverage)) of a
-    VCF, naming its skipped rows by reason on stderr.
+    """(samples, (panel submatrix, coverage), raw scores) of a VCF, naming its
+    skipped rows by reason and any weight variant not scored on stderr.
 
-    Only the submatrices outlive the parsed matrix, so one full-size copy of
-    the genotypes is alive at a time. The small weight submatrix is taken
-    first: allocated after the panel submatrix, it kept the freed heap below
-    it resident (about 9 MB at 2,100 samples x 2,310 variants).
+    Only the panel submatrix outlives the parsed matrix, so one full-size
+    copy of the genotypes is alive at a time. The weight columns are
+    aligned, filled and scored before the panel submatrix is taken.
     """
     matrix, report = pio.parse_vcf(path)
     if report.skipped:
@@ -179,31 +178,24 @@ def _columns(path: str, panel: PanelDefinition, weights):
             f"({reasons})",
             file=sys.stderr,
         )
-    weight_columns = filter_by_panel(matrix, PanelDefinition("weights", weights.variant_ids))
-    return matrix.samples, filter_by_panel(matrix, panel), weight_columns
-
-
-def _raw_scores(weight_columns, weights):
-    """Raw scores of fit and score from ``_columns``' weights: align, fill, score."""
-    sub, coverage = weight_columns
-    aligned, alignment = align_effect_alleles(sub, weights)
-    filled = fill_missing_mean(aligned)
-    raw = compute_raw_prs(filled, weights)
-    if coverage.missing_ids or alignment.excluded:
+    aligned, alignment = align_effect_alleles(matrix, weights)
+    raw = compute_raw_prs(fill_missing_mean(aligned), weights)
+    del aligned
+    if alignment.absent or alignment.excluded:
         print(
-            f"scoring: {coverage.n_matched}/{coverage.n_panel} weight variants found, "
-            f"{len(alignment.excluded)} strand-ambiguous excluded, "
+            f"scoring: {len(weights) - len(alignment.absent)}/{len(weights)} weight variants "
+            f"found, {len(alignment.excluded)} strand-ambiguous excluded, "
             f"{len(alignment.flipped)} flipped",
             file=sys.stderr,
         )
-    return raw
+    return matrix.samples, filter_by_panel(matrix, panel), raw
 
 
 def _cmd_fit(cfg: argparse.Namespace) -> int:
     _require(cfg, "train_vcf", "panel", "weights", "out")
     panel = pio.parse_panel(cfg.panel)
     weights = pio.parse_weights(cfg.weights)
-    samples, (panel_matrix, coverage), weight_columns = _columns(cfg.train_vcf, panel, weights)
+    samples, (panel_matrix, coverage), raw = _columns(cfg.train_vcf, panel, weights)
     if coverage.missing_ids:
         print(
             f"panel {panel.name}: {coverage.n_matched}/{coverage.n_panel} variants found",
@@ -231,7 +223,7 @@ def _cmd_fit(cfg: argparse.Namespace) -> int:
     # project(model, filled) computes this same product on the same layout.
     sample_ids = tuple(record.sample_id for record in samples)
     pcs = PcScores(X @ model.loadings, sample_ids, pca_model_fingerprint(model))
-    adjustment = fit_adjustment(_raw_scores(weight_columns, weights), pcs)
+    adjustment = fit_adjustment(raw, pcs)
 
     spectrum = zip(model_full.eigenvalues, model_full.explained_variance_ratio)
     lines = ["component,eigenvalue,explained_variance_ratio,cumulative"]
@@ -262,9 +254,8 @@ def _cmd_score(cfg: argparse.Namespace) -> int:
     # project names any model variant the VCF lacks; apply_adjustment
     # refuses an adjustment model fitted against another PCA model.
     model_panel = PanelDefinition(name="pca_model", variant_ids=pca_model.params.variant_ids)
-    samples, (panel_matrix, _), weight_columns = _columns(cfg.test_vcf, model_panel, weights)
+    samples, (panel_matrix, _), raw = _columns(cfg.test_vcf, model_panel, weights)
     pcs = project(pca_model, fill_missing_mean(panel_matrix))
-    raw = _raw_scores(weight_columns, weights)
     adjusted = apply_adjustment(adjustment, raw, pcs)
 
     if cfg.phenotypes:

@@ -10,7 +10,7 @@ and never mutate their inputs.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -81,6 +81,8 @@ class SampleRecord:
             raise ValueError(f"sample {self.sample_id}: sex {self.sex!r} not in {SEX_TOKENS}")
         if self.bmi is not None and not np.isfinite(self.bmi):
             raise ValueError(f"sample {self.sample_id}: bmi must be finite")
+        if self.bmi is not None and self.bmi < 0:
+            raise ValueError(f"sample {self.sample_id}: bmi {self.bmi!r} is negative")
 
     @property
     def obese(self) -> bool | None:
@@ -238,14 +240,16 @@ class PanelCoverageReport:
 
 @dataclass(frozen=True)
 class AlignmentReport:
-    """Audit trail of effect-allele alignment.
+    """Audit trail of the weight path: what became of each weight variant.
 
     flipped: variants whose dosages were recoded to count the effect allele.
     excluded: strand-ambiguous variants, dropped.
+    absent: weight variants the matrix lacks.
     """
 
     flipped: tuple[str, ...]
     excluded: tuple[str, ...]
+    absent: tuple[str, ...]
 
 
 def filter_by_panel(
@@ -298,24 +302,25 @@ def align_effect_alleles(
     matrix: GenotypeMatrix,
     weights: ScoreWeightTable,
 ) -> tuple[GenotypeMatrix, AlignmentReport]:
-    """Recode dosages so they count each weight's effect allele.
+    """The matrix's weight columns, recoded to count each weight's effect allele.
 
-    For every weight-table variant found in the matrix the effect allele is
-    matched against the variant's alleles on both strands:
+    The result holds one column per weight variant the matrix has, in
+    weight-table row order; matrix variants without a weight row are left
+    out. Each effect allele is matched against its variant's alleles on
+    both strands:
 
-    * effect == alt: dosages already count the effect allele, unchanged;
-    * effect == ref: dosages recoded d -> 2 - d (missing stays missing);
-    * effect == reverse complement of alt / ref: same two cases, the weight
-      source just reported the opposite strand.
+    * effect == alt, or its reverse complement: dosages copied unchanged;
+    * effect == ref, or its reverse complement: dosages recoded d -> 2 - d
+      (missing stays missing).
 
     Strand-ambiguous variants (A/T, C/G style pairs) cannot be resolved by
-    complementing, so they are dropped from the returned matrix and listed
-    in the report's ``excluded``.
+    complementing, so they are left out and listed in the report's
+    ``excluded``; weight ids the matrix lacks are listed in ``absent``.
 
     Flipped variants also swap their ref/alt metadata, so in the returned
     matrix dosages still count alt copies and re-aligning with the same
-    weights changes nothing. Matrix variants that have no weight row pass
-    through untouched.
+    weights changes nothing. The columns are copied once, into new C-ordered
+    arrays: ``fill_missing_mean``'s column sums depend on the layout.
 
     Raises
     ------
@@ -324,59 +329,41 @@ def align_effect_alleles(
         signals weights built against a different reference.
     """
     index = matrix.variant_index()
-    flip: set[int] = set()
-    drop: set[int] = set()
-    flipped_ids: list[str] = []
-    excluded_ids: list[str] = []
+    columns: list[tuple[int, bool]] = []  # (matrix column, flip)
+    variants: list[Variant] = []
+    flipped, excluded, absent = [], [], []
     for row in weights.rows:
         j = index.get(row.variant_id)
         if j is None:
+            absent.append(row.variant_id)
             continue
         variant = matrix.variants[j]
         ref, alt, eff = variant.ref_allele, variant.alt_allele, row.effect_allele
         if is_strand_ambiguous(ref, alt):
-            drop.add(j)
-            excluded_ids.append(variant.id)
+            excluded.append(variant.id)
             continue
-        if eff == alt:
-            continue
-        if eff == ref:
-            flip.add(j)
-            flipped_ids.append(variant.id)
-            continue
-        # Same alleles read off the opposite strand.
-        if eff == reverse_complement(alt):
-            continue
-        if eff == reverse_complement(ref):
-            flip.add(j)
-            flipped_ids.append(variant.id)
-            continue
-        raise AlleleMismatch(
-            f"variant {variant.id}: effect allele {eff!r} matches neither "
-            f"ref {ref!r} nor alt {alt!r} on either strand"
-        )
-    dosage = matrix.dosage.copy()
-    variants = list(matrix.variants)
-    for j in flip:
-        dosage[:, j] = 2.0 - dosage[:, j]
-        old = variants[j]
-        variants[j] = Variant(
-            id=old.id,
-            chromosome=old.chromosome,
-            position=old.position,
-            ref_allele=old.alt_allele,
-            alt_allele=old.ref_allele,
-        )
-    aligned = GenotypeMatrix(
-        samples=matrix.samples,
-        variants=tuple(variants),
-        dosage=dosage,
-        missing_mask=matrix.missing_mask.copy(),
-    )
-    if drop:
-        keep_idx = [j for j in range(matrix.n_variants) if j not in drop]
-        aligned = aligned.take_variants(keep_idx)
-    return aligned, AlignmentReport(flipped=tuple(flipped_ids), excluded=tuple(excluded_ids))
+        # Without ambiguous pairs, {ref, rc(ref)} and {alt, rc(alt)} are disjoint.
+        flip = eff in (ref, reverse_complement(ref))
+        if flip:
+            flipped.append(variant.id)
+            variant = replace(variant, ref_allele=alt, alt_allele=ref)
+        elif eff not in (alt, reverse_complement(alt)):
+            raise AlleleMismatch(
+                f"variant {variant.id}: effect allele {eff!r} matches neither "
+                f"ref {ref!r} nor alt {alt!r} on either strand"
+            )
+        columns.append((j, flip))
+        variants.append(variant)
+    dosage = np.empty((matrix.n_samples, len(columns)))
+    missing_mask = np.empty(dosage.shape, dtype=bool)
+    for t, (j, flip) in enumerate(columns):
+        if flip:
+            np.subtract(2.0, matrix.dosage[:, j], out=dosage[:, t])
+        else:
+            dosage[:, t] = matrix.dosage[:, j]
+        missing_mask[:, t] = matrix.missing_mask[:, j]
+    aligned = GenotypeMatrix(matrix.samples, tuple(variants), dosage, missing_mask)
+    return aligned, AlignmentReport(tuple(flipped), tuple(excluded), tuple(absent))
 
 
 def fill_missing_mean(matrix: GenotypeMatrix) -> GenotypeMatrix:

@@ -701,17 +701,17 @@ def parse_phenotypes(source: Source) -> list[SampleRecord]:
                     raise MalformedRow(line_no, f"bmi {bmi_text!r} is not a number") from None
                 if not np.isfinite(bmi):
                     raise MalformedRow(line_no, f"bmi {bmi_text!r} is not finite")
-                if bmi < 0:
-                    raise NegativeBmi(f"line {line_no}: bmi {bmi_text} is negative")
-            seen.add(sample_id)
-            records.append(
-                SampleRecord(
+            try:
+                record = SampleRecord(
                     sample_id=sample_id,
                     population=None if population == "." else population,
                     sex=sex,
                     bmi=bmi,
                 )
-            )
+            except ValueError as exc:  # every other field it checks is checked above
+                raise NegativeBmi(f"line {line_no}: {exc}") from None
+            seen.add(sample_id)
+            records.append(record)
     return records
 
 

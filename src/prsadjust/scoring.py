@@ -32,7 +32,7 @@ def compute_raw_prs(matrix: GenotypeMatrix, weights: ScoreWeightTable) -> PrsVec
     The matrix must already count effect alleles (see
     ``align_effect_alleles``) and contain no missing entries on the scored
     variants. Weight rows absent from the matrix are skipped; the weight
-    coverage is ``filter_by_panel``'s report. Accumulation follows
+    coverage is ``align_effect_alleles``' report. Accumulation follows
     weight-table row order, one variant at a time, so results are
     reproducible bitwise.
 

@@ -20,6 +20,7 @@ from prsadjust.evaluation import scores_to_report
 from prsadjust.genotypes import (
     PanelDefinition,
     ScoreWeightTable,
+    WeightRow,
     align_effect_alleles,
     fill_missing_mean,
     filter_by_panel,
@@ -160,6 +161,17 @@ class TestSimulate:
                            "--out", str(tmp_path / "d"), capsys=capsys)
         assert code == 2
         assert "fst" in err
+
+    def test_negative_bmi_exits_3_naming_the_sample(self, tmp_path, capsys):
+        """A BMI the phenotype reader refuses is refused when it is drawn."""
+        config = tmp_path / "low.cfg"
+        config.write_text("seed=3\npopulation=POPA:30:0.1:0\npopulation=POPB:30:0.1:0\n"
+                          "n_ancestry_snps=200\nn_trait_snps=20\nbmi_base=1.0\n")
+        code, out, err = run("simulate", "--scenario", str(config),
+                             "--out", str(tmp_path / "d"), capsys=capsys)
+        assert (code, out) == (3, "")
+        assert re.fullmatch(r"error: sample POP[AB]\d{4}: bmi -\d\S* is negative\n", err)
+        assert not (tmp_path / "d").exists()
 
     def test_unknown_scenario_key_exits_2(self, tmp_path, capsys):
         config = tmp_path / "bad.cfg"
@@ -385,9 +397,9 @@ class TestFit:
             assert (tmp_path / "m" / name).read_bytes() == (model_dir / name).read_bytes()
 
     def test_failing_fit_writes_nothing(self, scenario_dir, model_dir, tmp_path, capsys):
-        """The allele check fails after the PCA is fitted: a reused model
-        directory (fitted at --k 4, so a k = 3 PCA model would differ) keeps
-        its bytes, and a fresh --out is not created."""
+        """The allele check fails: a reused model directory (fitted at --k 4,
+        so a k = 3 PCA model would differ) keeps its bytes, and a fresh
+        --out is not created."""
         weights = _write_mismatched_weights(scenario_dir, tmp_path / "weights.tsv")
         reused = tmp_path / "reused"
         shutil.copytree(model_dir, reused)
@@ -718,6 +730,70 @@ class TestScore:
         assert len(calls) == 1
 
 
+class TestWeightAccounting:
+    """fit and score name the weight variants they could not score, once."""
+
+    def _weights(self, scenario_dir, dest, keep=True):
+        """The scenario's weights (or none) and 10 rows for ids no VCF holds."""
+        weights = pio.parse_weights(scenario_dir / "weights.tsv")
+        absent = tuple(WeightRow(f"rs_absent{i}", "A", "G", 0.5) for i in range(10))
+        pio.write_weights(ScoreWeightTable((weights.rows if keep else ()) + absent), dest)
+        return dest
+
+    def _argv(self, command, scenario_dir, model_dir, weights, out):
+        if command == "fit":
+            return [
+                "fit",
+                "--train-vcf", str(scenario_dir / "train_genotypes.vcf"),
+                "--panel", str(scenario_dir / "panel.txt"),
+                "--weights", str(weights),
+                "--k", "4",
+                "--out", str(out),
+            ]
+        return [
+            "score",
+            "--test-vcf", str(scenario_dir / "test_genotypes.vcf"),
+            "--weights", str(weights),
+            "--model-dir", str(model_dir),
+            "--out", str(out),
+        ]
+
+    @pytest.mark.parametrize("command", ["fit", "score"])
+    def test_absent_weights_are_counted_once(self, scenario_dir, model_dir, tmp_path,
+                                             capsys, command):
+        weights = self._weights(scenario_dir, tmp_path / "weights.tsv")
+        argv = self._argv(command, scenario_dir, model_dir, weights, tmp_path / "out")
+        code, _, err = run(*argv, capsys=capsys)
+        assert code == 0
+        vcf = "train_genotypes.vcf" if command == "fit" else "test_genotypes.vcf"
+        matrix, _ = pio.parse_vcf(scenario_dir / vcf)
+        index = matrix.variant_index()
+        table = pio.parse_weights(scenario_dir / "weights.tsv")
+        flipped = sum(
+            row.effect_allele == matrix.variants[index[row.variant_id]].ref_allele
+            for row in table.rows
+        )
+        n = len(table)
+        line = (
+            f"scoring: {n}/{n + 10} weight variants found, "
+            f"0 strand-ambiguous excluded, {flipped} flipped"
+        )
+        assert [text for text in err.splitlines() if text.startswith("scoring:")] == [line]
+        if command == "fit":  # weights the cohort lacks change no score
+            for name in ("pca_model.txt", "adjustment_model.txt"):
+                assert (tmp_path / "out" / name).read_bytes() == (model_dir / name).read_bytes()
+
+    @pytest.mark.parametrize("command", ["fit", "score"])
+    def test_weights_sharing_no_variant_exit_3(self, scenario_dir, model_dir, tmp_path,
+                                               capsys, command):
+        weights = self._weights(scenario_dir, tmp_path / "weights.tsv", keep=False)
+        argv = self._argv(command, scenario_dir, model_dir, weights, tmp_path / "out")
+        code, out, err = run(*argv, capsys=capsys)
+        assert (code, out) == (3, "")
+        assert err.splitlines() == ["error: none of the 10 weight variants is present in the matrix"]
+        assert not (tmp_path / "out").exists()
+
+
 class TestEvaluate:
     @pytest.fixture()
     def report_path(self, scenario_dir, model_dir, tmp_path):
@@ -981,3 +1057,17 @@ def test_readme_names_exactly_the_model_formats():
     """README names each model file's current magic line, and no other format."""
     named = set(re.findall(r"prsadjust-[a-z]+ v\d+", README.read_text(encoding="utf-8")))
     assert named == {pca._MODEL_MAGIC, adjust._MODEL_MAGIC}
+
+
+def test_readme_library_example_runs(scenario_dir, monkeypatch):
+    """The README's library example runs as printed, on a simulated cohort."""
+    readme = README.read_text(encoding="utf-8")
+    section = readme[readme.index("## Library use"):]
+    (example,) = re.findall(r"```python\n(.*?)```", section.split("\n## ")[0], re.S)
+    monkeypatch.chdir(scenario_dir.parent)  # the example reads data/...
+    names: dict = {}
+    exec(compile(example, "README.md", "exec"), names)
+    matrix = names["matrix"]
+    assert matrix.n_samples == 120  # SMALL_SCENARIO's training split
+    assert names["adjusted"].sample_ids == matrix.sample_ids
+    assert names["alignment"].absent == ()

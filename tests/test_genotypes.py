@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from prsadjust.errors import AlleleMismatch, AllMissingVariant, EmptyIntersection
 from prsadjust.genotypes import (
     OBESITY_BMI_THRESHOLD,
+    AlignmentReport,
     GenotypeMatrix,
     PanelDefinition,
     SampleRecord,
@@ -42,6 +43,11 @@ class TestDomainTypes:
         assert rec.obese == (None if bmi is None else bmi > 27.0)
         # threshold is strict: 27.0 exactly is not obese
         assert SampleRecord(sample_id="S1", bmi=OBESITY_BMI_THRESHOLD).obese is False
+
+    @pytest.mark.parametrize("bmi", [-1.0, -1e-300, float("nan"), float("inf")])
+    def test_sample_refuses_negative_or_non_finite_bmi(self, bmi):
+        with pytest.raises(ValueError, match="sample S1: bmi"):
+            SampleRecord(sample_id="S1", bmi=bmi)
 
     def test_weight_table_rejects_duplicate_variant(self):
         row = WeightRow(variant_id="rs1", effect_allele="A", other_allele="G", weight=0.1)
@@ -198,14 +204,22 @@ class TestAlignEffectAlleles:
         w = _weights(("rs1", "G", "A", 0.5), ("rs9", "A", "G", 0.4))
         aligned, report = align_effect_alleles(m, w)
         assert aligned.variant_ids == ("rs1",)
-        assert (report.flipped, report.excluded) == ((), ())
+        assert (report.flipped, report.excluded, report.absent) == ((), (), ("rs9",))
 
-    def test_matrix_variants_without_weights_pass_through(self):
-        m = make_matrix([[0.0, 1.5]], variant_ids=["rs1", "rs2"])
-        w = _weights(("rs1", "G", "A", 0.5))
-        aligned, _ = align_effect_alleles(m, w)
-        assert aligned.variant_ids == ("rs1", "rs2")
-        assert aligned.dosage[0, 1] == 1.5
+    def test_keeps_only_weight_columns_in_weight_order(self):
+        m = make_matrix(
+            [[0.0, 1.5, 0.5], [2.0, 1.0, 1.0]],
+            variant_ids=["rs1", "rs2", "rs3"],
+            missing=[(1, 0)],
+        )
+        w = _weights(("rs3", "A", "G", 0.5), ("rs1", "G", "A", 0.5))
+        aligned, report = align_effect_alleles(m, w)
+        assert aligned.variant_ids == ("rs3", "rs1")
+        assert np.array_equal(aligned.dosage[:, 0], [1.5, 1.0])
+        assert aligned.dosage[0, 1] == 0.0 and aligned.missing_mask[1, 1]
+        assert not aligned.missing_mask[:, 0].any()
+        assert aligned.dosage.flags.c_contiguous and aligned.missing_mask.flags.c_contiguous
+        assert report == AlignmentReport(flipped=("rs3",), excluded=(), absent=())
 
     def test_flipping_twice_restores_the_original(self):
         m = make_matrix([[0.0], [1.0], [2.0]], alleles={"rs1": ("A", "G")})

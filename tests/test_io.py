@@ -549,8 +549,9 @@ class TestPhenotypes:
 
     def test_negative_bmi(self):
         text = PHENO_TEXT + "S5\tPOPA\tfemale\t-1.0\n"
-        with pytest.raises(NegativeBmi):
+        with pytest.raises(NegativeBmi) as exc:
             parse_phenotypes(stdio.StringIO(text))
+        assert str(exc.value) == "line 6: sample S5: bmi -1.0 is negative"
 
     def test_duplicate_sample(self):
         text = PHENO_TEXT + "S1\tPOPA\tfemale\t20.0\n"

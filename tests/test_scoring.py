@@ -1,16 +1,13 @@
 """Raw PRS accumulation, alone and behind the weight path that feeds it."""
 
+import io as stdio
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prsadjust.errors import (
-    AlleleMismatch,
-    AllMissingVariant,
-    EmptyIntersection,
-    NoUsableVariants,
-)
+from prsadjust.errors import AlleleMismatch, AllMissingVariant, NoUsableVariants
 from prsadjust.genotypes import (
     PanelDefinition,
     ScoreWeightTable,
@@ -19,6 +16,7 @@ from prsadjust.genotypes import (
     fill_missing_mean,
     filter_by_panel,
 )
+from prsadjust.io import parse_vcf, write_vcf
 from prsadjust.scoring import compute_raw_prs
 from conftest import make_matrix
 
@@ -98,8 +96,8 @@ def test_dyadic_weights_accumulate_exactly(rows):
     assert list(prs.scores) == expected
 
 
-# --- the weight path: filter_by_panel -> align_effect_alleles -> fill_missing_mean
-# -> compute_raw_prs, as the fit and score commands run it ---------------------
+# --- the weight path: align_effect_alleles -> fill_missing_mean -> compute_raw_prs,
+# as the fit and score commands run it on a parsed VCF ---------------------------
 
 _COMPLEMENT = {"A": "T", "C": "G", "G": "C", "T": "A"}
 _ABSENT_IDS = ("rs90", "rs91", "rs92")
@@ -107,23 +105,25 @@ _ABSENT_IDS = ("rs90", "rs91", "rs92")
 
 @st.composite
 def _weight_path_cases(draw):
-    """A small matrix with missing calls and weights over it.
+    """A matrix with missing calls and dyadic weights over it.
 
-    Dosages and weights are dyadic, so every column sum is exact and the
-    oracle's arithmetic can be compared bit for bit.
+    Dosages are dyadic (every sum exact) or 3-decimal (sums round), on
+    1-40 samples: numpy sums a C-ordered column row by row but an F-ordered
+    one pairwise from 8 rows on, and the two round differently. The cells
+    come from a drawn seed, which keeps 240-cell draws cheap.
     """
-    n = draw(st.integers(min_value=1, max_value=5))
+    n = draw(st.integers(min_value=1, max_value=40))
     m = draw(st.integers(min_value=1, max_value=6))
     ids = [f"rs{j + 1}" for j in range(m)]
     # One in three ordered pairs of distinct bases is strand-ambiguous (A/T, C/G).
     alleles = {vid: tuple(draw(st.permutations("ACGT"))[:2]) for vid in ids}
-    cells = draw(
-        st.lists(
-            st.lists(st.sampled_from((0.0, 0.5, 1.0, 1.5, 2.0, None)), min_size=m, max_size=m),
-            min_size=n,
-            max_size=n,
-        )
-    )
+    exact = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    values = rng.integers(0, 5, (n, m)) / 2 if exact else rng.integers(0, 2001, (n, m)) / 1000
+    missing = rng.random((n, m)) < draw(st.sampled_from((0.0, 0.2, 0.6)))
+    cells = [
+        [None if missing[i, j] else float(values[i, j]) for j in range(m)] for i in range(n)
+    ]
     chosen = draw(st.lists(st.sampled_from(ids + list(_ABSENT_IDS)), min_size=1, unique=True))
     rows = []
     for vid in chosen:
@@ -138,14 +138,15 @@ def _weight_path_cases(draw):
         alleles=alleles,
         missing=[(i, j) for i, row in enumerate(cells) for j, d in enumerate(row) if d is None],
     )
-    return matrix, cells, alleles, ScoreWeightTable(tuple(rows))
+    return matrix, cells, alleles, ScoreWeightTable(tuple(rows)), exact
 
 
 def _per_sample_oracle(cells, alleles, weights):
-    """Each sample's score in weight-table order, or the error the path must raise."""
+    """Each sample's score in weight-table order, or the error the path must raise.
+
+    Python adds left to right, so each mean is a row-by-row column sum.
+    """
     columns = []  # (column, flip, weight) for every weight row that is scored
-    if not any(row.variant_id in alleles for row in weights.rows):
-        return EmptyIntersection
     for row in weights.rows:
         if row.variant_id not in alleles:
             continue
@@ -178,21 +179,34 @@ def _per_sample_oracle(cells, alleles, weights):
 @settings(max_examples=300, deadline=None)
 @given(_weight_path_cases())
 def test_weight_path_matches_per_sample_loop(case):
-    matrix, cells, alleles, weights = case
+    matrix, cells, alleles, weights, exact = case
     expected = _per_sample_oracle(cells, alleles, weights)
-    try:
-        sub, coverage = filter_by_panel(matrix, PanelDefinition("weights", weights.variant_ids))
-        aligned, alignment = align_effect_alleles(sub, weights)
-        raw = compute_raw_prs(fill_missing_mean(aligned), weights)
-    except (EmptyIntersection, AlleleMismatch, AllMissingVariant, NoUsableVariants) as exc:
-        assert type(exc) is expected
-        return
-    assert list(raw.scores) == expected
-    assert raw.sample_ids == matrix.sample_ids
-    # Weights absent from the matrix are named once, by the panel filter.
-    assert coverage.missing_ids == tuple(v for v in weights.variant_ids if v not in alleles)
-    ambiguous = tuple(
-        v for v in weights.variant_ids
-        if v in alleles and alleles[v][0] == _COMPLEMENT[alleles[v][1]]
-    )
-    assert alignment.excluded == ambiguous
+    text = stdio.StringIO()
+    write_vcf(matrix, text)
+    parsed, _ = parse_vcf(stdio.BytesIO(text.getvalue().encode()))
+    assert parsed.dosage.flags.f_contiguous  # the layout fit and score read
+    for source in (matrix, parsed):
+        try:
+            aligned, alignment = align_effect_alleles(source, weights)
+            raw = compute_raw_prs(fill_missing_mean(aligned), weights)
+        except (AlleleMismatch, AllMissingVariant, NoUsableVariants) as exc:
+            assert type(exc) is expected
+            continue
+        if exact or aligned.n_variants > 1:
+            assert list(raw.scores) == expected
+        else:
+            # An (n, 1) array is contiguous down its column, so numpy sums
+            # that column pairwise, not row by row: same value, last bits apart.
+            np.testing.assert_allclose(raw.scores, expected, rtol=1e-14, atol=1e-14)
+        assert raw.sample_ids == matrix.sample_ids
+        # One report accounts for every weight row that is not scored as is.
+        assert alignment.absent == tuple(v for v in weights.variant_ids if v not in alleles)
+        ambiguous = tuple(
+            v for v in weights.variant_ids
+            if v in alleles and alleles[v][0] == _COMPLEMENT[alleles[v][1]]
+        )
+        assert alignment.excluded == ambiguous
+        # perfbench's checker scores the weight submatrix: the same bits.
+        sub, _ = filter_by_panel(source, PanelDefinition("weights", weights.variant_ids))
+        filtered = compute_raw_prs(fill_missing_mean(align_effect_alleles(sub, weights)[0]), weights)
+        assert filtered.scores.tobytes() == raw.scores.tobytes()
