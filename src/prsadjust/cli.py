@@ -164,11 +164,13 @@ def _columns(path: str, panel: PanelDefinition, weights):
     """(samples, (panel submatrix, coverage), raw scores) of a VCF, naming its
     skipped rows by reason and any weight variant not scored on stderr.
 
-    Only the panel submatrix outlives the parsed matrix, so one full-size
-    copy of the genotypes is alive at a time. The weight columns are
-    aligned, filled and scored before the panel submatrix is taken.
+    Only rows of panel or weight variants are decoded, so the parsed matrix
+    holds just those columns, and only the panel submatrix outlives it. The
+    weight columns are aligned, filled and scored before the panel
+    submatrix is taken.
     """
-    matrix, report = pio.parse_vcf(path)
+    wanted = frozenset(panel.variant_ids) | frozenset(weights.variant_ids)
+    matrix, report = pio.parse_vcf(path, wanted)
     if report.skipped:
         reasons = ", ".join(
             f"{len(report.skipped[reason])} {reason}" for reason in sorted(report.skipped)

@@ -2,9 +2,10 @@
 
 Parsers stream line by line and never hold the file in memory. They also
 never drop a data row silently: every skipped row is itemized by reason
-and line number in a parse report, so
+and line number in a parse report, and every row left undecoded because
+its variant is not wanted (``parse_vcf``'s ``wanted``) is counted, so
 
-    rows parsed + rows skipped == data rows in the file
+    rows parsed + rows skipped + rows unused == data rows in the file
 
 always holds. Variant identity is the VCF ID column when present; rows
 with ID "." fall back to a ``chrom:pos:ref:alt`` key, so positional ids in
@@ -97,6 +98,9 @@ _GT_MISSING = ("./.", ".|.")
 _VCF_FLOAT = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?", re.ASCII)
 # A row of VCF Floats joined by single spaces, as the model files hold them.
 _REAL_ROW = re.compile(rf"{_VCF_FLOAT.pattern}(?: {_VCF_FLOAT.pattern})*", re.ASCII)
+# A VCF row's DS tokens joined by tabs. No token holds a tab, so this matches
+# exactly when each token is a VCF Float (a token may hold a space).
+_DS_ROW = re.compile(rf"{_VCF_FLOAT.pattern}(?:\t{_VCF_FLOAT.pattern})*", re.ASCII)
 # Entries a VCF memo table holds at most before it stops growing (a
 # 3-decimal GT:DS file has about 2,000 distinct entries).
 _MEMO_CAP = 1 << 16
@@ -242,6 +246,7 @@ class VcfParseReport:
     sample_names: tuple[str, ...]
     rows_total: int
     rows_parsed: int
+    rows_unused: int  # checked, but not decoded: their id is not wanted
     skipped: dict[str, tuple[int, ...]]  # reason -> 1-based line numbers
 
     @property
@@ -249,7 +254,9 @@ class VcfParseReport:
         return sum(len(lines) for lines in self.skipped.values())
 
 
-def parse_vcf(source: Source) -> tuple[GenotypeMatrix, VcfParseReport]:
+def parse_vcf(
+    source: Source, wanted: Iterable[str] | None = None
+) -> tuple[GenotypeMatrix, VcfParseReport]:
     """Parse a biallelic VCF subset into a dosage matrix.
 
     Supports the fields the pipeline needs: a ``#CHROM`` header with at
@@ -258,6 +265,16 @@ def parse_vcf(source: Source) -> tuple[GenotypeMatrix, VcfParseReport]:
     ``.|.`` genotypes become missing entries. Multi-allelic rows, rows
     with non-ACGT alleles and rows repeating an already-seen variant id
     are skipped and itemized in the report.
+
+    With ``wanted``, a set of variant ids, only rows whose id (after the
+    ``chrom:pos:ref:alt`` fallback) is wanted are decoded and kept; the
+    matrix is the full parse's restricted to them, in file order. Every
+    other row still has its column count, POS, FORMAT and ``Variant``
+    fields checked, is still skipped by reason, and still counts towards
+    the duplicate-id check, but its sample entries are not read: a bad
+    call there raises nothing. The report counts it in ``rows_unused``, so
+
+        rows_parsed + rows_skipped + rows_unused == rows_total
 
     Rows whose FORMAT is exactly ``GT`` with every call three ASCII bytes
     are decoded as one byte array per row. Any other row, or one with an
@@ -280,6 +297,8 @@ def parse_vcf(source: Source) -> tuple[GenotypeMatrix, VcfParseReport]:
     ----------
     source : path or stream
         VCF text. Byte streams are decoded as UTF-8.
+    wanted : set of str, optional
+        The variant ids to decode; all of them when omitted.
 
     Returns
     -------
@@ -293,6 +312,7 @@ def parse_vcf(source: Source) -> tuple[GenotypeMatrix, VcfParseReport]:
         If a data row has the wrong column count, an undecodable field, a
         POS that is not ASCII digits or is below 1, or an empty CHROM.
     """
+    wanted = None if wanted is None else frozenset(wanted)
     with _text_source(source) as stream:
         sample_names: tuple[str, ...] | None = None
         # Each parsed row's dosages and mask, appended in row order.
@@ -300,7 +320,7 @@ def parse_vcf(source: Source) -> tuple[GenotypeMatrix, VcfParseReport]:
         variants: list[Variant] = []
         seen_ids: set[str] = set()
         skipped: dict[str, list[int]] = {}
-        rows_total = 0
+        rows_total = rows_unused = 0
         memo: dict[int | None, dict[str, float]] = {}
 
         for line_no, line in _data_lines(stream):
@@ -358,18 +378,23 @@ def parse_vcf(source: Source) -> tuple[GenotypeMatrix, VcfParseReport]:
             fmt_keys = fmt.split(":")
             if not fmt_keys or fmt_keys[0] != "GT":
                 raise MalformedRow(line_no, f"FORMAT {fmt!r} must start with GT")
-            decoded = _decode_fixed_gt(calls, len(sample_names)) if fmt == "GT" else None
-            if decoded is None:
-                ds_index = fmt_keys.index("DS") if "DS" in fmt_keys else None
-                decoded = _decode_memo(
-                    calls.split("\t"), memo.setdefault(ds_index, {}), ds_index,
-                    sample_names, line_no,
-                )
+            used = wanted is None or vid in wanted
+            if used:
+                decoded = _decode_fixed_gt(calls, len(sample_names)) if fmt == "GT" else None
+                if decoded is None:
+                    ds_index = fmt_keys.index("DS") if "DS" in fmt_keys else None
+                    decoded = _decode_memo(
+                        calls.split("\t"), memo.setdefault(ds_index, {}), ds_index,
+                        sample_names, line_no,
+                    )
             try:
                 variant = Variant(vid, chrom, pos, ref, alt)
             except ValueError as exc:
                 raise MalformedRow(line_no, str(exc)) from None
             seen_ids.add(vid)
+            if not used:
+                rows_unused += 1
+                continue
             variants.append(variant)
             dosage_rows += decoded[0].data
             mask_rows += decoded[1].data
@@ -388,6 +413,7 @@ def parse_vcf(source: Source) -> tuple[GenotypeMatrix, VcfParseReport]:
         sample_names=sample_names,
         rows_total=rows_total,
         rows_parsed=len(variants),
+        rows_unused=rows_unused,
         skipped={reason: tuple(lines) for reason, lines in skipped.items()},
     )
     return matrix, report
@@ -446,18 +472,26 @@ def _decode_memo(
 def _decode_entries(
     entries: list[str], ds_index: int | None, sample_names: tuple[str, ...], line_no: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Decode a row's sample entries one at a time: (dosage, missing)."""
+    """Decode a row's sample entries one at a time: (dosage, missing).
+
+    The row's DS tokens are checked as VCF Floats in one match; only a row
+    that fails it checks them one by one, to name the first bad sample.
+    """
     dose = np.empty(len(sample_names), dtype=np.float64)
     miss = np.zeros(len(sample_names), dtype=bool)
-    for i, entry in enumerate(entries):
-        subfields = entry.split(":")
+    split = [entry.split(":") for entry in entries]
+    tokens = [] if ds_index is None else [
+        s[ds_index] for s in split if ds_index < len(s) and s[ds_index] != "."
+    ]
+    floats_checked = bool(_DS_ROW.fullmatch("\t".join(tokens)))
+    for i, subfields in enumerate(split):
         value: float | None
         if ds_index is not None and ds_index < len(subfields):
             token = subfields[ds_index]
             if token == ".":
                 value = None
             else:
-                if not _VCF_FLOAT.fullmatch(token):
+                if not (floats_checked or _VCF_FLOAT.fullmatch(token)):
                     raise MalformedRow(
                         line_no, f"sample {sample_names[i]}: bad DS {token!r}"
                     )

@@ -794,6 +794,40 @@ class TestWeightAccounting:
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["fit", "score"])
+def test_bad_call_outside_panel_and_weights_is_not_read(scenario_dir, model_dir, tmp_path,
+                                                        capsys, command):
+    """A row of neither a panel nor a weight variant, with a "0/9" call, is
+    not decoded: the run exits 0 and writes what it writes without the row."""
+    name = "train_genotypes.vcf" if command == "fit" else "test_genotypes.vcf"
+    lines = (scenario_dir / name).read_text().splitlines(keepends=True)
+    h = next(i for i, line in enumerate(lines) if line.startswith("#CHROM"))
+    n_samples = lines[h].count("\t") - 8
+    lines.insert(h + 1, "1\t99\trs_unused\tA\tG\t.\tPASS\t.\tGT\t0/9" + "\t0/1" * (n_samples - 1) + "\n")
+    vcf = tmp_path / name
+    vcf.write_text("".join(lines))
+    flags = {
+        "fit": ["--train-vcf", "--panel", str(scenario_dir / "panel.txt"), "--k", "4"],
+        "score": ["--test-vcf", "--model-dir", str(model_dir),
+                  "--phenotypes", str(scenario_dir / "phenotypes.tsv")],
+    }[command]
+    outputs = {}
+    for label, source in (("with", vcf), ("without", scenario_dir / name)):
+        code, _, err = run(
+            command, flags[0], str(source), *flags[1:],
+            "--weights", str(scenario_dir / "weights.tsv"),
+            "--out", str(tmp_path / label), capsys=capsys,
+        )
+        assert (code, err) == (0, "")
+        outputs[label] = {
+            path.name: path.read_bytes()
+            for path in (tmp_path / label).iterdir() if path.name != "run_config.txt"
+        }
+    assert outputs["with"] == outputs["without"]
+    assert set(outputs["with"]) >= ({"pca_model.txt", "adjustment_model.txt"} if command == "fit"
+                                    else {"report.csv"})
+
+
 class TestEvaluate:
     @pytest.fixture()
     def report_path(self, scenario_dir, model_dir, tmp_path):

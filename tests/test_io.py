@@ -143,6 +143,45 @@ class TestParseVcf:
             parse_vcf(stdio.StringIO(text))
         assert exc.value.line_no == 11
 
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "1\t900\trs7\tA\tG\t.\t.\t.\tGT\t0/3\t0/0\t0/0",  # bad GT
+            "1\t900\trs7\tA\tG\t.\t.\t.\tGT:DS\t0/0:0\t0/0:0_5\t0/0:0",  # bad DS token
+            "1\t900\trs7\tA\tG\t.\t.\t.\tGT:DS\t0/0:3.5\t0/0:0\t0/0:0",  # DS out of range
+        ],
+    )
+    def test_unused_row_entries_are_not_read(self, row):
+        wanted = {"rs1", "rs2", "rs3", "1:400:T:C"}
+        full, full_report = parse_vcf(stdio.StringIO(VCF_TEXT))
+        matrix, report = parse_vcf(stdio.StringIO(VCF_TEXT + row + "\n"), wanted)
+        assert matrix.variants == full.variants
+        assert matrix.dosage.tobytes() == full.dosage.tobytes()
+        assert (report.rows_total, report.rows_parsed, report.rows_unused) == (8, 4, 1)
+        assert report.skipped == full_report.skipped
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "1\t900\trs7\tA\tG\t.\t.\t.\tGT\t0/0\t0/0",  # short row
+            "1\t+7\trs7\tA\tG\t.\t.\t.\tGT\t0/0\t0/0\t0/0",  # POS not ASCII digits
+            "1\t900\trs7\tA\tG\t.\t.\t.\tDS:GT\t0:0/0\t0:0/0\t0:0/0",  # FORMAT without leading GT
+            "1\t900\trs 7\tA\tG\t.\t.\t.\tGT\t0/0\t0/0\t0/0",  # an ID with a space
+        ],
+    )
+    def test_unused_row_fixed_fields_are_still_checked(self, row):
+        with pytest.raises(MalformedRow) as exc:
+            parse_vcf(stdio.StringIO(VCF_TEXT + row + "\n"), {"rs1"})
+        assert exc.value.line_no == 11
+
+    def test_unused_rows_are_still_skipped_by_reason(self):
+        """rs1 is not wanted, yet its second row is still a duplicate."""
+        _, full_report = parse_vcf(stdio.StringIO(VCF_TEXT))
+        matrix, report = parse_vcf(stdio.StringIO(VCF_TEXT), {"rs2"})
+        assert matrix.variant_ids == ("rs2",)
+        assert report.skipped == full_report.skipped
+        assert (report.rows_total, report.rows_parsed, report.rows_unused) == (7, 1, 3)
+
     def test_gt_row_with_subfields_decodes_per_entry(self):
         text = VCF_TEXT + "1\t900\trs7\tA\tG\t.\t.\t.\tGT\t0/1:35\t1|1\t./.\n"
         matrix, _ = parse_vcf(stdio.StringIO(text))
@@ -695,6 +734,73 @@ class TestParseVcfLayout:
             assert got.dtype == want.dtype and got.shape == (n, len(decoded))
             assert got.flags["F_CONTIGUOUS"]
             assert got.tobytes() == want.tobytes()
+
+
+# Row ids drawn with repeats, so some rows are duplicates; "." falls back
+# to chrom:pos:ref:alt.
+_ROW_IDS = ["rs0", "rs1", "rs2", "rs3", "."]
+
+
+@st.composite
+def vcf_rows_and_wanted(draw):
+    """(sample count, [(ID, ALT, FORMAT, entries)], wanted ids): rows of
+    mixed_vcf_rows or, with invalid entries, of dosage_vcf_rows, and a subset
+    of their resolved ids plus one no row has."""
+    n, rows = draw(st.one_of(
+        mixed_vcf_rows(),
+        dosage_vcf_rows().map(lambda d: (d[0], [("G", fmt, e) for fmt, e in d[1]])),
+    ))
+    ids = draw(st.lists(st.sampled_from(_ROW_IDS), min_size=len(rows), max_size=len(rows)))
+    rows = [(vid, *row) for vid, row in zip(ids, rows)]
+    resolved = {_resolved_id(r, vid, alt) for r, (vid, alt, _, _) in enumerate(rows)}
+    wanted = draw(st.sets(st.sampled_from(sorted(resolved | {"rs_absent"}))))
+    return n, rows, wanted
+
+
+def _resolved_id(r, vid, alt):
+    return f"1:{100 * (r + 1)}:A:{alt}" if vid == "." else vid
+
+
+class TestParseVcfWanted:
+    @given(vcf_rows_and_wanted(), _CAPS)
+    def test_equals_the_full_parse_restricted_to_wanted(self, drawn, cap):
+        """With wanted, the full parse of the same file with every unwanted
+        row's calls made valid, restricted to the wanted ids in file order:
+        the same variants, dosage and mask bits and skip lines, or the same
+        error. Unwanted rows are counted, not decoded."""
+        n, rows, wanted = drawn
+        header = "#CHROM\tPOS\tID\tREF\tALT\tQUAL\tFILTER\tINFO\tFORMAT\t" + "\t".join(
+            f"S{i}" for i in range(n)
+        )
+
+        def text(valid_unwanted):
+            lines = [header]
+            for r, (vid, alt, fmt, entries) in enumerate(rows):
+                if valid_unwanted and _resolved_id(r, vid, alt) not in wanted:
+                    entries = ["./."] * n
+                lines.append(f"1\t{100 * (r + 1)}\t{vid}\tA\t{alt}\t.\t.\t.\t{fmt}\t"
+                             + "\t".join(entries))
+            return "\n".join(lines) + "\n"
+
+        with mock.patch.object(prsadjust.io, "_MEMO_CAP", cap):
+            try:
+                full, full_report = parse_vcf(stdio.StringIO(text(True)))
+            except MalformedRow as error:
+                with pytest.raises(MalformedRow) as exc:
+                    parse_vcf(stdio.StringIO(text(False)), wanted)
+                assert str(exc.value) == str(error)
+                return
+            matrix, report = parse_vcf(stdio.StringIO(text(False)), wanted)
+        keep = [j for j, v in enumerate(full.variants) if v.id in wanted]
+        assert matrix.variants == tuple(full.variants[j] for j in keep)
+        assert matrix.dosage.tobytes() == full.dosage[:, keep].tobytes()
+        assert matrix.missing_mask.tobytes() == full.missing_mask[:, keep].tobytes()
+        assert matrix.dosage.flags["F_CONTIGUOUS"]
+        assert report.skipped == full_report.skipped
+        assert report.rows_total == full_report.rows_total
+        assert report.rows_parsed == len(keep)
+        assert report.rows_unused == full_report.rows_parsed - len(keep)
+        assert report.rows_parsed + report.rows_skipped + report.rows_unused == report.rows_total
 
 
 # Model files: every float64 the writer can meet, subnormals and -0.0 included.
