@@ -799,22 +799,22 @@ def test_bad_call_outside_panel_and_weights_is_not_read(scenario_dir, model_dir,
                                                         capsys, command):
     """A row of neither a panel nor a weight variant, with a "0/9" call, is
     not decoded: the run exits 0 and writes what it writes without the row."""
-    name = "train_genotypes.vcf" if command == "fit" else "test_genotypes.vcf"
+    name, vcf_flag, flags = {
+        "fit": ("train_genotypes.vcf", "--train-vcf",
+                ["--panel", str(scenario_dir / "panel.txt"), "--k", "4"]),
+        "score": ("test_genotypes.vcf", "--test-vcf",
+                  ["--model-dir", str(model_dir), "--phenotypes", str(scenario_dir / "phenotypes.tsv")]),
+    }[command]
     lines = (scenario_dir / name).read_text().splitlines(keepends=True)
     h = next(i for i, line in enumerate(lines) if line.startswith("#CHROM"))
     n_samples = lines[h].count("\t") - 8
     lines.insert(h + 1, "1\t99\trs_unused\tA\tG\t.\tPASS\t.\tGT\t0/9" + "\t0/1" * (n_samples - 1) + "\n")
     vcf = tmp_path / name
     vcf.write_text("".join(lines))
-    flags = {
-        "fit": ["--train-vcf", "--panel", str(scenario_dir / "panel.txt"), "--k", "4"],
-        "score": ["--test-vcf", "--model-dir", str(model_dir),
-                  "--phenotypes", str(scenario_dir / "phenotypes.tsv")],
-    }[command]
     outputs = {}
     for label, source in (("with", vcf), ("without", scenario_dir / name)):
         code, _, err = run(
-            command, flags[0], str(source), *flags[1:],
+            command, vcf_flag, str(source), *flags,
             "--weights", str(scenario_dir / "weights.tsv"),
             "--out", str(tmp_path / label), capsys=capsys,
         )
