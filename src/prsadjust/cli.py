@@ -44,7 +44,6 @@ from .genotypes import (
     filter_by_panel,
 )
 from .pca import (
-    SCALE_MODES,
     PcScores,
     _significant_count,
     fit_pca,
@@ -69,14 +68,12 @@ from .simulate import (
 _DEFAULTS = {
     "k": "4",
     "percentile": DEFAULT_HIGH_RISK_PERCENTILE,
-    "scale": "sample-sd",
 }
 # key: (io's strict int() or float(), what it must be), for flags and config values.
 _NUMBER_KEYS = {
     "seed": (pio._ascii_int, "ASCII digits"),
     "percentile": (pio._vcf_float, "an ASCII decimal"),
 }
-_CHOICE_KEYS = {"scale": SCALE_MODES}
 
 
 def _resolve(args: argparse.Namespace) -> argparse.Namespace:
@@ -98,8 +95,6 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
                     value = convert(text)
                 except ValueError:
                     raise ConfigInvalid(f"{key}: expected {noun}, got {text!r}") from None
-            elif key in _CHOICE_KEYS and text not in _CHOICE_KEYS[key]:
-                raise ConfigInvalid(f"{key}: must be one of {_CHOICE_KEYS[key]}, got {text!r}")
             setattr(cfg, key, value)
     if "k" in flags and cfg.k != "auto":
         try:
@@ -127,9 +122,7 @@ def _out_dir(cfg: argparse.Namespace) -> Path:
 
 
 def _echo_config(cfg: argparse.Namespace, out: Path) -> None:
-    lines = [f"{key}={'.' if value is None else value}" for key, value in sorted(vars(cfg).items())]
-    with pio._text_dest(out / "run_config.txt") as handle:
-        handle.write("\n".join(lines) + "\n")
+    pio._write_key_values(sorted(vars(cfg).items()), out / "run_config.txt")
 
 
 def _sha256(path: Path) -> str:
@@ -204,7 +197,7 @@ def _cmd_fit(cfg: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     # Only X outlives the panel submatrix.
-    X, params = standardize(fill_missing_mean(panel_matrix), cfg.scale)
+    X, params = standardize(fill_missing_mean(panel_matrix))
     del panel_matrix
     # Pairs computed, and tabled: N + 1 for --k N; for auto 8, doubled while all pass.
     limit = min(X.shape[0] - 1, X.shape[1])
@@ -249,8 +242,8 @@ def _cmd_score(cfg: argparse.Namespace) -> int:
     model_dir = Path(cfg.model_dir)
     pca_model = load_pca_model(model_dir / "pca_model.txt")
     adjustment = load_adjustment_model(model_dir / "adjustment_model.txt")
-    # The cohort is scored as fit scored, and run_config.txt echoes how.
-    cfg.k, cfg.scale = pca_model.k, pca_model.params.scale_mode
+    # run_config.txt echoes the k the cohort is scored with.
+    cfg.k = pca_model.k
     weights = pio.parse_weights(cfg.weights)
 
     # project names any model variant the VCF lacks; apply_adjustment
@@ -335,7 +328,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--panel", help="ancestry panel variant ids, one per line")
     p.add_argument("--weights", help="score weight table (TSV)")
     p.add_argument("--k", help="number of PCs, or 'auto' to pick by the Tracy-Widom test")
-    p.add_argument("--scale", choices=SCALE_MODES, help="standardization scale")
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("score", help="score a cohort with fitted models")

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DegenerateLabels, EmptyInput
 from .genotypes import SampleRecord
-from .io import CohortReport, ReportRow, _format_real, _real, _text_dest
+from .io import CohortReport, ReportRow, _format_real, _real, _text_dest, _write_key_values
 from .pca import PcScores
 from .scoring import PrsVector
 
@@ -288,11 +288,11 @@ def write_population_summary_csv(summaries: Iterable[PopulationSummary], dest) -
 
 
 def write_metrics(metrics: Mapping[str, float | int | str], dest) -> None:
-    """Write metrics as ``key=value`` lines in the mapping's order."""
-    with _text_dest(dest) as handle:
-        for key, value in metrics.items():
-            if isinstance(value, float):
-                text = _real(value) if math.isfinite(value) else "."
-                handle.write(f"{key}={text}\n")
-            else:
-                handle.write(f"{key}={value}\n")
+    """Write metrics as ``key=value`` lines in the mapping's order; a real by
+    ``_real``, "." if it is not finite."""
+    pairs = []
+    for key, value in metrics.items():
+        if isinstance(value, float):
+            value = _real(value) if math.isfinite(value) else None
+        pairs.append((key, value))
+    _write_key_values(pairs, dest)

@@ -210,6 +210,13 @@ def _key_values(source: Source, repeatable: tuple[str, ...] = ()) -> Iterator[tu
             yield key, value.strip()
 
 
+def _write_key_values(pairs: Iterable[tuple[str, object]], dest: Source) -> None:
+    """Write one ``key=value`` line per pair, "." for a None value: the lines
+    :func:`_key_values` reads. Callers format their own numbers."""
+    with _text_dest(dest) as handle:
+        handle.write("".join(f"{key}={'.' if value is None else value}\n" for key, value in pairs))
+
+
 def _headed_rows(stream: IO, header: tuple[str, ...], kind: str) -> Iterator[tuple[int, list[str]]]:
     """Yield (line number, fields) for each data row of a headed TSV table.
 

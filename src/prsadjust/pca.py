@@ -39,12 +39,9 @@ from .io import _ascii_int, _model_text, _read_model, _real, _reals, _text_dest,
 
 logger = logging.getLogger(__name__)
 
-SCALE_MODES = ("sample-sd", "binomial")
-
-_MODEL_MAGIC = "prsadjust-pca v2"
+_MODEL_MAGIC = "prsadjust-pca v3"
 # The field lines after the magic one, before the rows; the reader wants each exactly once.
-_MODEL_KEYS = ("n_train", "n_variants", "n_components", "scale_mode", "total_variance",
-               "dropped", "eigenvalues")
+_MODEL_KEYS = ("n_train", "n_variants", "n_components", "total_variance", "dropped", "eigenvalues")
 
 # The 95% quantile of the Tracy-Widom TW1 law: select_k's 5% level.
 _TW1_QUANTILE_95 = 0.9793
@@ -58,7 +55,7 @@ _RESIDUAL_TOLERANCE = 64 * np.finfo(np.float64).eps
 
 @dataclass(frozen=True, eq=False)
 class StandardizationParams:
-    """Per-variant centering and scaling learned from a training cohort.
+    """Per-variant means and sample standard deviations of a training cohort.
 
     ``variant_ids`` lists the retained columns in model order; projection
     of any later cohort reuses exactly these means and scales.
@@ -68,7 +65,6 @@ class StandardizationParams:
     mean: np.ndarray
     scale: np.ndarray
     dropped_variants: tuple[str, ...]
-    scale_mode: str
 
     def __post_init__(self):
         object.__setattr__(self, "mean", np.asarray(self.mean, dtype=np.float64))
@@ -78,8 +74,6 @@ class StandardizationParams:
             raise ValueError("mean/scale length must match variant_ids")
         if not np.all(self.scale > 0):
             raise ValueError("scales must be strictly positive")
-        if self.scale_mode not in SCALE_MODES:
-            raise ValueError(f"unknown scale mode {self.scale_mode!r}")
 
 
 @dataclass(eq=False)
@@ -167,35 +161,27 @@ class PcScores:
         return self.scores.shape[1]
 
 
-def standardize(
-    matrix: GenotypeMatrix, scale_mode: str = "sample-sd"
-) -> tuple[np.ndarray, StandardizationParams]:
-    """Center and scale dosage columns; drop constant columns.
+def standardize(matrix: GenotypeMatrix) -> tuple[np.ndarray, StandardizationParams]:
+    """Center each dosage column and divide it by its sample standard
+    deviation (n - 1 divisor); drop constant columns.
 
     Parameters
     ----------
     matrix : GenotypeMatrix
-        Complete matrix: run ``fill_missing_mean`` first.
-    scale_mode : str
-        "sample-sd" (default) divides by the sample standard deviation
-        (n - 1 divisor), giving every retained column unit variance.
-        "binomial" divides by sqrt(2 p (1 - p)) with p the observed alt
-        allele frequency, the scale a biallelic variant would have under
-        binomial sampling.
+        Complete matrix: run ``fill_missing_mean`` first. It is not changed.
 
     Returns
     -------
     (ndarray, StandardizationParams)
-        The standardized matrix over retained columns, and the parameters
-        needed to apply the same transform to another cohort.
+        The standardized matrix over retained columns, each of unit sample
+        variance, and the parameters needed to apply the same transform to
+        another cohort.
 
     Raises
     ------
     NoVariantsRetained
         If every column is constant.
     """
-    if scale_mode not in SCALE_MODES:
-        raise ValueError(f"unknown scale mode {scale_mode!r}")
     if matrix.missing_mask.any():
         raise ValueError("matrix has missing dosages; run fill_missing_mean first")
     if matrix.n_samples < 2:
@@ -205,24 +191,18 @@ def standardize(
     keep = sd > 0.0
     if not keep.any():
         raise NoVariantsRetained("every column is constant")
-    if scale_mode == "sample-sd":
-        scale = sd[keep]
-    else:
-        # Observed alt allele frequency; sd > 0 guarantees 0 < p < 1.
-        p = mean[keep] / 2.0
-        scale = np.sqrt(2.0 * p * (1.0 - p))
     kept_idx = np.flatnonzero(keep)
     params = StandardizationParams(
         variant_ids=tuple(matrix.variants[j].id for j in kept_idx),
-        mean=mean[keep].copy(),
-        scale=scale,
-        dropped_variants=tuple(
-            matrix.variants[j].id for j in np.flatnonzero(~keep)
-        ),
-        scale_mode=scale_mode,
+        mean=mean[keep],
+        scale=sd[keep],
+        dropped_variants=tuple(matrix.variants[j].id for j in np.flatnonzero(~keep)),
     )
-    standardized = (matrix.dosage[:, kept_idx] - params.mean) / params.scale
-    return standardized, params
+    # Fancy indexing copies, so X is standardized in place without touching matrix.
+    X = matrix.dosage[:, kept_idx]
+    X -= params.mean
+    X /= params.scale
+    return X, params
 
 
 def fit_pca(
@@ -433,7 +413,6 @@ def serialize_pca_model(model: PcaModel) -> str:
         "n_train": str(model.n_train),
         "n_variants": str(model.n_variants),
         "n_components": str(model.k),
-        "scale_mode": p.scale_mode,
         "total_variance": _real(model.total_variance),
         "dropped": " ".join(p.dropped_variants),
         "eigenvalues": " ".join(map(_real, model.eigenvalues.tolist())),
@@ -469,7 +448,6 @@ def load_pca_model(source) -> PcaModel:
         mean=table[:, 0].copy(),
         scale=table[:, 1].copy(),
         dropped_variants=tuple(dropped.split(" ")) if dropped else (),
-        scale_mode=fields["scale_mode"],
     )
     return PcaModel(
         loadings=np.ascontiguousarray(table[:, 2:]),

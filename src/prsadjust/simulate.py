@@ -85,6 +85,11 @@ class ScenarioConfig:
         for pop in self.populations:
             if not pop.label:
                 raise ConfigInvalid("label: population label must be non-empty")
+            # Each would split a field or line of a file written from the scenario.
+            if any(char in pop.label for char in "\t\n\r:"):
+                raise ConfigInvalid(
+                    f"label: population label {pop.label!r} holds a tab, line break or ':'"
+                )
             if pop.n_samples < 1:
                 raise ConfigInvalid(
                     f"n_samples: population {pop.label} needs n_samples >= 1, got {pop.n_samples}"
@@ -352,21 +357,19 @@ def parse_scenario_config(source) -> ScenarioConfig:
 
 
 def write_scenario_config(config: ScenarioConfig, dest) -> None:
-    with pio._text_dest(dest) as handle:
-        handle.write(f"seed={config.seed}\n")
-        for pop in config.populations:
-            handle.write(
-                f"population={pop.label}:{pop.n_samples}:{pop.fst!r}:{pop.offset!r}"
-                + (f":{pop.n_test}" if pop.n_test else "")
-                + "\n"
-            )
-        handle.write(f"n_ancestry_snps={config.n_ancestry_snps}\n")
-        handle.write(f"n_trait_snps={config.n_trait_snps}\n")
-        handle.write(f"trait_weight_mean={config.trait_weight_mean!r}\n")
-        handle.write(f"trait_weight_sd={config.trait_weight_sd!r}\n")
-        handle.write(f"noise_sd={config.noise_sd!r}\n")
-        handle.write(f"bmi_base={config.bmi_base!r}\n")
-        handle.write(f"bmi_slope={config.bmi_slope!r}\n")
+    """Write ``config`` as the lines :func:`parse_scenario_config` reads; reals by ``repr``."""
+    # _SCALAR_KEYS lists seed first: the file's first line, before the populations.
+    seed, *scalars = (
+        (key, repr(value) if read is pio._vcf_float else value)
+        for key, read in _SCALAR_KEYS.items()
+        for value in [getattr(config, key)]
+    )
+    populations = (
+        ("population", f"{pop.label}:{pop.n_samples}:{pop.fst!r}:{pop.offset!r}"
+         + (f":{pop.n_test}" if pop.n_test else ""))
+        for pop in config.populations
+    )
+    pio._write_key_values([seed, *populations, *scalars], dest)
 
 
 DEFAULT_SCENARIO = ScenarioConfig(

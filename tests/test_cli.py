@@ -44,12 +44,12 @@ noise_sd=1.0
 # may set and, with "command", the keys of its run_config.txt.
 SETTINGS = {
     "simulate": {"out", "scenario", "seed"},
-    "fit": {"out", "train_vcf", "panel", "weights", "k", "scale"},
+    "fit": {"out", "train_vcf", "panel", "weights", "k"},
     "score": {"out", "test_vcf", "weights", "model_dir", "phenotypes"},
     "evaluate": {"out", "report", "percentile"},
 }
 # A value each key accepts, so that a refusal can only be of the key itself.
-VALUES = {"seed": "5", "k": "9", "scale": "binomial", "percentile": "90"}
+VALUES = {"seed": "5", "k": "9", "percentile": "90"}
 
 
 def run(*argv, capsys=None):
@@ -171,6 +171,18 @@ class TestSimulate:
                              "--out", str(tmp_path / "d"), capsys=capsys)
         assert (code, out) == (3, "")
         assert re.fullmatch(r"error: sample POP[AB]\d{4}: bmi -\d\S* is negative\n", err)
+        assert not (tmp_path / "d").exists()
+
+    def test_population_label_with_a_tab_exits_2(self, tmp_path, capsys):
+        """A tab in a label would split the VCF header and the phenotype rows
+        into extra fields, so the scenario is refused before anything is written."""
+        config = tmp_path / "tab.cfg"
+        config.write_text("seed=3\npopulation=PO\tPA:20:0.1:0:5\npopulation=POPB:20:0.1:0\n"
+                          "n_ancestry_snps=30\nn_trait_snps=5\n")
+        code, out, err = run("simulate", "--scenario", str(config),
+                             "--out", str(tmp_path / "d"), capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: label: population label 'PO\\tPA' holds a tab, line break or ':'\n"
         assert not (tmp_path / "d").exists()
 
     def test_unknown_scenario_key_exits_2(self, tmp_path, capsys):
@@ -547,9 +559,9 @@ class TestScore:
         assert code == 3
         assert err == "error: adjustment model has no 'intercept' line\n"
 
-    def test_scores_with_the_scale_stored_at_fit(self, scenario_dir, tmp_path):
-        """fit --scale binomial; score, not given it, follows the PCA model,
-        echoes its scale and drops the A/T weight variant as fit did."""
+    def test_score_drops_the_strand_ambiguous_weight_as_fit_did(self, scenario_dir, tmp_path):
+        """An A/T weight variant is excluded by fit and by score alike, and
+        score's report is the library's recomputation from the saved models."""
         weights = pio.parse_weights(scenario_dir / "weights.tsv")
         at_id = weights.rows[0].variant_id
         # The first weight variant becomes strand-ambiguous (A/T) everywhere.
@@ -569,11 +581,9 @@ class TestScore:
                 "--train-vcf", str(tmp_path / "train_genotypes.vcf"),
                 "--panel", str(scenario_dir / "panel.txt"),
                 "--weights", str(tmp_path / "weights.tsv"),
-                "--scale", "binomial",
                 "--out", str(models),
             ]
         ) == 0
-        assert "scale_mode binomial" in (models / "pca_model.txt").read_text().splitlines()
         assert main(
             [
                 "score",
@@ -584,8 +594,6 @@ class TestScore:
                 "--out", str(scores),
             ]
         ) == 0
-        echoed = (scores / "run_config.txt").read_text().splitlines()
-        assert "scale=binomial" in echoed
 
         def recompute():
             matrix, _ = pio.parse_vcf(tmp_path / "test_genotypes.vcf")
@@ -605,21 +613,6 @@ class TestScore:
             return text.getvalue()
 
         assert (scores / "report.csv").read_text() == recompute()
-
-    @pytest.mark.parametrize("flag, value", [("--scale", "binomial")])
-    def test_recipe_flags_are_fit_only(self, scenario_dir, model_dir, tmp_path, capsys, flag, value):
-        code, _, err = run(
-            "score",
-            "--test-vcf", str(scenario_dir / "test_genotypes.vcf"),
-            "--weights", str(scenario_dir / "weights.tsv"),
-            "--model-dir", str(model_dir),
-            flag, value,
-            "--out", str(tmp_path / "scores"),
-            capsys=capsys,
-        )
-        assert code == 2
-        assert flag in err
-        assert not (tmp_path / "scores").exists()
 
     @pytest.mark.parametrize("version", ["v1", "v2", "v3"])
     def test_older_adjustment_model_exits_3(self, scenario_dir, model_dir, tmp_path, capsys,
@@ -645,6 +638,36 @@ class TestScore:
         )
         assert code == 3
         assert err == "error: not a prsadjust-adjust v4 file\n"
+
+    # v2 had a scale_mode line after n_components. A v2 file is refused by its
+    # magic line, and a v3 file that keeps the line by its unknown key, both
+    # before the cohort's VCF is opened.
+    @pytest.mark.parametrize(
+        "magic, message",
+        [
+            ("prsadjust-pca v2", "not a prsadjust-pca v3 file"),
+            ("prsadjust-pca v3", "PCA model has an unknown 'scale_mode' line"),
+        ],
+    )
+    def test_pca_model_with_a_scale_mode_line_exits_3(self, scenario_dir, model_dir, tmp_path,
+                                                       capsys, magic, message):
+        edited = tmp_path / "edited"
+        shutil.copytree(model_dir, edited)
+        lines = (edited / "pca_model.txt").read_text().splitlines()
+        i = next(i for i, line in enumerate(lines) if line.startswith("n_components ")) + 1
+        lines = [magic, *lines[1:i], "scale_mode sample-sd", *lines[i:]]
+        (edited / "pca_model.txt").write_text("\n".join(lines) + "\n")
+        code, _, err = run(
+            "score",
+            "--test-vcf", str(tmp_path / "absent.vcf"),
+            "--weights", str(scenario_dir / "weights.tsv"),
+            "--model-dir", str(edited),
+            "--out", str(tmp_path / "scores"),
+            capsys=capsys,
+        )
+        assert code == 3
+        assert err == f"error: {message}\n"
+        assert not (tmp_path / "scores").exists()
 
     # Each number in a model file is ASCII digits or an ASCII VCF Float, which
     # may carry a sign; int() and float() would read all of these.
@@ -687,12 +710,9 @@ class TestScore:
     @pytest.mark.parametrize(
         "name, key, value, message",
         [
-            ("pca_model.txt", "scale_mode", "foo", "unknown scale mode 'foo'"),
-            *(
-                ("adjustment_model.txt", "pca_fingerprint", value,
-                 f"pca_fingerprint {value!r} is not 64 lowercase hex digits")
-                for value in (".", "a" * 63)
-            ),
+            ("adjustment_model.txt", "pca_fingerprint", value,
+             f"pca_fingerprint {value!r} is not 64 lowercase hex digits")
+            for value in (".", "a" * 63)
         ],
     )
     def test_model_fields_are_checked_at_load(self, scenario_dir, model_dir, tmp_path, capsys,
@@ -973,13 +993,14 @@ class TestConfigLayering:
             assert err.startswith(f"error: {key}: expected ") and repr(token) in err
             assert not out.exists()
 
-    # prs_mode and strand_policy were fit keys until each had one value.
+    # prs_mode, strand_policy and scale were fit keys until each had one value.
     @pytest.mark.parametrize(
         "command, line, message",
         [
             ("simulate", "frobnicate=1", "frobnicate: unknown config key"),
             ("simulate", "prs_mode=sum", "prs_mode: unknown config key"),
             ("fit", "strand_policy=keep", "strand_policy: unknown config key"),
+            ("fit", "scale = binomial", "scale: unknown config key"),
             ("simulate", " seed 7 ", "seed 7: expected key=value"),
         ],
     )
@@ -1039,14 +1060,13 @@ class TestConfigLayering:
         ]) == 0
         assert main(["evaluate", "--report", str(tmp_path / "s" / "report.csv"),
                      "--out", str(tmp_path / "e")]) == 0
-        # score adds the k and scale its models were fitted with
-        recipe = {"k", "scale"}
+        # score adds the k it read from the models
         for command, out in (("simulate", tmp_path / "d"), ("fit", model_dir),
                              ("score", tmp_path / "s"), ("evaluate", tmp_path / "e")):
             lines = (out / "run_config.txt").read_text().splitlines()
             keys = [line.partition("=")[0] for line in lines]
             assert keys == sorted(keys)
-            assert set(keys) == {"command"} | SETTINGS[command] | (recipe if command == "score" else set())
+            assert set(keys) == {"command"} | SETTINGS[command] | ({"k"} if command == "score" else set())
             assert f"command={command}" in lines
 
 
@@ -1055,8 +1075,11 @@ class TestUsage:
         code, _, _ = run(capsys=capsys)
         assert code == 2
 
-    # --prs-mode and --strand-policy were fit flags until each had one value.
-    @pytest.mark.parametrize("flag", [["--bogus"], ["--prs-mode", "sum"], ["--strand-policy", "keep"]])
+    # --prs-mode, --strand-policy and --scale were fit flags until each had one value.
+    @pytest.mark.parametrize(
+        "flag",
+        [["--bogus"], ["--prs-mode", "sum"], ["--strand-policy", "keep"], ["--scale", "binomial"]],
+    )
     @pytest.mark.parametrize("command", ["fit", "score"])
     def test_unknown_flag_exits_2(self, command, flag, capsys):
         code, _, err = run(command, *flag, capsys=capsys)

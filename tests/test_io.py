@@ -41,7 +41,6 @@ from prsadjust.io import (
     write_weights,
 )
 from prsadjust.pca import (
-    SCALE_MODES,
     PcaModel,
     StandardizationParams,
     fit_pca,
@@ -822,7 +821,6 @@ def pca_models(draw):
         mean=draw(st.lists(_FLOATS, min_size=m, max_size=m)),
         scale=draw(st.lists(_POSITIVE, min_size=m, max_size=m)),
         dropped_variants=tuple(names[m:]),
-        scale_mode=draw(st.sampled_from(SCALE_MODES)),
     )
     return PcaModel(
         loadings=np.reshape(draw(st.lists(_FLOATS, min_size=m * k, max_size=m * k)), (m, k)),
@@ -881,9 +879,7 @@ class TestModelFiles:
         assert _bits(loaded.loadings, loaded.eigenvalues, q.mean, q.scale, loaded.total_variance) == (
             _bits(model.loadings, model.eigenvalues, p.mean, p.scale, model.total_variance)
         )
-        assert (q.variant_ids, q.dropped_variants, q.scale_mode) == (
-            p.variant_ids, p.dropped_variants, p.scale_mode
-        )
+        assert (q.variant_ids, q.dropped_variants) == (p.variant_ids, p.dropped_variants)
         assert loaded.n_train == model.n_train
         assert pca_model_fingerprint(loaded) == pca_model_fingerprint(model)
         assert serialize_pca_model(loaded) == text
@@ -917,7 +913,7 @@ class TestModelFiles:
     @pytest.mark.parametrize(
         "old, new, message",
         [
-            ("prsadjust-pca v2", "prsadjust-pca v1", "not a prsadjust-pca v2 file"),
+            ("prsadjust-pca v3", "prsadjust-pca v2", "not a prsadjust-pca v3 file"),
             ("n_variants 4", "n_variants 3", "PCA model has 4 rows, expected 3"),
             ("dropped rs2", "drop rs2", "PCA model has an unknown 'drop' line"),
             ("\nrs1 ", "\nrs1  ", "a PCA model row does not hold an id and 4 numbers"),

@@ -38,8 +38,8 @@ from prsadjust.simulate import PopulationConfig, ScenarioConfig, generate_cohort
 from conftest import make_matrix
 
 
-def _fit_matrix(matrix, k_max, scale_mode="sample-sd"):
-    X, params = standardize(matrix, scale_mode=scale_mode)
+def _fit_matrix(matrix, k_max):
+    X, params = standardize(matrix)
     return fit_pca(X, k_max, params=params)
 
 
@@ -76,12 +76,22 @@ class TestStandardize:
         with pytest.raises(NoVariantsRetained):
             standardize(m)
 
-    def test_binomial_scale_uses_allele_frequency(self):
-        # column mean 1.0 -> p = 0.5 -> scale sqrt(2 * 0.25) = sqrt(0.5)
-        m = make_matrix([[0.0], [1.0], [1.0], [2.0]])
-        _, params = standardize(m, scale_mode="binomial")
-        assert params.scale[0] == pytest.approx(np.sqrt(0.5), rel=1e-15)
-        assert params.scale_mode == "binomial"
+    @pytest.mark.parametrize("constant", [None, 4])
+    def test_input_unchanged_and_output_exact(self, rng, constant):
+        """X is standardized in place in its own copy: the input keeps its bits,
+        and X equals the two-temporary expression bitwise."""
+        dosage = rng.integers(0, 3, size=(25, 9)).astype(float)
+        if constant is not None:
+            dosage[:, constant] = 1.0  # dropped
+        m = make_matrix(dosage)
+        before = m.dosage.copy()
+        X, params = standardize(m)
+        assert m.dosage.tobytes() == before.tobytes()
+        kept = [j for j in range(9) if j != constant]
+        expected = (before[:, kept] - params.mean) / params.scale
+        assert X.tobytes() == expected.tobytes()
+        assert X.flags.f_contiguous == expected.flags.f_contiguous
+        assert params.scale == pytest.approx(before[:, kept].std(axis=0, ddof=1), rel=1e-14)
 
     def test_missing_dosages_rejected(self):
         m = make_matrix([[0.0], [2.0]], missing=[(0, 0)])
@@ -558,7 +568,7 @@ class TestPersistence:
     def test_serialized_text_is_stable(self, rng):
         model = _fit_matrix(_random_matrix(rng, 12, 6), k_max=3)
         assert serialize_pca_model(model) == serialize_pca_model(model)
-        assert serialize_pca_model(model).startswith("prsadjust-pca v2\n")
+        assert serialize_pca_model(model).startswith("prsadjust-pca v3\n")
 
     def test_truncate_matches_smaller_projection(self, rng):
         m = _random_matrix(rng, 30, 10)

@@ -203,6 +203,11 @@ class TestConfigValidation:
                 dict(populations=(PopulationConfig("A", 10, 0.1, n_test=-1),)),
                 "n_test",
             ),
+            # Each would split a field or line of a file written from the scenario.
+            *(
+                (dict(populations=(PopulationConfig(label, 10, 0.1),)), "^label: .* holds a tab")
+                for label in ("PO\tPA", "PO\nPA", "PO\rPA", "PO:PA")
+            ),
         ],
     )
     def test_invalid_configs_name_the_field(self, overrides, field):
