@@ -10,11 +10,14 @@ Each tree then runs simulate, fit at ``--k 4`` and ``--k auto``, score on
 every split and evaluate on each report, with its own ``src/``, one BLAS
 thread, and the same working directory and relative paths. Every output
 file and each command's stdout, stderr and exit code are compared byte for
-byte. Prints IDENTICAL, or one line per difference and exits 1.
+byte. Prints IDENTICAL, or, for each file that differs, the number of its
+differing lines (paired by difflib, so a removed or inserted line does not
+shift the rest) and the first three of them, and exits 1.
 """
 
 from __future__ import annotations
 
+import difflib
 import os
 import shutil
 import subprocess
@@ -31,6 +34,7 @@ import workloads  # noqa: E402
 from prsadjust.simulate import DEFAULT_SCENARIO  # noqa: E402
 
 SEED = 11
+SHOWN = 3  # differing lines printed per file
 RUN_MAIN = "import sys; from prsadjust.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
@@ -104,10 +108,28 @@ def run_tree(src: Path, argvs: list[list[str]], work: Path) -> None:
             log.with_name(f"{log.name}.{suffix}").write_bytes(data)
 
 
+def changed_lines(old_lines: list[bytes], new_lines: list[bytes]):
+    """(line number, old text, new text) of each line that differs, the lines
+    paired by difflib; a line one side lacks reads None there and is numbered
+    in the side that has it, the others in the parent's file."""
+    matcher = difflib.SequenceMatcher(None, old_lines, new_lines, autojunk=False)
+    for tag, i1, i2, j1, j2 in matcher.get_opcodes():
+        if tag == "equal":
+            continue
+        for offset in range(max(i2 - i1, j2 - j1)):
+            old = old_lines[i1 + offset] if i1 + offset < i2 else None
+            new = new_lines[j1 + offset] if j1 + offset < j2 else None
+            yield (i1 if old is not None else j1) + offset + 1, old, new
+
+
 def differences(parent: Path, current: Path, rev: str) -> list[str]:
-    """One line per file that is not the same in both runs."""
+    """For each file that is not the same in both runs, a line counting its
+    differing lines, then the first ``SHOWN`` of them."""
     def files(top):
         return {path.relative_to(top) for path in top.rglob("*") if path.is_file()}
+
+    def text(line):
+        return "<absent>" if line is None else repr(line[:160])
 
     found = []
     ours, theirs = files(current), files(parent)
@@ -117,16 +139,11 @@ def differences(parent: Path, current: Path, rev: str) -> list[str]:
             continue
         old, new = (parent / rel).read_bytes(), (current / rel).read_bytes()
         if old != new:
-            old_lines, new_lines = old.splitlines(), new.splitlines()
-            line = next(
-                (i for i, pair in enumerate(zip(old_lines, new_lines)) if pair[0] != pair[1]),
-                min(len(old_lines), len(new_lines)),
+            changed = list(changed_lines(old.splitlines(), new.splitlines()))
+            found.append(f"{rel}: {len(changed)} differing line{'s' * (len(changed) != 1)}")
+            found.extend(
+                f"    line {number}: {text(a)} -> {text(b)}" for number, a, b in changed[:SHOWN]
             )
-            old_text, new_text = (
-                lines[line][:160] if line < len(lines) else b"<end of file>"
-                for lines in (old_lines, new_lines)
-            )
-            found.append(f"{rel}: line {line + 1}: {old_text!r} -> {new_text!r}")
     return found
 
 

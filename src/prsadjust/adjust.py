@@ -117,8 +117,14 @@ def apply_adjustment(
         )
     if pcs.k != model.k:
         raise DimensionError(f"model expects {model.k} PCs, scores carry {pcs.k}")
-    predicted = model.intercept + pcs.scores @ model.coefficients
-    return PrsVector(scores=scores.scores - predicted, sample_ids=scores.sample_ids)
+    # Summed a PC at a time, so a sample's value depends only on its own row: a BLAS
+    # matrix-vector product rounds a row differently with the number of rows.
+    combination = np.zeros(len(scores.scores))
+    for coefficient, column in zip(model.coefficients.tolist(), pcs.scores.T):
+        combination += coefficient * column
+    return PrsVector(
+        scores=scores.scores - (model.intercept + combination), sample_ids=scores.sample_ids
+    )
 
 
 # ---------------------------------------------------------------------------

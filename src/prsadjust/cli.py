@@ -45,6 +45,7 @@ from .genotypes import (
 )
 from .pca import (
     PcScores,
+    _pc_scores,
     _significant_count,
     fit_pca,
     load_pca_model,
@@ -196,8 +197,9 @@ def _cmd_fit(cfg: argparse.Namespace) -> int:
             f"panel {panel.name}: {coverage.n_matched}/{coverage.n_panel} variants found",
             file=sys.stderr,
         )
-    # Only X outlives the panel submatrix.
-    X, params = standardize(fill_missing_mean(panel_matrix))
+    # Only X outlives the panel submatrix, and the unfilled one dies before X is made.
+    panel_matrix = fill_missing_mean(panel_matrix)
+    X, params = standardize(panel_matrix)
     del panel_matrix
     # Pairs computed, and tabled: N + 1 for --k N; for auto 8, doubled while all pass.
     limit = min(X.shape[0] - 1, X.shape[1])
@@ -215,9 +217,10 @@ def _cmd_fit(cfg: argparse.Namespace) -> int:
             print(f"k clamped from {cfg.k} to {k} (data supports at most {limit})", file=sys.stderr)
     model = model_full.truncate(k)
 
-    # project(model, filled) computes this same product on the same layout.
+    # project(model, filled) standardizes the same rows to X's bits and takes the same products.
     sample_ids = tuple(record.sample_id for record in samples)
-    pcs = PcScores(X @ model.loadings, sample_ids, pca_model_fingerprint(model))
+    training = _pc_scores(model.loadings, len(X), lambda start, stop: X[start:stop])
+    pcs = PcScores(training, sample_ids, pca_model_fingerprint(model))
     adjustment = fit_adjustment(raw, pcs)
 
     spectrum = zip(model_full.eigenvalues, model_full.explained_variance_ratio)
@@ -250,7 +253,9 @@ def _cmd_score(cfg: argparse.Namespace) -> int:
     # refuses an adjustment model fitted against another PCA model.
     model_panel = PanelDefinition(name="pca_model", variant_ids=pca_model.params.variant_ids)
     samples, (panel_matrix, _), raw = _columns(cfg.test_vcf, model_panel, weights)
-    pcs = project(pca_model, fill_missing_mean(panel_matrix))
+    # Rebound, so the unfilled submatrix is freed before the projection.
+    panel_matrix = fill_missing_mean(panel_matrix)
+    pcs = project(pca_model, panel_matrix)
     adjusted = apply_adjustment(adjustment, raw, pcs)
 
     if cfg.phenotypes:

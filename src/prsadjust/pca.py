@@ -25,6 +25,7 @@ import hashlib
 import logging
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -51,6 +52,11 @@ _TW1_QUANTILE_95 = 0.9793
 # Checked every 4 blocks, pairs converge at a residual <= _RESIDUAL_TOLERANCE * mu_1.
 _KRYLOV_MIN_BLOCKS = 64
 _RESIDUAL_TOLERANCE = 64 * np.finfo(np.float64).eps
+
+# PC scores are products of this many rows with the loadings, so every sample's row
+# goes through one BLAS kernel whatever its cohort's size: OpenBLAS 0.3.31 takes a
+# small-matrix path below 126 rows, and 128 is the first multiple of 8 above that.
+_SCORE_BLOCK = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,8 +328,11 @@ def project(model: PcaModel, matrix: GenotypeMatrix) -> PcScores:
 
     Columns are looked up by variant id, reordered to model order, then
     centered and scaled with the *training* parameters; scores are the
-    product with the loading matrix. Projecting the training cohort itself
-    reproduces the training scores bitwise.
+    product with the loading matrix, taken _SCORE_BLOCK rows at a time, so
+    that a sample's row does not depend on the rest of its cohort (see the
+    README's row independence for the builds this was verified on) and
+    projecting the training cohort reproduces ``fit``'s training scores
+    bitwise. Memory beyond the scores is a few row blocks.
 
     Raises
     ------
@@ -337,14 +346,45 @@ def project(model: PcaModel, matrix: GenotypeMatrix) -> PcScores:
     if missing:
         raise MissingModelVariants(missing)
     cols = np.asarray([index[vid] for vid in model.params.variant_ids], dtype=int)
-    if matrix.missing_mask[:, cols].any():
-        raise ValueError("matrix has missing dosages on model variants; fill first")
-    standardized = (matrix.dosage[:, cols] - model.params.mean) / model.params.scale
+
+    def dosages(start: int, stop: int) -> np.ndarray:
+        if matrix.missing_mask[start:stop, cols].any():
+            raise ValueError("matrix has missing dosages on model variants; fill first")
+        return matrix.dosage[start:stop, cols]
+
     return PcScores(
-        scores=standardized @ model.loadings,
+        scores=_pc_scores(model.loadings, matrix.n_samples, dosages, model.params),
         sample_ids=matrix.sample_ids,
         model_fingerprint=pca_model_fingerprint(model),
     )
+
+
+def _pc_scores(
+    loadings: np.ndarray,
+    n: int,
+    rows: Callable[[int, int], np.ndarray],
+    params: StandardizationParams | None = None,
+) -> np.ndarray:
+    """The (n, k) scores of n rows on ``loadings`` (m, k).
+
+    Each block of _SCORE_BLOCK rows, ``rows(start, stop)``, is copied into one
+    F-ordered (_SCORE_BLOCK, m) buffer whose rows past the cohort's end are
+    zero, and centered and scaled there in place by ``params`` when given
+    (else the rows must be standardized already). Each product takes the
+    whole buffer and keeps its filled rows.
+    """
+    block = np.zeros((_SCORE_BLOCK, loadings.shape[0]), order="F")
+    scores = np.empty((n, loadings.shape[1]))
+    for start in range(0, n, _SCORE_BLOCK):
+        stop = min(start + _SCORE_BLOCK, n)
+        filled = block[: stop - start]
+        filled[...] = rows(start, stop)
+        block[stop - start :] = 0.0
+        if params is not None:
+            filled -= params.mean
+            filled /= params.scale
+        scores[start:stop] = (block @ loadings)[: stop - start]
+    return scores
 
 
 def select_k(model: PcaModel) -> int:

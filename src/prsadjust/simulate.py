@@ -90,6 +90,12 @@ class ScenarioConfig:
                 raise ConfigInvalid(
                     f"label: population label {pop.label!r} holds a tab, line break or ':'"
                 )
+            # The scenario reader strips a value's ends, so a label starting with
+            # whitespace would not read back; one ending with it is refused alike.
+            if pop.label != pop.label.strip():
+                raise ConfigInvalid(
+                    f"label: population label {pop.label!r} has leading or trailing whitespace"
+                )
             if pop.n_samples < 1:
                 raise ConfigInvalid(
                     f"n_samples: population {pop.label} needs n_samples >= 1, got {pop.n_samples}"

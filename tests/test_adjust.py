@@ -123,6 +123,24 @@ def test_zero_coefficients_subtract_only_intercept():
     assert adjusted.sample_ids == raw.sample_ids
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 9])
+def test_apply_matches_a_per_sample_loop_on_any_subset(rng, k):
+    """Each adjusted score is raw - (intercept + sum_j coef_j * PC_j), the sum
+    taken left to right, bitwise, whichever rows are adjusted together."""
+    Z = rng.normal(size=(300, k))
+    raw = _prs(rng.normal(size=300))
+    model = fit_adjustment(raw, _pcs(Z))
+    expected = []
+    for raw_i, pcs_i in zip(raw.scores.tolist(), Z.tolist()):
+        combination = 0.0
+        for coefficient, pc in zip(model.coefficients.tolist(), pcs_i):
+            combination += coefficient * pc
+        expected.append(raw_i - (model.intercept + combination))
+    for rows in ([7], [3, 250], rng.permutation(300)[:129], np.arange(300)):
+        adjusted = apply_adjustment(model, _prs(raw.scores[rows]), _pcs(Z[rows]))
+        assert adjusted.scores.tolist() == [expected[i] for i in rows]
+
+
 def test_constant_scores_fit_cleanly(rng):
     Z = rng.normal(size=(12, 2))
     model = fit_adjustment(_prs(np.full(12, 2.0)), _pcs(Z))

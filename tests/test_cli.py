@@ -185,6 +185,18 @@ class TestSimulate:
         assert err == "error: label: population label 'PO\\tPA' holds a tab, line break or ':'\n"
         assert not (tmp_path / "d").exists()
 
+    def test_population_label_with_trailing_whitespace_exits_2(self, tmp_path, capsys):
+        """A space before the first ':' ends the label 'POPA ', and a label
+        with whitespace at either end is refused before anything is written."""
+        config = tmp_path / "space.cfg"
+        config.write_text("seed=3\npopulation=POPA :20:0.1:0:5\npopulation=POPB:20:0.1:0\n"
+                          "n_ancestry_snps=30\nn_trait_snps=5\n")
+        code, out, err = run("simulate", "--scenario", str(config),
+                             "--out", str(tmp_path / "d"), capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: label: population label 'POPA ' has leading or trailing whitespace\n"
+        assert not (tmp_path / "d").exists()
+
     def test_unknown_scenario_key_exits_2(self, tmp_path, capsys):
         config = tmp_path / "bad.cfg"
         config.write_text("seed=1\npopulation=POPA:10:0.2:0\nwidgets=9\n")

@@ -6,6 +6,7 @@ two derivations agree independently of how either is computed.
 
 import functools
 import logging
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -487,14 +488,31 @@ class TestSelectK:
 
 
 class TestProject:
-    def test_training_scores_reproduced_bitwise(self, rng):
-        m = _random_matrix(rng, 30, 15)
+    @pytest.mark.parametrize("k_max", [2, 3, 5])
+    def test_training_scores_reproduced_bitwise(self, rng, k_max):
+        """project standardizes the training rows to X's bits and takes the
+        same 128-row products with the loadings as fit's training scores."""
+        m = _random_matrix(rng, 300, 400)
         X, params = standardize(m)
-        model = fit_pca(X, k_max=5, params=params)
+        model = fit_pca(X, k_max=k_max, params=params)
         scores = project(model, m)
-        assert np.array_equal(scores.scores, X @ model.loadings)
+        training = pca._pc_scores(model.loadings, len(X), lambda start, stop: X[start:stop])
+        assert np.array_equal(scores.scores, training)
         assert scores.sample_ids == m.sample_ids
         assert scores.model_fingerprint == pca_model_fingerprint(model)
+
+    def test_memory_is_a_few_row_blocks(self, rng):
+        """Beyond the scores it returns, project allocates a few blocks of
+        128 rows of the model's columns, not copies of the cohort's."""
+        matrix = _random_matrix(rng, 2000, 300)
+        model = _fit_matrix(matrix, k_max=4)
+        tracemalloc.start()
+        try:
+            scores = project(model, matrix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - scores.scores.nbytes <= 3 * (pca._SCORE_BLOCK * 300 * 8)
 
     def test_uses_training_moments_not_test_moments(self, rng):
         train = _random_matrix(rng, 25, 6)

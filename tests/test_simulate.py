@@ -208,6 +208,11 @@ class TestConfigValidation:
                 (dict(populations=(PopulationConfig(label, 10, 0.1),)), "^label: .* holds a tab")
                 for label in ("PO\tPA", "PO\nPA", "PO\rPA", "PO:PA")
             ),
+            # The scenario reader strips a value's ends, so such a label would not always read back.
+            *(
+                (dict(populations=(PopulationConfig(label, 10, 0.1),)), "^label: .* whitespace$")
+                for label in (" A", "A ", "A\u00a0")
+            ),
         ],
     )
     def test_invalid_configs_name_the_field(self, overrides, field):
