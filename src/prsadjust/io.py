@@ -536,8 +536,9 @@ def write_vcf(matrix: GenotypeMatrix, dest: Source) -> None:
     GT:DS with DS carrying the exact dosage (shortest text that round-trips
     the float) and GT the nearest hard call. Each entry's text is made
     once per distinct dosage bit pattern and then taken from a memo table
-    of at most ``_MEMO_CAP`` entries; a row with a dosage not in the full
-    table is formatted entry by entry.
+    of at most ``_MEMO_CAP`` entries: a row formats only its entries not
+    yet in the table, and once the table is full, its new entries go
+    uncached.
     """
     hard = bool(
         np.all(
@@ -582,15 +583,16 @@ def write_vcf(matrix: GenotypeMatrix, dest: Source) -> None:
             try:
                 row = "\t".join(map(texts.__getitem__, keys))
             except KeyError:
-                entries = [
-                    texts[key] if key in texts
-                    else "./.:." if d != d
-                    else f"{gt_text[int(np.rint(d))]}:{d!r}"
+                missing = {
+                    key: "./.:." if d != d else f"{gt_text[int(np.rint(d))]}:{d!r}"
                     for key, d in zip(keys, values[j].tolist())
-                ]
+                    if key not in texts
+                }
                 if len(texts) < _MEMO_CAP:
-                    texts.update(zip(keys, entries))
-                row = "\t".join(entries)
+                    texts.update(missing)
+                    row = "\t".join(map(texts.__getitem__, keys))
+                else:
+                    row = "\t".join(missing[key] if key in missing else texts[key] for key in keys)
             out.write(fixed + "\t" + row + "\n")
 
 

@@ -11,6 +11,18 @@ Binomial(2, p_pop) per sample. Two disjoint variant sets are generated:
 an ancestry panel (no phenotype effect, used for PCA) and trait variants
 carrying normally drawn weights.
 
+A population's genotypes are exactly ``rng.binomial(2, p_pop, size=(n, m))``,
+value for value, with the generator left in the same state. numpy draws
+each call by inversion: one uniform ``u`` against three per-variant
+thresholds, with a fresh uniform in the rare case that ``u`` passes all
+three. ``_draw_genotypes`` does that inversion for whole arrays at once,
+with ``rng.random`` and numpy's own threshold arithmetic, and hands the
+inputs only numpy's loop handles (a frequency of 0, a uniform numpy would
+draw again) to ``rng.binomial`` itself. A property test of
+tests/test_simulate.py checks the equality, also on hand-made uniforms at
+each threshold; it passes under numpy 2.4.6 with glibc's libm, and CI runs
+it under numpy 2.2.6 as well.
+
 The liability of sample s in population k is
 
     liability_s = sum_i w_i * effect_dosage_si + offset_k + Normal(0, noise_sd)
@@ -28,7 +40,8 @@ files written from them, byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -162,6 +175,73 @@ class SyntheticCohort:
         return self.matrix.take_samples(self.test_indices)
 
 
+# Rows of one population drawn per pass: bounds the temporaries of
+# _draw_genotypes at a few MB at any cohort size.
+_DRAW_ROWS = 256
+
+
+def _binomial2_thresholds(freqs: np.ndarray):
+    """Per variant: whether ``freqs`` is folded, and numpy's three inversion
+    thresholds for Binomial(2, p).
+
+    numpy draws Binomial(2, p) for ``p' = min(p, 1 - p)`` and returns ``2 - X``
+    when ``p > 0.5``. Each threshold is computed in the operation order of its
+    C code (``random_binomial_inversion``), with ``px0 = exp(2 log1p(-p'))``
+    from libm through ``math``, as that code does; numpy's array ``exp`` and
+    ``log1p`` may round differently.
+    """
+    flip = freqs > 0.5
+    p = np.where(flip, 1.0 - freqs, freqs)
+    q = 1.0 - p
+    px0 = np.array([math.exp(2.0 * math.log1p(-x)) for x in p.tolist()])
+    px1 = (2.0 * p * px0) / (1.0 * q)
+    px2 = (1.0 * p * px1) / (2.0 * q)
+    return flip, px0, px1, px2
+
+
+def _invert(u: np.ndarray, thresholds) -> bool:
+    """Replace each uniform in ``u`` by its genotype, in place.
+
+    ``X = (u > px0) + ((u - px0) > px1)`` is numpy's inversion loop for
+    n = 2; a folded variant's ``2 - X`` is the sum of the two tests negated.
+    Returns False when some ``(u - px0) - px1 > px2``: numpy would draw that
+    call again, so ``u`` then holds no valid result.
+    """
+    flip, px0, px1, px2 = thresholds
+    rest = u - px0
+    first = u > px0
+    second = rest > px1
+    first ^= flip
+    second ^= flip
+    np.add(first, second, out=u, dtype=np.float64)
+    rest -= px1
+    return not (rest > px2).any()
+
+
+def _draw_genotypes(rng: np.random.Generator, freqs: np.ndarray, out: np.ndarray) -> None:
+    """Fill ``out`` (float64, C-ordered) with ``rng.binomial(2, freqs, size=out.shape)``
+    value for value, and leave ``rng`` in the state that call would.
+
+    Each call takes one uniform from ``rng.random``, in row-major order as
+    numpy's own loop does, and is inverted against per-variant thresholds
+    (:func:`_binomial2_thresholds`, :func:`_invert`). Two inputs only numpy
+    handles go to ``rng.binomial`` itself: a frequency that is 0 (numpy draws
+    nothing for it) or outside (0, 1], and a uniform numpy would redraw
+    (probability about 1e-16 a call), after restoring the state saved on entry.
+    """
+    if not ((freqs > 0.0) & (freqs <= 1.0)).all():
+        out[...] = rng.binomial(2, freqs, size=out.shape)
+        return
+    saved = rng.bit_generator.state
+    thresholds = _binomial2_thresholds(freqs)
+    for start in range(0, out.shape[0], _DRAW_ROWS):
+        block = rng.random(out=out[start:start + _DRAW_ROWS])
+        if not _invert(block, thresholds):
+            rng.bit_generator.state = saved
+            out[...] = rng.binomial(2, freqs, size=out.shape)
+            return
+
+
 def generate_cohort(config: ScenarioConfig) -> SyntheticCohort:
     """Draw one cohort; equal configs yield identical cohorts.
 
@@ -180,11 +260,12 @@ def generate_cohort(config: ScenarioConfig) -> SyntheticCohort:
         a = ancestral * (1.0 - pop.fst) / pop.fst
         b = (1.0 - ancestral) * (1.0 - pop.fst) / pop.fst
         pop_freqs[pop.label] = rng.beta(a, b)
-    blocks = []
+    dosage = np.empty((config.n_total_samples, n_snps))
+    start = 0
     for pop in config.populations:
-        size = pop.n_samples + pop.n_test
-        blocks.append(rng.binomial(2, pop_freqs[pop.label], size=(size, n_snps)))
-    dosage = np.concatenate(blocks, axis=0).astype(np.float64)
+        stop = start + pop.n_samples + pop.n_test
+        _draw_genotypes(rng, pop_freqs[pop.label], dosage[start:stop])
+        start = stop
 
     ref_idx = rng.integers(0, 4, size=n_snps)
     alt_idx = rng.integers(0, 2, size=n_snps)

@@ -1,10 +1,13 @@
 """Synthetic cohort generation under the Balding-Nichols model."""
 
 import io as stdio
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from prsadjust import simulate
 from prsadjust.errors import ConfigInvalid
 from prsadjust.evaluation import roc_auc
 from prsadjust.genotypes import align_effect_alleles, is_strand_ambiguous
@@ -93,6 +96,158 @@ class TestGenerate:
         assert cohort.matrix.samples[0].sample_id == "POPA0001"
         assert cohort.matrix.samples[0].population == "POPA"
         assert cohort.matrix.samples[-1].population == "POPB"
+
+
+# Frequencies at the edges of numpy's binomial: 0 draws nothing, 1 and the
+# smallest subnormal invert against thresholds of 1 and about 0, and 0.5 and its
+# neighbours sit on either side of the fold at p > 0.5.
+_EDGE_FREQS = [0.0, 1.0, 0.5, 5e-324, float(np.nextafter(0.5, 0.0)), float(np.nextafter(0.5, 1.0))]
+
+
+@st.composite
+def binomial_calls(draw):
+    """(freqs, row count, seed): rows 0, 1, a few, and over two draw blocks."""
+    m = draw(st.integers(min_value=0, max_value=10))
+    freq = st.one_of(
+        st.floats(0.0, 1.0, exclude_min=True), st.sampled_from(_EDGE_FREQS[1:])
+    )
+    freqs = draw(st.lists(freq, min_size=m, max_size=m))
+    if freqs and draw(st.integers(0, 4)) == 0:
+        freqs[draw(st.integers(0, m - 1))] = 0.0
+    n_rows = draw(st.sampled_from([0, 1, 3, 2 * simulate._DRAW_ROWS + 5]))
+    return np.array(freqs, dtype=float), n_rows, draw(st.integers(0, 2**32 - 1))
+
+
+# PCG64 advances its 128-bit state by state * _PCG_MULTIPLIER + inc and
+# outputs rotr64(high ^ low, state >> 122) of the new state.
+_PCG_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _generator_drawing(u):
+    """A Generator whose next ``random()`` is ``u``, a multiple of 2**-53 in [0, 1)."""
+    # A new state with high half 0 outputs its low half unrotated, and
+    # random() keeps the top 53 bits of the output.
+    new_state, inc = int(u * 2**53) << 11, 1
+    state = (new_state - inc) * pow(_PCG_MULTIPLIER, -1, 1 << 128) % (1 << 128)
+    bits = np.random.PCG64()
+    bits.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return np.random.Generator(bits)
+
+
+class TestGenotypeDraw:
+    @settings(max_examples=200, deadline=None)
+    @given(binomial_calls())
+    def test_equals_generator_binomial_bitwise(self, call):
+        freqs, n_rows, seed = call
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        out = np.full((n_rows, len(freqs)), -1.0)
+        simulate._draw_genotypes(rng, freqs, out)
+        expected = reference.binomial(2, freqs, size=out.shape).astype(np.float64)
+        assert out.tobytes() == expected.tobytes()
+        assert rng.random() == reference.random()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.floats(0.0, 1.0, exclude_min=True), st.sampled_from(_EDGE_FREQS[1:])))
+    def test_uniforms_at_the_thresholds_invert_as_numpy_does(self, freq):
+        freqs = np.array([freq])
+        _, px0, px1, px2 = simulate._binomial2_thresholds(freqs)
+        # The grid uniforms either side of each cumulative threshold, or the
+        # top two where the last one rounds to 1 or above (numpy may redraw).
+        for edge in (px0[0], px0[0] + px1[0], px0[0] + px1[0] + px2[0]):
+            below = min(math.floor(edge * 2**53), 2**53 - 2) / 2**53
+            for u in (below, below + 2**-53):
+                assert _generator_drawing(u).random() == u
+                rng, reference = _generator_drawing(u), _generator_drawing(u)
+                out = np.empty((1, 1))
+                simulate._draw_genotypes(rng, freqs, out)
+                assert out[0, 0] == reference.binomial(2, freqs, size=(1, 1))[0, 0]
+                assert rng.random() == reference.random()
+
+    def test_redraw_is_detected_on_a_hand_made_uniform(self):
+        # At p = 0.7 the rounded thresholds sum below the largest uniform, so
+        # numpy's loop would run past X = 2 and draw that call again.
+        thresholds = simulate._binomial2_thresholds(np.array([0.7, 0.3]))
+        _, px0, px1, px2 = thresholds
+        top = np.nextafter(1.0, 0.0)
+        assert (top - px0[0]) - px1[0] > px2[0]
+        assert not simulate._invert(np.array([[top, 0.5]]), thresholds)
+        below = np.array([[0.5, 1.0 - 2**-30]])
+        assert simulate._invert(below, thresholds)
+        assert below.tolist() == [[1.0, 2.0]]
+
+    def test_a_uniform_numpy_redraws_goes_to_numpy(self):
+        top = np.nextafter(1.0, 0.0)
+        once, twice = _generator_drawing(top), _generator_drawing(top)
+        once.binomial(2, 0.7)
+        twice.random(2)
+        assert once.bit_generator.state == twice.bit_generator.state  # numpy drew again
+        freqs = np.array([0.7, 0.6, 0.05])
+        rng, reference = _generator_drawing(top), _generator_drawing(top)
+        out = np.full((4, 3), -1.0)
+        simulate._draw_genotypes(rng, freqs, out)
+        assert out.tobytes() == reference.binomial(2, freqs, size=(4, 3)).astype(float).tobytes()
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_redraw_falls_back_to_numpy_from_the_entry_state(self, monkeypatch):
+        invert = simulate._invert
+        blocks = []
+
+        def redraw_in_second_block(u, thresholds):
+            blocks.append(u.shape[0])
+            return invert(u, thresholds) and len(blocks) < 2
+
+        monkeypatch.setattr(simulate, "_invert", redraw_in_second_block)
+        freqs = np.random.default_rng(5).uniform(0.05, 0.95, size=9)
+        rng, reference = np.random.default_rng(8), np.random.default_rng(8)
+        out = np.full((2 * simulate._DRAW_ROWS + 1, 9), -1.0)
+        simulate._draw_genotypes(rng, freqs, out)
+        assert len(blocks) == 2
+        expected = reference.binomial(2, freqs, size=out.shape).astype(np.float64)
+        assert out.tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_cohort_follows_the_documented_draw_order(self):
+        cfg = _config(
+            populations=(
+                PopulationConfig("POPA", 30, 0.1, 0.5, n_test=4),
+                PopulationConfig("POPB", 20, 0.3, -0.5),
+            )
+        )
+        cohort = generate_cohort(cfg)
+        rng = np.random.default_rng(cfg.seed)
+        m = cfg.n_ancestry_snps + cfg.n_trait_snps
+        ancestral = rng.uniform(0.05, 0.95, size=m)
+        freqs = [
+            rng.beta(ancestral * (1.0 - pop.fst) / pop.fst, (1.0 - ancestral) * (1.0 - pop.fst) / pop.fst)
+            for pop in cfg.populations
+        ]
+        calls = [
+            rng.binomial(2, f, size=(pop.n_samples + pop.n_test, m))
+            for pop, f in zip(cfg.populations, freqs)
+        ]
+        refs = ["ACGT"[i] for i in rng.integers(0, 4, size=m)]
+        alts = [
+            {"A": "CG", "C": "AT", "G": "AT", "T": "CG"}[ref][i]
+            for ref, i in zip(refs, rng.integers(0, 2, size=m))
+        ]
+        sexes = rng.integers(0, 2, size=cfg.n_total_samples)
+        weights = rng.normal(cfg.trait_weight_mean, cfg.trait_weight_sd, size=cfg.n_trait_snps)
+        effect_is_alt = rng.integers(0, 2, size=cfg.n_trait_snps).astype(bool)
+
+        assert cohort.truth.ancestral_freqs.tobytes() == ancestral.tobytes()
+        for pop, f in zip(cfg.populations, freqs):
+            assert cohort.truth.population_freqs[pop.label].tobytes() == f.tobytes()
+        assert cohort.matrix.dosage.tobytes() == np.concatenate(calls).astype(np.float64).tobytes()
+        assert [v.ref_allele for v in cohort.matrix.variants] == refs
+        assert [v.alt_allele for v in cohort.matrix.variants] == alts
+        assert [s.sex for s in cohort.matrix.samples] == [("male", "female")[x] for x in sexes]
+        assert [row.weight for row in cohort.weights.rows] == weights.tolist()
+        assert np.array_equal(cohort.truth.effect_is_alt, effect_is_alt)
 
 
 class TestGroundTruth:
