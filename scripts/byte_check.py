@@ -2,17 +2,18 @@
 
     python3 scripts/byte_check.py PARENT_REV
 
-Exports PARENT_REV with ``git archive`` into a temporary directory and
-writes the inputs once: the ``pipeline-large`` and ``score-wide`` inputs of
-``perfbench/workloads.py`` at seed 11 (the built-in default cohort and
-``pipeline-large``'s cohort are written by each tree's own ``simulate``).
-Each tree then runs simulate, fit at ``--k 4`` and ``--k auto``, score on
-every split and evaluate on each report, with its own ``src/``, one BLAS
-thread, and the same working directory and relative paths. Every output
-file and each command's stdout, stderr and exit code are compared byte for
-byte. Prints IDENTICAL, or, for each file that differs, the number of its
-differing lines (paired by difflib, so a removed or inserted line does not
-shift the rest) and the first three of them, and exits 1.
+Exports PARENT_REV with ``git archive`` into a temporary directory. Each
+tree then, with its own ``src/``, one BLAS thread, and the same working
+directory and relative paths, writes the ``pipeline-large`` and
+``score-wide`` inputs of this checkout's ``perfbench/workloads.py`` at
+seed 11 (the built-in default cohort and ``pipeline-large``'s cohort are
+written by each tree's own ``simulate``) and runs simulate, fit at
+``--k 4`` and ``--k auto``, score on every split and evaluate on each
+report. Every input file, every output file and each command's stdout,
+stderr and exit code are compared byte for byte. Prints IDENTICAL, or,
+for each file that differs, the number of its differing lines (paired by
+difflib, so a removed or inserted line does not shift the rest) and the
+first three of them, and exits 1.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BLAS_ENV = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
-os.environ.update(BLAS_ENV)  # before numpy loads: the set-up runs BLAS too
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402
@@ -36,6 +36,12 @@ from prsadjust.simulate import DEFAULT_SCENARIO  # noqa: E402
 SEED = 11
 SHOWN = 3  # differing lines printed per file
 RUN_MAIN = "import sys; from prsadjust.cli import main; sys.exit(main(sys.argv[1:]))"
+INPUT_WORKLOADS = ("pipeline-large", "score-wide")
+WRITE_INPUTS = (
+    "import sys; from pathlib import Path; import workloads\n"
+    "for name in sys.argv[2:]:\n"
+    "    workloads.setup(workloads.WORKLOADS[name], int(sys.argv[1]), Path('inputs') / name)\n"
+)
 
 
 def export(rev: str, dest: Path) -> None:
@@ -48,25 +54,26 @@ def export(rev: str, dest: Path) -> None:
         raise SystemExit(f"git archive {rev} failed")
 
 
-def steps(work: Path) -> list[list[str]]:
-    """Write the inputs under ``work``; every command's arguments, in run
-    order, with paths relative to ``work``."""
-    cases = {"default": (DEFAULT_SCENARIO, None, [])}
-    for name in ("pipeline-large", "score-wide"):
+def steps() -> list[list[str]]:
+    """Every command's arguments, in run order, with paths relative to the
+    working directory, where :func:`write_inputs` puts the inputs."""
+    held_out = any(pop.n_test for pop in DEFAULT_SCENARIO.populations)
+    cases = {"default": (held_out, None, [])}
+    for name in INPUT_WORKLOADS:
         workload = workloads.WORKLOADS[name]
-        inputs = workloads.setup(workload, SEED, work / "inputs" / name)
-        files = {role: str(path.relative_to(work)) for role, path in inputs.files.items()}
+        held_out = workload.shape.n_test > 0
         if workload.simulates:
-            cases[name] = (inputs.scenario, None, ["--scenario", files["scenario"]])
+            cases[name] = (held_out, None, ["--scenario", f"inputs/{name}/scenario.cfg"])
         else:
-            cases[name] = (inputs.scenario, files, None)
+            files = {role: f"inputs/{name}/{file}" for role, file in workloads.DATA_FILES.items()}
+            cases[name] = (held_out, files, None)
     argvs = []
-    for name, (scenario, files, simulate_args) in cases.items():
+    for name, (held_out, files, simulate_args) in cases.items():
         base = Path("run") / name
         if files is None:
             argvs.append(["simulate", *simulate_args, "--out", str(base / "simulate")])
             files = {role: str(base / "simulate" / file) for role, file in workloads.DATA_FILES.items()}
-        if any(pop.n_test for pop in scenario.populations):
+        if held_out:
             vcfs = {"train": files["train_genotypes"], "test": files["test_genotypes"]}
         else:  # simulate writes one VCF when no population has a held-out split
             vcfs = {"all": str(base / "simulate" / "genotypes.vcf")}
@@ -89,15 +96,26 @@ def steps(work: Path) -> list[list[str]]:
     return argvs
 
 
-def run_tree(src: Path, argvs: list[list[str]], work: Path) -> None:
-    """Run every command with ``src`` first on the path; logs go beside each --out."""
-    env = {**os.environ, **BLAS_ENV, "PYTHONPATH": str(src)}
+def tree_env(src: Path) -> dict[str, str]:
+    """The environment that runs ``src``'s package (checked) with one BLAS thread."""
+    env = {**os.environ, **BLAS_ENV, "PYTHONPATH": os.pathsep.join((str(src), str(ROOT / "perfbench")))}
     where = subprocess.run(
         [sys.executable, "-c", "import prsadjust; print(prsadjust.__file__)"],
         env=env, capture_output=True, text=True, check=True,
     ).stdout.strip()
     if not Path(where).resolve().is_relative_to(src.resolve()):
         raise SystemExit(f"{src} is not what runs: prsadjust loads from {where}")
+    return env
+
+
+def write_inputs(env: dict[str, str], work: Path) -> None:
+    """Write each workload's inputs under ``work/inputs`` with the tree ``env`` runs."""
+    subprocess.run([sys.executable, "-c", WRITE_INPUTS, str(SEED), *INPUT_WORKLOADS],
+                   cwd=work, env=env, check=True)
+
+
+def run_tree(env: dict[str, str], argvs: list[list[str]], work: Path) -> None:
+    """Run every command under ``env``; logs go beside each --out."""
     for argv in argvs:
         proc = subprocess.run([sys.executable, "-c", RUN_MAIN, *argv], cwd=work, env=env,
                               capture_output=True)
@@ -156,10 +174,15 @@ def main(argv: list[str]) -> int:
         tmp = Path(tmp)
         export(rev, tmp / "parent-tree")
         work = tmp / "work"
-        argvs = steps(work)
+        work.mkdir()
+        argvs = steps()
         for label, src in (("parent", tmp / "parent-tree" / "src"), ("current", ROOT / "src")):
-            run_tree(src, argvs, work)
-            shutil.move(work / "run", work / label)
+            env = tree_env(src)
+            write_inputs(env, work)
+            run_tree(env, argvs, work)
+            (work / label).mkdir()
+            for part in ("inputs", "run"):
+                shutil.move(work / part, work / label / part)
         found = differences(work / "parent", work / "current", rev)
     print("\n".join(found) if found else "IDENTICAL")
     return 1 if found else 0

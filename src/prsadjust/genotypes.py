@@ -21,6 +21,9 @@ SEX_TOKENS = ("male", "female", "unknown")
 OBESITY_BMI_THRESHOLD = 27.0
 
 _ALLELE_RE = re.compile(r"[ACGT]+\Z")
+# Characters that end a field or a line in the tab-separated files, so no
+# id or label that is written to them may hold one.
+_SEPARATORS = frozenset("\t\r\n")
 _COMPLEMENT = str.maketrans("ACGT", "TGCA")
 
 
@@ -50,10 +53,16 @@ class Variant:
     alt_allele: str
 
     def __post_init__(self):
-        if not self.id or " " in self.id:  # model files separate ids by spaces
-            raise ValueError(f"variant id {self.id!r} must be non-empty and hold no space")
-        if not self.chromosome:
-            raise ValueError(f"variant {self.id}: chromosome must be non-empty")
+        if not self.id or " " in self.id or not _SEPARATORS.isdisjoint(self.id):
+            # model files separate ids by spaces, the VCF by tabs
+            raise ValueError(
+                f"variant id {self.id!r} must be non-empty and hold no space, tab or line break"
+            )
+        if not self.chromosome or not _SEPARATORS.isdisjoint(self.chromosome):
+            raise ValueError(
+                f"variant {self.id}: chromosome {self.chromosome!r} must be non-empty "
+                "and hold no tab or line break"
+            )
         if self.position < 1:
             raise ValueError(f"variant {self.id}: position must be >= 1")
         for label, allele in (("ref", self.ref_allele), ("alt", self.alt_allele)):
@@ -83,6 +92,9 @@ class SampleRecord:
             raise ValueError(f"sample {self.sample_id}: bmi must be finite")
         if self.bmi is not None and self.bmi < 0:
             raise ValueError(f"sample {self.sample_id}: bmi {self.bmi!r} is negative")
+        for label, text in (("sample_id", self.sample_id), ("population", self.population)):
+            if text is not None and not _SEPARATORS.isdisjoint(text):
+                raise ValueError(f"{label} {text!r} must hold no tab or line break")
 
     @property
     def obese(self) -> bool | None:

@@ -14,23 +14,31 @@ panels and weight tables still match.
 Text is UTF-8; both LF and CRLF line endings are accepted. Writers emit LF
 only, so output bytes are identical across platforms.
 
-VCF rows whose FORMAT is exactly ``GT`` and whose calls are all three
-ASCII bytes (``0/1``, ``1|1``, ``./.``, ...) are decoded and written as
-whole rows of bytes with numpy. Every byte is still validated; a row that
-fails a check, or any other row (DS, subfields, irregular widths), goes
-through a memo table instead.
+VCF sample text goes through one block codec in both directions: the
+parser decodes its used rows, and the writer renders its rows, a block of
+about ``_BLOCK_BYTES`` of sample text at a time with numpy.
 
-Imputed GT:DS files hold few distinct entries (a few thousand for
-3-decimal dosages), so both directions memoize them per file. The parser
-keeps one table per position of DS in FORMAT, from entry text to its
-value (NaN for a missing call); the GT:DS writer keeps one from the bit
-pattern of a dosage (NaN for a missing call) to the text of its entry.
-Entries not yet in a table are decoded by :func:`_decode_entries`, the
-only per-entry decoder, or formatted by the writer's one f-string, and
-then stored. Values and text therefore come from the same code with or
-without the tables, so results are bitwise and byte-for-byte the same.
-Each table stops growing at ``_MEMO_CAP`` entries; later rows with new
-entries are decoded or written whole, uncached.
+- Reading, rows with no DS key decode their GT calls (the text before any
+  ":") through a table of the valid 3-byte calls. Rows with DS decode each
+  DS token that is a digit, or a digit, a point and at most
+  ``_DS_DIGITS`` - 1 more digits, as the exact decimal code M / 10^F (M
+  the digits, F those after the point), and "." as a missing call. M <
+  2^53 and 10^F are exact doubles, so that one correctly rounded division
+  equals ``float(token)`` bit for bit (Clinger's fast path). Any other
+  VCF Float token (such as ".5", "2.", "1e-05" or 17 digits) is read by
+  ``float()`` one token at a time. A row with a token that is no VCF
+  Float, a value outside [0, 2], an entry lacking a subfield or any other
+  entry shape goes to :func:`_decode_entries`, the one per-entry decoder,
+  which raises the error of the row's first bad entry.
+- Writing, a hard-call row is gathered from ``_GT_CALL_BYTES``. A GT:DS
+  dosage that equals ``rint(v * 10^p) / 10^p`` bit for bit, for some p <=
+  ``_WRITE_DECIMALS``, is gathered from a table of entries indexed by that
+  code, which the writer's one f-string (:func:`_ds_entry`) fills once per
+  file. Any other dosage (more places, -0.0, a subnormal) is formatted by
+  the same f-string, once per distinct value in its block.
+
+Values and text therefore equal the per-entry ones, bitwise and byte for
+byte, whichever path a row takes.
 
 Both model files share one codec: a magic line, a ``key value`` line per
 field, then the table rows (:func:`_model_text`, :func:`_read_model`).
@@ -43,7 +51,8 @@ import logging
 import math
 import os
 import re
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
+from functools import partial
 from dataclasses import dataclass
 from io import TextIOBase, TextIOWrapper
 from pathlib import Path
@@ -71,6 +80,7 @@ from .genotypes import (
     WeightRow,
     SEX_TOKENS,
     _ALLELE_RE,
+    _SEPARATORS,
 )
 
 logger = logging.getLogger(__name__)
@@ -101,13 +111,28 @@ _REAL_ROW = re.compile(rf"{_VCF_FLOAT.pattern}(?: {_VCF_FLOAT.pattern})*", re.AS
 # A VCF row's DS tokens joined by tabs. No token holds a tab, so this matches
 # exactly when each token is a VCF Float (a token may hold a space).
 _DS_ROW = re.compile(rf"{_VCF_FLOAT.pattern}(?:\t{_VCF_FLOAT.pattern})*", re.ASCII)
-# Entries a VCF memo table holds at most before it stops growing (a
-# 3-decimal GT:DS file has about 2,000 distinct entries).
-_MEMO_CAP = 1 << 16
+# Sample text the VCF codec decodes or renders at a time: enough rows that
+# numpy's cost per call fades, few enough that the block's temporaries stay
+# small beside the matrix.
+_BLOCK_BYTES = 1 << 16
+# Digits a DS token may hold for its exact decimal code: M < 10^15 < 2^53.
+_DS_DIGITS = 15
+_POW10 = np.array([float(10**f) for f in range(_DS_DIGITS + 1)])
+_POW10_INT = np.array([10**f for f in range(_DS_DIGITS + 1)], dtype=np.uint64)
+# Bytes of an ASCII word: all "0"s, every high nibble, and every byte 6.
+_U64_ZEROS = np.uint64(0x3030303030303030)
+_U64_HIGH_NIBBLES = np.uint64(0xF0F0F0F0F0F0F0F0)
+_U64_SIXES = np.uint64(0x0606060606060606)
+# Decimal places a written dosage may carry to be gathered from an entry
+# table: the benchmark's imputed-style dosages carry 3, and a table of
+# 4 places, 20,002 entries, is the largest made in a few tens of ms.
+_WRITE_DECIMALS = 4
+# The subfields after GT in each sample entry.
+_SUBFIELDS = re.compile(r":[^\t]*")
 
 
-# Byte path for fixed-width GT rows: each call plus the tab after it is one
-# little-endian 4-byte word, looked up in the sorted table of valid words.
+# The call table: each call plus the tab after it is one little-endian
+# 4-byte word, looked up in the sorted table of valid words.
 def _gt_word_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     calls = (*_GT_DOSAGE, *_GT_MISSING)
     words = np.frombuffer("".join(c + "\t" for c in calls).encode("ascii"), dtype="<u4")
@@ -120,7 +145,8 @@ def _gt_word_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _GT_WORDS, _GT_WORD_DOSAGE, _GT_WORD_MISSING = _gt_word_table()
 # The written GT call for codes 0, 1, 2 (dosage) and 3 (missing), each with
 # the tab that separates it from the field before.
-_GT_CALL_BYTES = np.frombuffer(b"\t0/0\t0/1\t1/1\t./.", dtype=np.uint8).reshape(4, 4)
+_GT_CALL_BYTES = np.array([b"\t0/0", b"\t0/1", b"\t1/1", b"\t./."])
+_GT_TEXT = ("0/0", "0/1", "1/1")
 
 
 # The one rule for each kind of number read from a file, config value or
@@ -283,15 +309,19 @@ def parse_vcf(
 
         rows_parsed + rows_skipped + rows_unused == rows_total
 
-    Rows whose FORMAT is exactly ``GT`` with every call three ASCII bytes
-    are decoded as one byte array per row. Any other row, or one with an
-    invalid byte, is looked up entry by entry in a table kept for the
-    whole parse, one per position of DS in FORMAT, from entry text to
-    value. Entries not in the table are decoded by :func:`_decode_entries`,
-    which raises the error decoding the whole row would raise, and are
-    stored while the table holds fewer than ``_MEMO_CAP``.
+    Used rows are decoded by the block codec, about ``_BLOCK_BYTES`` of
+    sample text at a time. A row without DS goes through the table of
+    3-byte GT calls. A GT:DS row reads each DS token that is a digit, or a
+    digit, a point and up to 14 more digits, as the exact decimal code
+    M / 10^F, which equals ``float(token)`` bit for bit, "." as missing,
+    and any other VCF Float token by ``float()``, one at a time. Every row
+    either path refuses (a token that is no VCF Float, a value outside
+    [0, 2], an entry without every FORMAT subfield, a call the table
+    lacks) is decoded by :func:`_decode_entries`. Rows still pending
+    in a block are decoded before a later row's error is raised, so the
+    first bad row in the file raises, as a row-by-row parse would.
 
-    Each row's dosages and mask are appended to one byte buffer apiece.
+    Each block's dosages and mask are appended to one byte buffer apiece.
     The (samples, variants) arrays are F-ordered views of those buffers,
     so the parse never holds a second copy of the matrix.
 
@@ -320,15 +350,31 @@ def parse_vcf(
         POS that is not ASCII digits or is below 1, or an empty CHROM.
     """
     wanted = None if wanted is None else frozenset(wanted)
-    with _text_source(source) as stream:
-        sample_names: tuple[str, ...] | None = None
-        # Each parsed row's dosages and mask, appended in row order.
-        dosage_rows, mask_rows = bytearray(), bytearray()
-        variants: list[Variant] = []
-        seen_ids: set[str] = set()
-        skipped: dict[str, list[int]] = {}
-        rows_total = rows_unused = 0
-        memo: dict[int | None, dict[str, float]] = {}
+    sample_names: tuple[str, ...] | None = None
+    # Each parsed row's dosages and mask, appended in row order.
+    dosage_rows, mask_rows = bytearray(), bytearray()
+    variants: list[Variant] = []
+    seen_ids: set[str] = set()
+    skipped: dict[str, list[int]] = {}
+    rows_total = rows_unused = 0
+    # Used rows not decoded yet: (line number, FORMAT, sample entries).
+    pending: list[tuple[int, str, str]] = []
+    pending_bytes = 0
+
+    def decode_pending() -> None:
+        nonlocal pending_bytes, dosage_rows, mask_rows
+        if pending:
+            block = pending.copy()
+            pending.clear()  # first, so that a block that raises is not decoded again
+            pending_bytes = 0
+            dose, miss = _decode_block(block, sample_names)
+            dosage_rows += dose.data
+            mask_rows += miss.data
+
+    with _text_source(source) as stream, ExitStack() as leaving:
+        # Decodes the last block on leaving; on an error, first, so that an
+        # earlier row's bad entry is the error raised.
+        leaving.callback(decode_pending)
 
         for line_no, line in _data_lines(stream):
             if not line:
@@ -349,6 +395,9 @@ def parse_vcf(
                     raise ParseAbort(f"line {line_no}: header has no sample columns")
                 if len(set(names)) != len(names):
                     raise ParseAbort(f"line {line_no}: duplicate sample names in header")
+                for name in names:  # a text stream that keeps "\r" can pass one in
+                    if not _SEPARATORS.isdisjoint(name):
+                        raise ParseAbort(f"line {line_no}: sample name {name!r} holds a line break")
                 sample_names = tuple(names)
                 continue
             if sample_names is None:
@@ -386,14 +435,9 @@ def parse_vcf(
             if not fmt_keys or fmt_keys[0] != "GT":
                 raise MalformedRow(line_no, f"FORMAT {fmt!r} must start with GT")
             used = wanted is None or vid in wanted
-            if used:
-                decoded = _decode_fixed_gt(calls, len(sample_names)) if fmt == "GT" else None
-                if decoded is None:
-                    ds_index = fmt_keys.index("DS") if "DS" in fmt_keys else None
-                    decoded = _decode_memo(
-                        calls.split("\t"), memo.setdefault(ds_index, {}), ds_index,
-                        sample_names, line_no,
-                    )
+            if used:  # queued before the Variant check: its entries' error comes first
+                pending.append((line_no, fmt, calls))
+                pending_bytes += len(calls)
             try:
                 variant = Variant(vid, chrom, pos, ref, alt)
             except ValueError as exc:
@@ -403,8 +447,8 @@ def parse_vcf(
                 rows_unused += 1
                 continue
             variants.append(variant)
-            dosage_rows += decoded[0].data
-            mask_rows += decoded[1].data
+            if pending_bytes >= _BLOCK_BYTES:
+                decode_pending()
 
         if sample_names is None:
             raise ParseAbort("no #CHROM header line found")
@@ -426,54 +470,142 @@ def parse_vcf(
     return matrix, report
 
 
-def _decode_fixed_gt(calls: str, n: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """Decode a GT-only sample section of n 3-byte calls as bytes.
+def _decode_block(
+    rows: list[tuple[int, str, str]], sample_names: tuple[str, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Decode a block of rows, each (line number, FORMAT, sample entries).
 
-    Returns (dosage, missing), or None when the section is not n valid
-    3-byte calls, so the caller falls back to :func:`_decode_memo`.
+    Returns (dosage, missing), one C-ordered row of each per VCF row. Rows
+    are grouped by FORMAT: rows with DS go to :func:`_ds_rows`, the others,
+    their GT calls stripped of later subfields, to :func:`_gt_rows`. A row
+    its group refuses, or whose text cannot be laid out for it, is decoded
+    by :func:`_decode_entries`, in file order, so the first bad row raises.
     """
-    if len(calls) != 4 * n - 1 or not calls.isascii():
-        return None
-    words = np.frombuffer((calls + "\t").encode("ascii"), dtype="<u4")
+    n = len(sample_names)
+    dose = np.empty((len(rows), n))
+    miss = np.empty((len(rows), n), dtype=bool)
+    done = np.zeros(len(rows), dtype=bool)
+    groups: dict[str, list[int]] = {}
+    for i, (_, fmt, _) in enumerate(rows):
+        groups.setdefault(fmt, []).append(i)
+    for fmt, members in groups.items():
+        keys = fmt.split(":")
+        if "DS" in keys:
+            colons = n * (len(keys) - 1)  # each entry holds every subfield
+            sections = {i: rows[i][2] for i in members}
+            laid_out = [i for i in members
+                        if sections[i].isascii() and sections[i].count(":") == colons]
+            decode = partial(_ds_rows, ds_index=keys.index("DS"), n_keys=len(keys))
+        else:
+            sections = {i: _SUBFIELDS.sub("", rows[i][2]) if ":" in rows[i][2] else rows[i][2]
+                        for i in members}
+            laid_out = [i for i in members
+                        if sections[i].isascii() and len(sections[i]) == 4 * n - 1]
+            decode = _gt_rows
+        if laid_out:
+            ok, values, missing = decode([sections[i] for i in laid_out], n)
+            if len(laid_out) == len(rows) and ok.all():  # the usual block: one path decodes it
+                return values, missing
+            taken = np.array(laid_out)[ok]
+            dose[taken], miss[taken], done[taken] = values[ok], missing[ok], True
+    for i in np.flatnonzero(~done).tolist():
+        line_no, fmt, calls = rows[i]
+        keys = fmt.split(":")
+        ds_index = keys.index("DS") if "DS" in keys else None
+        dose[i], miss[i] = _decode_entries(calls.split("\t"), ds_index, sample_names, line_no)
+    return dose, miss
+
+
+def _gt_rows(sections: list[str], n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ok, dosage, missing) of GT-only sections of n 3-byte ASCII calls.
+
+    Each call and the tab after it are looked up in the call table; ``ok``
+    is False for a row with any word the table lacks.
+    """
+    text = "\t".join(sections) + "\t"
+    words = np.frombuffer(text.encode("ascii"), dtype="<u4").reshape(len(sections), n)
     slots = np.searchsorted(_GT_WORDS, words)
     np.minimum(slots, len(_GT_WORDS) - 1, out=slots)
-    if not np.array_equal(_GT_WORDS[slots], words):
-        return None
-    return _GT_WORD_DOSAGE[slots], _GT_WORD_MISSING[slots]
+    ok = (_GT_WORDS[slots] == words).all(axis=1)
+    return ok, _GT_WORD_DOSAGE[slots], _GT_WORD_MISSING[slots]
 
 
-def _decode_memo(
-    entries: list[str],
-    table: dict[str, float],
-    ds_index: int | None,
-    sample_names: tuple[str, ...],
-    line_no: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Decode a row's entries through the memo table of its DS position.
+def _ds_rows(
+    sections: list[str], n: int, ds_index: int, n_keys: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ok, dosage, missing) of ASCII sections of n entries whose colons number
+    n * (n_keys - 1), decoding the subfield at ``ds_index``.
 
-    The table maps entry text to the value :func:`_decode_entries` gave
-    it, NaN for a missing call (no observed value is NaN). When a row has
-    entries not in the table, :func:`_decode_entries` decodes the first
-    occurrence of each, in row order and under its own sample name; an
-    entry in the table cannot fail, so it raises what decoding the whole
-    row would. They are then stored. Once the table holds ``_MEMO_CAP``
-    entries, such rows are decoded whole and nothing more is stored.
+    A DS token that is one digit, or a digit, a point and 1 to
+    ``_DS_DIGITS`` - 1 digits, is M / 10^F; "." is a missing call. Any
+    other token (such as "2.", ".5", "1e-05" or 17 digits) of a row whose
+    entries all hold ``n_keys`` subfields is read by :func:`_vcf_float`'s
+    rule, one token at a time. ``ok`` is False for a row with an entry of
+    other than ``n_keys`` subfields, a token that is no VCF Float or a value
+    outside [0, 2]; :func:`_decode_entries` raises its error.
     """
-    try:
-        values = np.fromiter(map(table.__getitem__, entries), np.float64, len(entries))
-    except KeyError:
-        if len(table) >= _MEMO_CAP:
-            return _decode_entries(entries, ds_index, sample_names, line_no)
-        new: dict[str, str] = {}
-        for entry, name in zip(entries, sample_names):
-            if entry not in table:
-                new.setdefault(entry, name)
-        dose, miss = _decode_entries(list(new), ds_index, tuple(new.values()), line_no)
-        table.update(zip(new, np.where(miss, np.nan, dose).tolist()))
-        values = np.fromiter(map(table.__getitem__, entries), np.float64, len(entries))
-    miss = np.isnan(values)
-    values[miss] = 0.0
-    return values, miss
+    r = len(sections)
+    text = "\t".join(sections) + "\t"
+    # Spaces around it, so the 16 bytes before a token and the one after the
+    # first byte of an empty one are in the buffer.
+    buf = np.frombuffer((" " * 16 + text + " ").encode("ascii"), dtype=np.uint8)
+    seps = np.flatnonzero((buf == ord("\t")) | (buf == ord(":"))).reshape(r * n, n_keys)
+    # Each row has n tabs, so every entry has n_keys subfields when every
+    # group of n_keys separators ends with a tab.
+    ok = (buf[seps[:, -1]] == ord("\t")).reshape(r, n).all(axis=1)
+    start, end = seps[:, ds_index - 1] + 1, seps[:, ds_index]
+    length = end - start
+    places = np.clip(length - 2, 0, _DS_DIGITS - 1)
+    first = buf[start]
+    missing = (length == 1) & (first == ord("."))
+    lead = first - np.uint8(ord("0"))  # wraps: a digit is below 10
+    words = np.ndarray((len(buf) - 7,), dtype="<u8", buffer=buf, strides=(1,))  # unaligned
+    low, low_digits = _eight_digits(_last_bytes(words, end, np.minimum(places, 8)))
+    exact = (lead < 10) & low_digits & (
+        (length == 1) | ((length >= 3) & (length <= _DS_DIGITS + 1) & (buf[start + 1] == ord(".")))
+    )
+    mantissa = lead.astype(np.uint64) * _POW10_INT[places] + low
+    if (places > 8).any():
+        high, high_digits = _eight_digits(_last_bytes(words, end - 8, np.clip(places - 8, 0, 8)))
+        exact &= high_digits
+        mantissa += high * np.uint64(10**8)
+    value = mantissa / _POW10[places]
+    exact &= value <= 2.0
+    # Other tokens of rows laid out right are read one by one by _vcf_float's
+    # rule; a bad one or a value outside [0, 2] leaves its row to the fallback.
+    other = np.flatnonzero(~(exact | missing) & np.repeat(ok, n))
+    if len(other):
+        tokens = [text[a:b] for a, b in zip((start[other] - 16).tolist(), (end[other] - 16).tolist())]
+        if _DS_ROW.fullmatch("\t".join(tokens)):  # all VCF Floats: one match
+            read = np.fromiter(map(float, tokens), np.float64, len(tokens))
+        else:
+            read = np.array([float(t) if _VCF_FLOAT.fullmatch(t) else np.nan for t in tokens])
+        fine = (read >= 0.0) & (read <= 2.0)  # False for NaN
+        value[other[fine]] = read[fine]
+        exact[other[fine]] = True
+    ok &= (exact | missing).reshape(r, n).all(axis=1)
+    return ok, np.where(exact, value, 0.0).reshape(r, n), missing.reshape(r, n)
+
+
+def _last_bytes(words: np.ndarray, end: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The ``count`` (0 to 8) bytes before each ``end``, after as many "0"s as
+    make 8, as one little-endian uint64 each (``words`` holds the uint64 at
+    every byte offset of the buffer)."""
+    below = np.uint64(64) - count.astype(np.uint64) * np.uint64(8)
+    return ((words[end - 8] >> below) << below) | (_U64_ZEROS >> (np.uint64(64) - below))
+
+
+def _eight_digits(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(value, all digits) of each uint64 read as 8 ASCII bytes, the most
+    significant digit first, by SWAR: pairs, then fours, then all eight."""
+    digits = ((words & _U64_HIGH_NIBBLES) == _U64_ZEROS) & (
+        ((words + _U64_SIXES) & _U64_HIGH_NIBBLES) == _U64_ZEROS
+    )
+    v = words - _U64_ZEROS
+    v = (v * np.uint64(10) + (v >> np.uint64(8))) & np.uint64(0x00FF00FF00FF00FF)
+    v = (v * np.uint64(100) + (v >> np.uint64(16))) & np.uint64(0x0000FFFF0000FFFF)
+    v = (v * np.uint64(10000) + (v >> np.uint64(32))) & np.uint64(0xFFFFFFFF)
+    return v, digits
 
 
 def _decode_entries(
@@ -530,70 +662,131 @@ def write_vcf(matrix: GenotypeMatrix, dest: Source) -> None:
     """Write a matrix as a minimal VCF subset that ``parse_vcf`` reads back.
 
     Hard-call matrices (all observed dosages integral) are written with GT
-    only, which round-trips exactly. Each of their rows is rendered from an
-    int8 call code per sample in one numpy step, with the same bytes as
-    the per-entry text. Matrices with fractional dosages are written as
-    GT:DS with DS carrying the exact dosage (shortest text that round-trips
-    the float) and GT the nearest hard call. Each entry's text is made
-    once per distinct dosage bit pattern and then taken from a memo table
-    of at most ``_MEMO_CAP`` entries: a row formats only its entries not
-    yet in the table, and once the table is full, its new entries go
-    uncached.
+    only, which round-trips exactly. Matrices with fractional dosages are
+    written as GT:DS with DS carrying the exact dosage (shortest text that
+    round-trips the float) and GT the nearest hard call.
+
+    Rows are rendered by the block codec, about ``_BLOCK_BYTES`` of sample
+    text at a time. Hard-call rows are gathered from ``_GT_CALL_BYTES``. A
+    GT:DS dosage that equals ``rint(v * 10^p) / 10^p`` bit for bit, for
+    some p <= ``_WRITE_DECIMALS``, is gathered from a table of entries
+    indexed by the code ``rint(v * 10^p)``, made on first use in the file,
+    each entry once, by :func:`_ds_entry`. Every other dosage of a block
+    is formatted by :func:`_ds_entry` once per distinct value. Nothing the
+    size of the matrix is allocated.
     """
-    hard = bool(
-        np.all(
-            (matrix.dosage == np.rint(matrix.dosage)) | matrix.missing_mask
-        )
-    )
-    gt_text = {0: "0/0", 1: "0/1", 2: "1/1"}
-    if hard:
-        # Code 0-2 is the dosage, 3 a missing call (row 3 of _GT_CALL_BYTES).
-        calls = np.full(matrix.dosage.shape, 3.0)
-        np.rint(matrix.dosage, out=calls, where=~matrix.missing_mask)
-        codes = np.ascontiguousarray(calls.T, dtype=np.int8)
-    else:
-        # One row per variant; a missing call is NaN, which no observed
-        # dosage is (they lie in [0, 2]), so its bits key "./.:.".
-        values = np.ascontiguousarray(np.where(matrix.missing_mask, np.nan, matrix.dosage).T)
-        bits = values.view(np.uint64)
-        texts: dict[int, str] = {}
+    n, m = matrix.dosage.shape
+    hard = _hard_calls(matrix)
+    fmt = "GT" if hard else "GT:DS"
+    # Rows per block: about _BLOCK_BYTES of entries of 4 (GT) or ~8 (GT:DS) bytes.
+    step = max(1, _BLOCK_BYTES // ((4 if hard else 8) * max(1, n)))
+    tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     with _text_dest(dest) as out:
         out.write("##fileformat=VCFv4.2\n")
         out.write("##source=prsadjust\n")
         out.write("\t".join(_VCF_FIXED_COLUMNS) + "\t" + "\t".join(matrix.sample_ids) + "\n")
-        fmt = "GT" if hard else "GT:DS"
-        for j, variant in enumerate(matrix.variants):
-            fixed = "\t".join(
-                (
-                    variant.chromosome,
-                    str(variant.position),
-                    variant.id,
-                    variant.ref_allele,
-                    variant.alt_allele,
-                    ".",
-                    "PASS",
-                    ".",
-                    fmt,
-                )
-            )
+        for j in range(0, m, step):
+            # One row per variant, copied once so the work on it reads memory in order.
+            values = np.ascontiguousarray(matrix.dosage[:, j:j + step].T)
+            missing = np.ascontiguousarray(matrix.missing_mask[:, j:j + step].T)
             if hard:
-                out.write(fixed + _GT_CALL_BYTES[codes[j]].tobytes().decode("ascii") + "\n")
-                continue
-            keys = bits[j].tolist()
-            try:
-                row = "\t".join(map(texts.__getitem__, keys))
-            except KeyError:
-                missing = {
-                    key: "./.:." if d != d else f"{gt_text[int(np.rint(d))]}:{d!r}"
-                    for key, d in zip(keys, values[j].tolist())
-                    if key not in texts
-                }
-                if len(texts) < _MEMO_CAP:
-                    texts.update(missing)
-                    row = "\t".join(map(texts.__getitem__, keys))
-                else:
-                    row = "\t".join(missing[key] if key in missing else texts[key] for key in keys)
-            out.write(fixed + "\t" + row + "\n")
+                # Code 0-2 is the dosage, 3 a missing call.
+                codes = np.where(missing, 3, np.rint(values)).astype(np.int8)
+                rows = _gather_rows(_GT_CALL_BYTES, codes)
+            else:
+                rows = _ds_block(values, missing, tables)
+            out.write("".join(
+                "\t".join((
+                    variant.chromosome, str(variant.position), variant.id, variant.ref_allele,
+                    variant.alt_allele, ".", "PASS", ".", fmt,
+                )) + row + "\n"
+                for variant, row in zip(matrix.variants[j:j + step], rows)
+            ))
+
+
+def _hard_calls(matrix: GenotypeMatrix) -> bool:
+    """Whether every observed dosage is integral, checked a few columns at a
+    time so that no temporary is the size of the matrix."""
+    n, m = matrix.dosage.shape
+    width = max(1, _BLOCK_BYTES // max(1, n))
+    for j in range(0, m, width):
+        block = matrix.dosage[:, j:j + width]
+        if not np.all((block == np.rint(block)) | matrix.missing_mask[:, j:j + width]):
+            return False
+    return True
+
+
+def _ds_entry(d: float) -> str:
+    """The GT:DS entry of an observed dosage after its tab: its nearest hard
+    call, then its repr."""
+    return f"\t{_GT_TEXT[round(d)]}:{d!r}"  # round() breaks ties to even, as np.rint does
+
+
+def _entries(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Entry texts as one NUL-padded bytes array, and the length of each."""
+    return np.array(texts, dtype=bytes), np.fromiter(map(len, texts), np.int64, len(texts))
+
+
+def _ds_table(places: int) -> tuple[np.ndarray, np.ndarray]:
+    """The :func:`_entries` of codes c = 0 .. 2 * 10^places (dosage
+    c / 10^places) and then of a missing call."""
+    scale = 10**places
+    return _entries([*map(_ds_entry, (np.arange(2 * scale + 1) / scale).tolist()), "\t./.:."])
+
+
+def _ds_block(
+    values: np.ndarray, missing: np.ndarray, tables: dict[int, tuple[np.ndarray, np.ndarray]]
+) -> list[str]:
+    """The GT:DS sample text, each entry after its tab, of a block of rows.
+
+    Each observed dosage that equals ``rint(v * 10^p) / 10^p`` bit for bit,
+    for some p <= ``_WRITE_DECIMALS``, is gathered from the entry table of
+    the least p that holds all such dosages of the block (made on first use
+    and kept in ``tables``). The block's other dosages (more places, -0.0, a
+    subnormal) are formatted once per distinct value and gathered from an
+    extension of that table made for the block.
+    """
+    observed = np.where(missing, 0.0, values)
+    scale = 10**_WRITE_DECIMALS
+    codes = np.rint(observed * scale).astype(np.int32)
+    # Integer codes read back +0.0 for -0.0, so -0.0 is odd.
+    odd = (codes / scale).view(np.uint64) != observed.view(np.uint64)
+    codes[odd] = 0
+    # Codes at p places are the ones at _WRITE_DECIMALS places over 10^(_WRITE_DECIMALS - p).
+    places = _WRITE_DECIMALS
+    while places and not (codes % 10 ** (_WRITE_DECIMALS - places + 1)).any():
+        places -= 1
+    if places not in tables:
+        tables[places] = _ds_table(places)
+    table, lengths = tables[places]
+    codes //= 10 ** (_WRITE_DECIMALS - places)
+    codes[missing] = len(table) - 1
+    if odd.any():
+        bits, slots = np.unique(observed[odd].view(np.uint64), return_inverse=True)
+        extra, extra_lengths = _entries(list(map(_ds_entry, bits.view(np.float64).tolist())))
+        codes[odd] = len(table) + slots
+        table, lengths = np.concatenate((table, extra)), np.concatenate((lengths, extra_lengths))
+    return _gather_rows(table, codes, lengths)
+
+
+def _gather_rows(
+    table: np.ndarray, codes: np.ndarray, lengths: np.ndarray | None = None
+) -> list[str]:
+    """Each row of ``codes`` as the text of its entries in ``table``, a bytes
+    array, joined; ``lengths`` gives each entry's length before its NUL
+    padding, and None means no entry is padded."""
+    text = table[codes].tobytes()
+    if lengths is None:
+        width = table.itemsize * codes.shape[1]
+        ends = range(width, len(text) + 1, width)
+    else:
+        ends = np.cumsum(lengths[codes].sum(axis=1)).tolist()
+        # replace() costs ~15 ns a NUL and translate() ~1.3 ns a byte (2 vCPU
+        # x86-64 host), so rows of short entries in a wide table use translate().
+        nuls = len(text) - ends[-1]
+        text = text.translate(None, b"\0") if 12 * nuls > len(text) else text.replace(b"\0", b"")
+    text = text.decode("ascii")
+    return [text[a:b] for a, b in zip([0, *ends], ends)]
 
 
 # ---------------------------------------------------------------------------
@@ -751,8 +944,10 @@ def parse_phenotypes(source: Source) -> list[SampleRecord]:
                     sex=sex,
                     bmi=bmi,
                 )
-            except ValueError as exc:  # every other field it checks is checked above
-                raise NegativeBmi(f"line {line_no}: {exc}") from None
+            except ValueError as exc:  # it checks bmi before the separators in the ids
+                if bmi is not None and bmi < 0:
+                    raise NegativeBmi(f"line {line_no}: {exc}") from None
+                raise MalformedRow(line_no, str(exc)) from None
             seen.add(sample_id)
             records.append(record)
     return records

@@ -111,6 +111,20 @@ def guard_cohort(tmp_path_factory):
     return root / "d"
 
 
+@pytest.fixture(scope="module")
+def guard_dosage_vcf(guard_cohort):
+    """The guard cohort as imputed GT:DS: 3-decimal dosages near the calls, 2% missing."""
+    calls, _ = pio.parse_vcf(guard_cohort / "genotypes.vcf")
+    rng = np.random.default_rng(5)
+    noisy = calls.dosage + rng.normal(0.0, 0.1, calls.dosage.shape)
+    dosage = np.round(np.clip(noisy, 0.0, 2.0), 3)
+    missing = rng.random(dosage.shape) < 0.02
+    dosage[missing] = 0.0
+    path = guard_cohort.parent / "dosage.vcf"
+    pio.write_vcf(replace(calls, dosage=dosage, missing_mask=missing), path)
+    return path
+
+
 class TestSimulate:
     def test_default_scenario_small_seedless_run(self, tmp_path, capsys):
         config = tmp_path / "tiny.cfg"
@@ -309,6 +323,18 @@ class TestFit:
         finally:
             tracemalloc.stop()
         assert parsed.dosage.shape == (900, 990)
+        assert peak <= 1.75 * parsed.dosage.nbytes
+
+    def test_dosage_parse_peak_holds_no_second_copy(self, guard_dosage_vcf):
+        """The same bound on the guard cohort in GT:DS with missing calls."""
+        tracemalloc.start()
+        try:
+            parsed, _ = pio.parse_vcf(guard_dosage_vcf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert parsed.dosage.shape == (900, 990)
+        assert parsed.missing_mask.any() and not np.array_equal(parsed.dosage, np.rint(parsed.dosage))
         assert peak <= 1.75 * parsed.dosage.nbytes
 
     def test_k_auto_keeps_the_tracy_widom_count(self, tmp_path, capsys):

@@ -4,6 +4,7 @@ import io as stdio
 import logging
 import os
 import re
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -199,9 +200,10 @@ class TestParseVcf:
         with pytest.raises(ParseAbort):
             parse_vcf(stdio.StringIO("1\t100\trs1\tA\tG\t.\t.\t.\tGT\t0/0\n"))
 
-    def test_duplicate_sample_names_abort(self):
-        text = VCF_TEXT.replace("S1\tS2\tS3", "S1\tS1\tS3")
-        with pytest.raises(ParseAbort):
+    @pytest.mark.parametrize("names", ["S1\tS1\tS3", "S1\tS\r2\tS3"])
+    def test_duplicate_or_broken_sample_names_abort(self, names):
+        text = VCF_TEXT.replace("S1\tS2\tS3", names)
+        with pytest.raises(ParseAbort, match="line 3: "):
             parse_vcf(stdio.StringIO(text))
 
     def test_header_without_samples_aborts(self):
@@ -229,6 +231,12 @@ class TestVcfRoundTrip:
         assert np.array_equal(back.missing_mask, m.missing_mask)
         keep = ~m.missing_mask
         assert np.array_equal(back.dosage[keep], m.dosage[keep])
+        # a tab or line break in an id or chromosome would split its row when written
+        for bad in ("\t", "\r", "\n"):
+            with pytest.raises(ValueError, match="tab or line break"):
+                replace(m.variants[0], id=f"rs{bad}1")
+            with pytest.raises(ValueError, match="tab or line break"):
+                replace(m.variants[0], chromosome=f"1{bad}")
 
     def test_fractional_dosages_round_trip_exactly(self):
         vals = [[0.1234567890123456, 1.999999999999999], [2.0, 0.0]]
@@ -346,12 +354,18 @@ class TestGtBytePath:
 
 # The DS token grammar: a VCF Float in ASCII.
 _VCF_FLOAT = re.compile(r"[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?", re.ASCII)
-_DS_TOKENS = ["0", "0.5", "1.25", "2", "-0.0", "1e-05", ".5", "2.", "+1", "1E0", ".", "0.125"]
-_BAD_DS_TOKENS = ["0_5e-1", " 0.5", "\u0661.\u0665", "nan", "inf", "2.5", "-1", "x", "", "1e"]
+# Exact decimal codes: a digit, alone or with a point and 1 to 14 more (15 digits at most)...
+_EXACT_DS_TOKENS = ["0", "2", "0.5", "1.25", "0.125", "0.00001", "1.99999999999999", "."]
+# ...and tokens the per-entry decoder reads: other VCF Floats, 16 and 17 digits.
+_OTHER_DS_TOKENS = ["-0.0", "1e-05", ".5", "2.", "+1", "1E0", "00.5", "1.234567890123456",
+                    "0.1234567890123456"]
+_DS_TOKENS = _EXACT_DS_TOKENS * 2 + _OTHER_DS_TOKENS
+_BAD_DS_TOKENS = ["0_5e-1", " 0.5", "\u0661.\u0665", "nan", "inf", "2.5", "-1", "x", "", "1e",
+                  "2.00000000000001"]
 _GT_TOKENS = ["0/0", "0|1", "1/0", "1/1", "./.", ".|."]
 _BAD_GT_TOKENS = ["0/2", "x/y"]
-# The real cap, and caps small enough that these examples exceed them.
-_CAPS = st.sampled_from([0, 1, 3, prsadjust.io._MEMO_CAP])
+# Block budgets: one row a block, a few rows a block, and the real budget.
+_BUDGETS = st.sampled_from([1, 24, prsadjust.io._BLOCK_BYTES])
 
 
 def _entry_oracle(entry, ds_index):
@@ -375,41 +389,72 @@ def _gt_entry(d):
     return f"{('0/0', '0/1', '1/1')[int(np.rint(d))]}:{d!r}"
 
 
+def _vcf_text(n, rows, pos_text=None):
+    """A VCF of rows (FORMAT, entries) over samples S0..; ``pos_text`` maps a
+    row index to the POS written in place of its own."""
+    header = "#CHROM\tPOS\tID\tREF\tALT\tQUAL\tFILTER\tINFO\tFORMAT\t" + "\t".join(
+        f"S{i}" for i in range(n)
+    )
+    pos_text = pos_text or {}
+    lines = [header] + [
+        f"1\t{pos_text.get(r, 100 * (r + 1))}\trs{r}\tA\tG\t.\t.\t.\t{fmt}\t" + "\t".join(entries)
+        for r, (fmt, entries) in enumerate(rows)
+    ]
+    return "\n".join(lines) + "\n"
+
+
 @st.composite
 def dosage_vcf_rows(draw):
-    """(sample count, [(FORMAT, entries)]) over small token pools, some invalid."""
+    """(sample count, [(FORMAT, entries)]) over small token pools, some invalid.
+
+    Most entries hold every subfield FORMAT names, so whole rows can take
+    the exact decimal path; the others drop trailing subfields or add some.
+    "DS:GT" does not start with GT, so its rows are refused.
+    """
     n = draw(st.integers(min_value=1, max_value=5))
-    entry = st.tuples(
-        st.sampled_from(_GT_TOKENS * 4 + _BAD_GT_TOKENS),
-        st.lists(st.sampled_from(_DS_TOKENS * 8 + _BAD_DS_TOKENS), max_size=2),
-    ).map(lambda parts: ":".join([parts[0], *parts[1]]))
-    row = st.tuples(
-        st.sampled_from(["GT:DS", "GT", "GT:GQ:DS"]),
-        st.lists(entry, min_size=n, max_size=n),
-    )
-    return n, draw(st.lists(row, min_size=1, max_size=8))
+
+    def row(fmt):
+        full = fmt.count(":")
+        subfields = st.sampled_from([full, full, 0, 1, 2, 3]).flatmap(
+            lambda k: st.lists(st.sampled_from(_DS_TOKENS * 8 + _BAD_DS_TOKENS), min_size=k, max_size=k)
+        )
+        entry = st.tuples(st.sampled_from(_GT_TOKENS * 4 + _BAD_GT_TOKENS), subfields).map(
+            lambda parts: ":".join([parts[0], *parts[1]])
+        )
+        return st.tuples(st.just(fmt), st.lists(entry, min_size=n, max_size=n))
+
+    formats = st.sampled_from(["GT:DS", "GT:DS", "GT", "GT:GQ:DS", "GT:DS:GP", "DS:GT"])
+    return n, draw(st.lists(formats.flatmap(row), min_size=1, max_size=8))
 
 
-_SPECIAL_DOSAGES = [-0.0, 0.0, 1e-05, 5e-324, 2.2250738585072014e-308, 0.1 + 0.2, 1.5, 2.0]
+_SPECIAL_DOSAGES = [-0.0, 5e-324, 2.2250738585072014e-308, 1e-05, 0.1 + 0.2, 1.5, 2.0]
+
+
+def _decimals(places):
+    """Dosages that are exact decimals of ``places`` places."""
+    return st.integers(0, 2 * 10**places).map(lambda code: code / 10**places)
 
 
 @st.composite
 def dosage_matrices(draw):
     """Matrices with a fractional observed dosage, so write_vcf takes GT:DS.
 
-    Values come from a small pool (so rows repeat entries) or are all
-    distinct; under the mask they are NaN or any dosage.
+    Each variant draws its dosages as decimals of 0 to 7 places (up to
+    _WRITE_DECIMALS places a table renders them; beyond, each distinct one
+    is formatted in its block), from special values (-0.0, subnormals, a
+    sum that is no short decimal) or as any float in [0, 2]; some variants
+    then get one special value among their decimals. Under the mask
+    dosages are NaN or any value.
     """
     n = draw(st.integers(min_value=1, max_value=6))
     m = draw(st.integers(min_value=1, max_value=5))
-    size = n * m
-    if draw(st.booleans()):
-        values = draw(st.lists(st.floats(0.0, 2.0), min_size=size, max_size=size, unique=True))
-    else:
-        pool = st.one_of(st.sampled_from(_SPECIAL_DOSAGES), st.floats(0.0, 2.0))
-        values = draw(st.lists(pool, min_size=size, max_size=size))
-    grid = np.array(values, dtype=float).reshape(n, m)
-    flags = st.lists(st.booleans(), min_size=size, max_size=size)
+    pools = [_decimals(p) for p in range(8)] + [st.sampled_from(_SPECIAL_DOSAGES), st.floats(0.0, 2.0)]
+    grid = np.empty((n, m))
+    for j in range(m):
+        grid[:, j] = draw(st.lists(draw(st.sampled_from(pools)), min_size=n, max_size=n))
+        if draw(st.booleans()):
+            grid[draw(st.integers(0, n - 1)), j] = draw(st.sampled_from(_SPECIAL_DOSAGES))
+    flags = st.lists(st.booleans(), min_size=n * m, max_size=n * m)
     mask = np.array(draw(flags)).reshape(n, m)
     grid[mask & np.array(draw(flags)).reshape(n, m)] = np.nan
     if np.all((grid == np.rint(grid)) | mask):
@@ -417,32 +462,31 @@ def dosage_matrices(draw):
     return make_matrix(grid, missing=list(zip(*np.nonzero(mask))))
 
 
-class TestDosageMemoTables:
-    @given(dosage_vcf_rows(), _CAPS)
-    def test_parse_matches_per_entry_oracle(self, drawn, cap):
+class TestDosageBlockCodec:
+    @given(dosage_vcf_rows(), st.none() | st.integers(0, 7), _BUDGETS)
+    def test_parse_matches_per_entry_oracle(self, drawn, broken, budget):
+        """The first bad row in the file raises, whether its entries or its
+        POS ("x" in row ``broken``) are bad, though earlier rows are still
+        pending in a block; else every value is bitwise the oracle's."""
         n, rows = drawn
-        header = "#CHROM\tPOS\tID\tREF\tALT\tQUAL\tFILTER\tINFO\tFORMAT\t" + "\t".join(
-            f"S{i}" for i in range(n)
-        )
-        lines = [header] + [
-            f"1\t{100 * (r + 1)}\trs{r}\tA\tG\t.\t.\t.\t{fmt}\t" + "\t".join(entries)
-            for r, (fmt, entries) in enumerate(rows)
-        ]
-        text = "\n".join(lines) + "\n"
+        text = _vcf_text(n, rows, {broken: "x"})
         decoded = []
         for fmt, entries in rows:
             keys = fmt.split(":")
             ds_index = keys.index("DS") if "DS" in keys else None
             decoded.append([_entry_oracle(e, ds_index) for e in entries])
-        with mock.patch.object(prsadjust.io, "_MEMO_CAP", cap):
-            for r, row in enumerate(decoded):
-                errors = [(i, d) for i, d in enumerate(row) if isinstance(d, str)]
+        with mock.patch.object(prsadjust.io, "_BLOCK_BYTES", budget):
+            for r, (row, (fmt, _)) in enumerate(zip(decoded, rows)):
+                errors = [f"sample S{i}: {d}" for i, d in enumerate(row) if isinstance(d, str)]
+                if r == broken:
+                    errors = ["POS 'x' is not a run of ASCII digits"]
+                elif not fmt.startswith("GT:") and fmt != "GT":
+                    errors = [f"FORMAT {fmt!r} must start with GT"]
                 if errors:
-                    i, tail = errors[0]
                     with pytest.raises(MalformedRow) as exc:
                         parse_vcf(stdio.StringIO(text))
                     assert exc.value.line_no == r + 2
-                    assert str(exc.value) == f"line {r + 2}: sample S{i}: {tail}"
+                    assert str(exc.value) == f"line {r + 2}: {errors[0]}"
                     return
             matrix, _ = parse_vcf(stdio.StringIO(text))
         expected = np.array([[d for d, _ in row] for row in decoded]).T
@@ -450,10 +494,50 @@ class TestDosageMemoTables:
         assert matrix.dosage.tobytes() == expected.tobytes()
         assert np.array_equal(matrix.missing_mask, expected_mask)
 
-    @given(dosage_matrices(), _CAPS)
-    def test_write_matches_per_entry_rendering_and_round_trips(self, matrix, cap):
+    @pytest.mark.parametrize("token", _EXACT_DS_TOKENS)
+    def test_exact_tokens_skip_the_per_entry_decoder(self, token):
+        text = _vcf_text(2, [("GT:DS", [f"0/1:{token}", "./.:."]), ("GT:DS:GP", [f"0/1:{token}:x"] * 2)])
+        with mock.patch.object(
+            prsadjust.io, "_decode_entries", wraps=prsadjust.io._decode_entries
+        ) as per_entry:
+            matrix, _ = parse_vcf(stdio.StringIO(text))
+        assert per_entry.call_count == 0
+        value = 0.0 if token == "." else float(token)
+        assert matrix.dosage[0].tobytes() == np.array([value, value]).tobytes()
+        assert matrix.missing_mask.tolist() == [[token == "."] * 2, [True, token == "."]]
+
+    @pytest.mark.parametrize("token", ["2.5", "3", "2.00000000000001", "9.99999999999999"])
+    def test_exact_tokens_above_two_raise(self, token):
+        text = _vcf_text(2, [("GT:DS", ["0/1:0.5", "0/0:0"]), ("GT:DS", ["0/1:0.5", f"0/0:{token}"])])
+        with pytest.raises(MalformedRow) as exc:
+            parse_vcf(stdio.StringIO(text))
+        assert str(exc.value) == f"line 3: sample S1: DS {token} outside [0, 2]"
+
+    @pytest.mark.parametrize("token", _OTHER_DS_TOKENS)
+    def test_other_tokens_are_read_without_the_per_entry_decoder(self, token):
+        text = _vcf_text(2, [("GT:DS", ["0/1:0.5", "0/0:0"]), ("GT:DS", [f"0/1:{token}", "0/0:0"])])
+        with mock.patch.object(
+            prsadjust.io, "_decode_entries", wraps=prsadjust.io._decode_entries
+        ) as per_entry:
+            matrix, _ = parse_vcf(stdio.StringIO(text))
+        assert per_entry.call_count == 0
+        assert matrix.dosage[0, 1] == float(token)
+        assert str(matrix.dosage[0, 1]) == str(float(token))  # -0.0 keeps its sign
+
+    @pytest.mark.parametrize("token", _BAD_DS_TOKENS)
+    def test_bad_tokens_take_the_per_entry_decoder(self, token):
+        text = _vcf_text(2, [("GT:DS", ["0/1:0.5", "0/0:0"]), ("GT:DS", ["0/1:1", f"0/0:{token}"])])
+        with mock.patch.object(
+            prsadjust.io, "_decode_entries", wraps=prsadjust.io._decode_entries
+        ) as per_entry, pytest.raises(MalformedRow) as exc:
+            parse_vcf(stdio.StringIO(text))
+        assert per_entry.call_count == 1
+        assert str(exc.value) == f"line 3: sample S1: {_entry_oracle(f'0/0:{token}', 1)}"
+
+    @given(dosage_matrices(), _BUDGETS)
+    def test_write_matches_per_entry_rendering_and_round_trips(self, matrix, budget):
         buf = stdio.StringIO()
-        with mock.patch.object(prsadjust.io, "_MEMO_CAP", cap):
+        with mock.patch.object(prsadjust.io, "_BLOCK_BYTES", budget):
             write_vcf(matrix, buf)
             back, _ = parse_vcf(stdio.StringIO(buf.getvalue()))
         rows = buf.getvalue().splitlines()[3:]
@@ -468,6 +552,17 @@ class TestDosageMemoTables:
         assert np.array_equal(back.missing_mask, matrix.missing_mask)
         expected = np.where(matrix.missing_mask, 0.0, matrix.dosage)
         assert back.dosage.tobytes() == expected.tobytes()
+
+    def test_write_formats_each_table_entry_once_per_file(self):
+        """Rows of 3-place dosages share one table of 2,001 entries; a
+        5-place dosage beside them is formatted once in its block."""
+        grid = np.array([[0.125, 0.5, 0.00001], [1.0, 1.999, 1.0], [0.0, 0.25, 0.5]] * 4)
+        matrix = make_matrix(grid, missing=[(0, 1)])
+        with mock.patch.object(prsadjust.io, "_ds_entry", wraps=prsadjust.io._ds_entry) as entry:
+            write_vcf(matrix, stdio.StringIO())
+            assert entry.call_count == 2001 + 1
+            write_vcf(matrix, stdio.StringIO())
+            assert entry.call_count == 2 * (2001 + 1)
 
 
 WEIGHTS_TEXT = (
@@ -606,6 +701,12 @@ class TestPhenotypes:
         back = parse_phenotypes(stdio.StringIO(buf.getvalue()))
         assert back[0].bmi == recs[0].bmi
         assert back[1].bmi is None
+        # a tab or line break in an id or label would split its row when written
+        for bad in ("\t", "\r", "\n"):
+            with pytest.raises(ValueError, match="tab or line break"):
+                replace(recs[0], sample_id=f"S{bad}1")
+            with pytest.raises(ValueError, match="tab or line break"):
+                replace(recs[0], population=f"POP{bad}A")
 
 
 @pytest.mark.parametrize(
@@ -761,8 +862,8 @@ def _resolved_id(r, vid, alt):
 
 
 class TestParseVcfWanted:
-    @given(vcf_rows_and_wanted(), _CAPS)
-    def test_equals_the_full_parse_restricted_to_wanted(self, drawn, cap):
+    @given(vcf_rows_and_wanted(), _BUDGETS)
+    def test_equals_the_full_parse_restricted_to_wanted(self, drawn, budget):
         """With wanted, the full parse of the same file with every unwanted
         row's calls made valid, restricted to the wanted ids in file order:
         the same variants, dosage and mask bits and skip lines, or the same
@@ -781,7 +882,7 @@ class TestParseVcfWanted:
                              + "\t".join(entries))
             return "\n".join(lines) + "\n"
 
-        with mock.patch.object(prsadjust.io, "_MEMO_CAP", cap):
+        with mock.patch.object(prsadjust.io, "_BLOCK_BYTES", budget):
             try:
                 full, full_report = parse_vcf(stdio.StringIO(text(True)))
             except MalformedRow as error:
