@@ -13,7 +13,11 @@ report. Every input file, every output file and each command's stdout,
 stderr and exit code are compared byte for byte. Prints IDENTICAL, or,
 for each file that differs, the number of its differing lines (paired by
 difflib, so a removed or inserted line does not shift the rest) and the
-first three of them, and exits 1.
+first three of them, and exits 1. After the verdict it prints each tree's
+peak RSS for every fit and score command; the table is not compared, and
+the exit code depends on the bytes alone. The commands are started by
+``perfbench/spawner.py``'s helper, launched before this script loads numpy,
+so each figure is the command's own high-water mark.
 """
 
 from __future__ import annotations
@@ -30,12 +34,18 @@ ROOT = Path(__file__).resolve().parent.parent
 BLAS_ENV = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-import workloads  # noqa: E402
-from prsadjust.simulate import DEFAULT_SCENARIO  # noqa: E402
+from spawner import Spawner  # noqa: E402  (standard library only: loads no numpy)
 
 SEED = 11
 SHOWN = 3  # differing lines printed per file
-RUN_MAIN = "import sys; from prsadjust.cli import main; sys.exit(main(sys.argv[1:]))"
+TIMEOUT_S = 1800  # per command
+# argv: STDERR_PATH CLI_ARGS...; the launcher sends stdout to the command's log.
+RUN_MAIN = (
+    "import os, sys\n"
+    "os.dup2(os.open(sys.argv[1], os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644), 2)\n"
+    "from prsadjust.cli import main\n"
+    "sys.exit(main(sys.argv[2:]))\n"
+)
 INPUT_WORKLOADS = ("pipeline-large", "score-wide")
 WRITE_INPUTS = (
     "import sys; from pathlib import Path; import workloads\n"
@@ -57,6 +67,9 @@ def export(rev: str, dest: Path) -> None:
 def steps() -> list[list[str]]:
     """Every command's arguments, in run order, with paths relative to the
     working directory, where :func:`write_inputs` puts the inputs."""
+    import workloads
+    from prsadjust.simulate import DEFAULT_SCENARIO
+
     held_out = any(pop.n_test for pop in DEFAULT_SCENARIO.populations)
     cases = {"default": (held_out, None, [])}
     for name in INPUT_WORKLOADS:
@@ -114,16 +127,31 @@ def write_inputs(env: dict[str, str], work: Path) -> None:
                    cwd=work, env=env, check=True)
 
 
-def run_tree(env: dict[str, str], argvs: list[list[str]], work: Path) -> None:
-    """Run every command under ``env``; logs go beside each --out."""
+def run_tree(spawner: Spawner, env: dict[str, str], argvs: list[list[str]], work: Path):
+    """Run every command under ``env``; logs go beside each --out. Returns
+    the peak RSS (MB) of each fit and score command, keyed by its --out."""
+    peaks = {}
     for argv in argvs:
-        proc = subprocess.run([sys.executable, "-c", RUN_MAIN, *argv], cwd=work, env=env,
-                              capture_output=True)
-        log = work / argv[argv.index("--out") + 1]
+        out = argv[argv.index("--out") + 1]
+        log = work / out
         log.parent.mkdir(parents=True, exist_ok=True)
-        for suffix, data in (("stdout", proc.stdout), ("stderr", proc.stderr),
-                             ("exit", f"{proc.returncode}\n".encode())):
-            log.with_name(f"{log.name}.{suffix}").write_bytes(data)
+        _, peak, code = spawner.run(
+            [sys.executable, "-c", RUN_MAIN, str(log.with_name(f"{log.name}.stderr")), *argv],
+            env, work, log.with_name(f"{log.name}.stdout"), TIMEOUT_S,
+        )
+        log.with_name(f"{log.name}.exit").write_text(f"{code}\n")
+        if argv[0] in ("fit", "score"):
+            peaks[out] = peak
+    return peaks
+
+
+def peak_table(peaks: dict[str, dict[str, float]], rev: str) -> list[str]:
+    """One line per fit and score command: its peak RSS in each tree."""
+    parent, current = peaks["parent"], peaks["current"]
+    width = max(map(len, parent))
+    lines = [f"{'peak RSS (MB)':<{width}}  {rev:>9}  {'current':>9}"]
+    lines.extend(f"{out:<{width}}  {parent[out]:>9.1f}  {current[out]:>9.1f}" for out in parent)
+    return lines
 
 
 def changed_lines(old_lines: list[bytes], new_lines: list[bytes]):
@@ -170,7 +198,8 @@ def main(argv: list[str]) -> int:
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
         return 2
     rev = argv[0]
-    with tempfile.TemporaryDirectory(prefix="byte_check-") as tmp:
+    peaks = {}
+    with Spawner() as spawner, tempfile.TemporaryDirectory(prefix="byte_check-") as tmp:
         tmp = Path(tmp)
         export(rev, tmp / "parent-tree")
         work = tmp / "work"
@@ -179,12 +208,13 @@ def main(argv: list[str]) -> int:
         for label, src in (("parent", tmp / "parent-tree" / "src"), ("current", ROOT / "src")):
             env = tree_env(src)
             write_inputs(env, work)
-            run_tree(env, argvs, work)
+            peaks[label] = run_tree(spawner, env, argvs, work)
             (work / label).mkdir()
             for part in ("inputs", "run"):
                 shutil.move(work / part, work / label / part)
         found = differences(work / "parent", work / "current", rev)
     print("\n".join(found) if found else "IDENTICAL")
+    print("\n".join(peak_table(peaks, rev)))
     return 1 if found else 0
 
 

@@ -38,7 +38,6 @@ from .evaluation import (
     write_roc_csv,
 )
 from .genotypes import (
-    PanelDefinition,
     align_effect_alleles,
     fill_missing_mean,
     filter_by_panel,
@@ -154,17 +153,15 @@ def _cmd_simulate(cfg: argparse.Namespace) -> int:
     return 0
 
 
-def _columns(path: str, panel: PanelDefinition, weights):
-    """(samples, (panel submatrix, coverage), raw scores) of a VCF, naming its
-    skipped rows by reason and any weight variant not scored on stderr.
+def _columns(path: str, wanted: tuple[str, ...], weights):
+    """(parsed matrix, raw scores) of a VCF, naming its skipped rows by reason
+    and any weight variant not scored on stderr.
 
-    Only rows of panel or weight variants are decoded, so the parsed matrix
-    holds just those columns, and only the panel submatrix outlives it. The
-    weight columns are aligned, filled and scored before the panel
-    submatrix is taken.
+    Only rows of the ``wanted`` variants and the weight variants are
+    decoded. The weight columns are aligned, filled and scored in a copy,
+    which is freed before this returns.
     """
-    wanted = frozenset(panel.variant_ids) | frozenset(weights.variant_ids)
-    matrix, report = pio.parse_vcf(path, wanted)
+    matrix, report = pio.parse_vcf(path, frozenset(wanted) | frozenset(weights.variant_ids))
     if report.skipped:
         reasons = ", ".join(
             f"{len(report.skipped[reason])} {reason}" for reason in sorted(report.skipped)
@@ -184,14 +181,17 @@ def _columns(path: str, panel: PanelDefinition, weights):
             f"{len(alignment.flipped)} flipped",
             file=sys.stderr,
         )
-    return matrix.samples, filter_by_panel(matrix, panel), raw
+    return matrix, raw
 
 
 def _cmd_fit(cfg: argparse.Namespace) -> int:
     _require(cfg, "train_vcf", "panel", "weights", "out")
     panel = pio.parse_panel(cfg.panel)
     weights = pio.parse_weights(cfg.weights)
-    samples, (panel_matrix, coverage), raw = _columns(cfg.train_vcf, panel, weights)
+    matrix, raw = _columns(cfg.train_vcf, panel.variant_ids, weights)
+    sample_ids = matrix.sample_ids
+    panel_matrix, coverage = filter_by_panel(matrix, panel)
+    del matrix
     if coverage.missing_ids:
         print(
             f"panel {panel.name}: {coverage.n_matched}/{coverage.n_panel} variants found",
@@ -217,9 +217,11 @@ def _cmd_fit(cfg: argparse.Namespace) -> int:
             print(f"k clamped from {cfg.k} to {k} (data supports at most {limit})", file=sys.stderr)
     model = model_full.truncate(k)
 
-    # project(model, filled) standardizes the same rows to X's bits and takes the same products.
-    sample_ids = tuple(record.sample_id for record in samples)
-    training = _pc_scores(model.loadings, len(X), lambda start, stop: X[start:stop])
+    # project on the training VCF standardizes the same rows to X's bits and takes the same products.
+    def training_rows(out, start):
+        out[...] = X[start : start + len(out)]
+
+    training = _pc_scores(model.loadings, len(X), training_rows)
     pcs = PcScores(training, sample_ids, pca_model_fingerprint(model))
     adjustment = fit_adjustment(raw, pcs)
 
@@ -249,14 +251,14 @@ def _cmd_score(cfg: argparse.Namespace) -> int:
     cfg.k = pca_model.k
     weights = pio.parse_weights(cfg.weights)
 
-    # project names any model variant the VCF lacks; apply_adjustment
-    # refuses an adjustment model fitted against another PCA model.
-    model_panel = PanelDefinition(name="pca_model", variant_ids=pca_model.params.variant_ids)
-    samples, (panel_matrix, _), raw = _columns(cfg.test_vcf, model_panel, weights)
-    # Rebound, so the unfilled submatrix is freed before the projection.
-    panel_matrix = fill_missing_mean(panel_matrix)
-    pcs = project(pca_model, panel_matrix)
+    # project reads the model's columns from the parsed matrix, filling
+    # missing calls as it goes, and names any model variant the VCF lacks;
+    # apply_adjustment refuses an adjustment model fitted against another
+    # PCA model.
+    matrix, raw = _columns(cfg.test_vcf, pca_model.params.variant_ids, weights)
+    pcs = project(pca_model, matrix)
     adjusted = apply_adjustment(adjustment, raw, pcs)
+    samples = matrix.samples
 
     if cfg.phenotypes:
         by_id = {rec.sample_id: rec for rec in pio.parse_phenotypes(cfg.phenotypes)}

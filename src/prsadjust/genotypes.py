@@ -115,6 +115,11 @@ class PanelDefinition:
             raise ValueError(f"panel {self.name!r} is empty")
         if len(set(self.variant_ids)) != len(self.variant_ids):
             raise ValueError(f"panel {self.name!r} contains duplicate variant ids")
+        for vid in self.variant_ids:
+            if not _SEPARATORS.isdisjoint(vid):
+                raise ValueError(
+                    f"panel {self.name!r}: variant id {vid!r} holds a tab or line break"
+                )
 
     def __len__(self) -> int:
         return len(self.variant_ids)
@@ -130,8 +135,11 @@ class WeightRow:
     weight: float
 
     def __post_init__(self):
-        if not self.variant_id:
-            raise ValueError("weight row variant_id must be non-empty")
+        if not self.variant_id or not _SEPARATORS.isdisjoint(self.variant_id):
+            raise ValueError(
+                f"weight row variant_id {self.variant_id!r} must be non-empty "
+                "and hold no tab or line break"
+            )
         if not _ALLELE_RE.match(self.effect_allele):
             raise ValueError(
                 f"weight row {self.variant_id}: effect allele {self.effect_allele!r} "
@@ -392,15 +400,7 @@ def fill_missing_mean(matrix: GenotypeMatrix) -> GenotypeMatrix:
     if not matrix.missing_mask.any():
         return matrix
     observed = ~matrix.missing_mask
-    counts = observed.sum(axis=0)
-    if (counts == 0).any():
-        bad = [matrix.variants[j].id for j in np.flatnonzero(counts == 0)]
-        raise AllMissingVariant(
-            f"variant {bad[0]} has no observed dosages"
-            + (f" ({len(bad)} variants affected)" if len(bad) > 1 else "")
-        )
-    sums = np.where(observed, matrix.dosage, 0.0).sum(axis=0)
-    means = sums / counts
+    means = _observed_means(matrix.dosage, observed, matrix.variant_ids)
     filled = np.where(observed, matrix.dosage, means[np.newaxis, :])
     return GenotypeMatrix(
         samples=matrix.samples,
@@ -408,3 +408,28 @@ def fill_missing_mean(matrix: GenotypeMatrix) -> GenotypeMatrix:
         dosage=filled,
         missing_mask=np.zeros_like(matrix.missing_mask),
     )
+
+
+def _observed_means(dosage: np.ndarray, observed: np.ndarray, ids: Sequence[str]) -> np.ndarray:
+    """The mean of each column of ``dosage`` over its ``observed`` entries.
+
+    numpy sums a column in an order its memory layout sets: pairwise down a
+    column of an F-ordered array (or of a lone column), row by row across a
+    C-ordered one of two or more columns. So the same column can round
+    differently in the last bits; ``project`` passes F-ordered blocks, as
+    ``parse_vcf`` returns its matrix.
+
+    Raises
+    ------
+    AllMissingVariant
+        If some column has no observed entry; it names the first such of
+        ``ids``, the columns' variant ids, and counts the others.
+    """
+    counts = observed.sum(axis=0)
+    if (counts == 0).any():
+        bad = [ids[j] for j in np.flatnonzero(counts == 0)]
+        raise AllMissingVariant(
+            f"variant {bad[0]} has no observed dosages"
+            + (f" ({len(bad)} variants affected)" if len(bad) > 1 else "")
+        )
+    return np.where(observed, dosage, 0.0).sum(axis=0) / counts

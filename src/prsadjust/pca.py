@@ -35,7 +35,7 @@ from .errors import (
     MissingModelVariants,
     NoVariantsRetained,
 )
-from .genotypes import GenotypeMatrix
+from .genotypes import GenotypeMatrix, _observed_means
 from .io import _ascii_int, _model_text, _read_model, _real, _reals, _text_dest, _vcf_float
 
 logger = logging.getLogger(__name__)
@@ -57,6 +57,9 @@ _RESIDUAL_TOLERANCE = 64 * np.finfo(np.float64).eps
 # goes through one BLAS kernel whatever its cohort's size: OpenBLAS 0.3.31 takes a
 # small-matrix path below 126 rows, and 128 is the first multiple of 8 above that.
 _SCORE_BLOCK = 128
+# project gathers a row block's model columns this many at a time, so that no
+# temporary spans them all.
+_GATHER_COLUMNS = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -326,59 +329,97 @@ def _top_eigenpairs(gram: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray] |
 def project(model: PcaModel, matrix: GenotypeMatrix) -> PcScores:
     """Project a cohort onto a fitted model's components.
 
-    Columns are looked up by variant id, reordered to model order, then
-    centered and scaled with the *training* parameters; scores are the
-    product with the loading matrix, taken _SCORE_BLOCK rows at a time, so
-    that a sample's row does not depend on the rest of its cohort (see the
-    README's row independence for the builds this was verified on) and
-    projecting the training cohort reproduces ``fit``'s training scores
-    bitwise. Memory beyond the scores is a few row blocks.
+    Columns are looked up by variant id, gathered in model order into a
+    block of _SCORE_BLOCK rows, then centered and scaled with the *training*
+    parameters; scores are the product of each block with the loading
+    matrix, so that a sample's row does not depend on the rest of its
+    cohort (see the README's row independence for the builds this was
+    verified on) and projecting the training cohort reproduces ``fit``'s
+    training scores bitwise. The matrix is not copied: memory beyond the
+    scores is a few row blocks.
+
+    A missing call is filled in the block with its column's observed mean
+    in this file, the value ``fill_missing_mean`` gives on ``parse_vcf``'s
+    F-ordered matrix, so projecting the parsed file and projecting its
+    filled panel columns agree bitwise. Until the model stores training
+    means (ROADMAP item 2), a sample's PCs then depend on the other samples
+    in its file.
 
     Raises
     ------
     MissingModelVariants
         If the cohort lacks any variant the model retained.
+    AllMissingVariant
+        If a model variant has no observed call in the cohort.
     """
     if model.params is None:
         raise ValueError("model carries no standardization params; cannot project")
+    ids = model.params.variant_ids
     index = matrix.variant_index()
-    missing = [vid for vid in model.params.variant_ids if vid not in index]
+    missing = [vid for vid in ids if vid not in index]
     if missing:
         raise MissingModelVariants(missing)
-    cols = np.asarray([index[vid] for vid in model.params.variant_ids], dtype=int)
+    cols = np.asarray([index[vid] for vid in ids], dtype=np.intp)
+    incomplete = matrix.missing_mask.any(axis=0)[cols]
+    means = _fill_means(matrix, cols, incomplete, ids)
 
-    def dosages(start: int, stop: int) -> np.ndarray:
-        if matrix.missing_mask[start:stop, cols].any():
-            raise ValueError("matrix has missing dosages on model variants; fill first")
-        return matrix.dosage[start:stop, cols]
+    def gather(out: np.ndarray, start: int) -> None:
+        rows = slice(start, start + len(out))
+        for first in range(0, len(cols), _GATHER_COLUMNS):
+            chunk = slice(first, first + _GATHER_COLUMNS)
+            part = out[:, chunk]
+            part[...] = matrix.dosage[rows, cols[chunk]]
+            if incomplete[chunk].any():
+                np.copyto(part, means[chunk], where=matrix.missing_mask[rows, cols[chunk]])
 
     return PcScores(
-        scores=_pc_scores(model.loadings, matrix.n_samples, dosages, model.params),
+        scores=_pc_scores(model.loadings, matrix.n_samples, gather, model.params),
         sample_ids=matrix.sample_ids,
         model_fingerprint=pca_model_fingerprint(model),
     )
 
 
+def _fill_means(
+    matrix: GenotypeMatrix, cols: np.ndarray, incomplete: np.ndarray, ids: tuple[str, ...]
+) -> np.ndarray:
+    """The observed mean of each ``incomplete`` column of ``matrix.dosage[:, cols]``, 0 elsewhere.
+
+    The columns are summed whole, in F-ordered blocks of at most
+    _SCORE_BLOCK * _GATHER_COLUMNS cells (one column at least), so no
+    temporary spans every model column.
+    """
+    means = np.zeros(len(cols))
+    at = np.flatnonzero(incomplete)
+    width = max(1, _SCORE_BLOCK * _GATHER_COLUMNS // max(1, matrix.n_samples))
+    for first in range(0, len(at), width):
+        chunk = at[first : first + width]
+        observed = ~np.asfortranarray(matrix.missing_mask[:, cols[chunk]])
+        dosage = np.asfortranarray(matrix.dosage[:, cols[chunk]])
+        means[chunk] = _observed_means(dosage, observed, [ids[t] for t in chunk])
+    return means
+
+
 def _pc_scores(
     loadings: np.ndarray,
     n: int,
-    rows: Callable[[int, int], np.ndarray],
+    gather: Callable[[np.ndarray, int], None],
     params: StandardizationParams | None = None,
 ) -> np.ndarray:
     """The (n, k) scores of n rows on ``loadings`` (m, k).
 
-    Each block of _SCORE_BLOCK rows, ``rows(start, stop)``, is copied into one
-    F-ordered (_SCORE_BLOCK, m) buffer whose rows past the cohort's end are
-    zero, and centered and scaled there in place by ``params`` when given
-    (else the rows must be standardized already). Each product takes the
-    whole buffer and keeps its filled rows.
+    Each block of _SCORE_BLOCK rows from ``start`` is written by
+    ``gather(out, start)`` into ``out``, the leading rows of one F-ordered
+    (_SCORE_BLOCK, m) buffer whose rows past the cohort's end are zero, and
+    centered and scaled there in place by ``params`` when given (else the
+    rows must be standardized already). Each product takes the whole buffer
+    and keeps its filled rows.
     """
     block = np.zeros((_SCORE_BLOCK, loadings.shape[0]), order="F")
     scores = np.empty((n, loadings.shape[1]))
     for start in range(0, n, _SCORE_BLOCK):
         stop = min(start + _SCORE_BLOCK, n)
         filled = block[: stop - start]
-        filled[...] = rows(start, stop)
+        gather(filled, start)
         block[stop - start :] = 0.0
         if params is not None:
             filled -= params.mean

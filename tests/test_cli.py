@@ -310,6 +310,49 @@ class TestFit:
             tracemalloc.stop()
         assert peak <= 3.5 * dosage_bytes
 
+    @pytest.mark.parametrize("vcf", ["genotypes", "dosages"])
+    def test_score_traced_peak_holds_the_parse_and_a_few_row_blocks(
+        self, vcf, guard_cohort, guard_dosage_vcf, tmp_path
+    ):
+        """score's traced peak stays within 1.85x the parsed dosage matrix.
+
+        The parse takes about 1.5x; project reads the parsed matrix through
+        a few 128-row blocks. A copy of the panel columns made to fill them
+        takes about 2.55x.
+        """
+        data = guard_cohort
+        path = data / "genotypes.vcf" if vcf == "genotypes" else guard_dosage_vcf
+        assert main(
+            [
+                "fit",
+                "--train-vcf", str(data / "genotypes.vcf"),
+                "--panel", str(data / "panel.txt"),
+                "--weights", str(data / "weights.tsv"),
+                "--k", "4",
+                "--out", str(tmp_path / "m"),
+            ]
+        ) == 0
+        parsed, _ = pio.parse_vcf(path)
+        assert parsed.dosage.shape == (900, 990)
+        assert parsed.missing_mask.any() == (vcf == "dosages")
+        dosage_bytes = parsed.dosage.nbytes
+        del parsed
+        tracemalloc.start()
+        try:
+            assert main(
+                [
+                    "score",
+                    "--test-vcf", str(path),
+                    "--weights", str(data / "weights.tsv"),
+                    "--model-dir", str(tmp_path / "m"),
+                    "--out", str(tmp_path / "s"),
+                ]
+            ) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.85 * dosage_bytes
+
     def test_parse_peak_holds_no_second_copy(self, guard_cohort):
         """parse_vcf's traced peak stays within 1.75x the dosage matrix it returns.
 

@@ -592,6 +592,10 @@ class TestWeights:
         assert back.rows[0].weight == table.rows[0].weight
         assert back.rows[1].weight == table.rows[1].weight
         assert back.rows[1].other_allele is None
+        # a tab or line break in an id would split its row when written
+        for bad in ("\t", "\r", "\n"):
+            with pytest.raises(ValueError, match="tab or line break"):
+                replace(table.rows[0], variant_id=f"rs1{bad}x")
 
     def test_duplicate_variant_rejected(self):
         text = WEIGHTS_TEXT + "rs1\tA\tG\t0.5\n"
@@ -640,6 +644,10 @@ class TestPanel:
         path = tmp_path / "p.txt"
         write_panel(panel, path)
         assert parse_panel(path).variant_ids == panel.variant_ids
+        # a tab or line break in an id would split its line when written
+        for bad in ("\t", "\r", "\n"):
+            with pytest.raises(ValueError, match="tab or line break"):
+                replace(panel, variant_ids=("rs1", f"rs2{bad}rs3"))
 
     def test_large_panel_parses_in_order(self):
         ids = [f"rs{i}" for i in range(20000)]

@@ -5,6 +5,7 @@ two derivations agree independently of how either is computed.
 """
 
 import functools
+import io as stdio
 import logging
 import tracemalloc
 import warnings
@@ -17,12 +18,14 @@ from hypothesis import strategies as st
 
 from prsadjust import pca
 from prsadjust.errors import (
+    AllMissingVariant,
     ConvergenceFailure,
     DimensionError,
     MissingModelVariants,
     NoVariantsRetained,
 )
 from prsadjust.genotypes import PanelDefinition, fill_missing_mean, filter_by_panel
+from prsadjust.io import parse_vcf, write_vcf
 from prsadjust.pca import (
     PcaModel,
     StandardizationParams,
@@ -496,16 +499,22 @@ class TestProject:
         X, params = standardize(m)
         model = fit_pca(X, k_max=k_max, params=params)
         scores = project(model, m)
-        training = pca._pc_scores(model.loadings, len(X), lambda start, stop: X[start:stop])
+        training = pca._pc_scores(
+            model.loadings, len(X), lambda out, start: np.copyto(out, X[start : start + len(out)])
+        )
         assert np.array_equal(scores.scores, training)
         assert scores.sample_ids == m.sample_ids
         assert scores.model_fingerprint == pca_model_fingerprint(model)
 
-    def test_memory_is_a_few_row_blocks(self, rng):
+    @pytest.mark.parametrize("missing_rate", [0.0, 0.02])
+    def test_memory_is_a_few_row_blocks(self, rng, missing_rate):
         """Beyond the scores it returns, project allocates a few blocks of
-        128 rows of the model's columns, not copies of the cohort's."""
+        128 rows of the model's columns, not copies of the cohort's, also
+        where it fills missing calls."""
         matrix = _random_matrix(rng, 2000, 300)
         model = _fit_matrix(matrix, k_max=4)
+        matrix.missing_mask[...] = rng.random(matrix.dosage.shape) < missing_rate
+        assert matrix.missing_mask.any() == (missing_rate > 0)
         tracemalloc.start()
         try:
             scores = project(model, matrix)
@@ -548,12 +557,49 @@ class TestProject:
             project(model, subset)
         assert set(exc.value.variant_ids) == {"rs3", "rs4", "rs5"}
 
-    def test_missing_dosages_rejected(self, rng):
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(1, 300),
+        m=st.integers(2, 300),
+        extra=st.integers(0, 5),
+        rate=st.sampled_from([0.01, 0.1, 0.5]),
+        dosages=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_fills_missing_calls_as_fill_missing_mean(self, n, m, extra, rate, dosages, seed):
+        """project on a parsed VCF with missing calls gives bitwise the scores
+        and fingerprint of projecting its filled panel columns."""
+        rng = np.random.default_rng(seed)
+        model = _fit_matrix(_random_matrix(rng, 40, m), k_max=2)
+        calls = rng.integers(0, 3, size=(n, m + extra)).astype(float)
+        if dosages:
+            calls = np.round(np.clip(calls + rng.normal(0.0, 0.1, calls.shape), 0.0, 2.0), 3)
+        missing = rng.random(calls.shape) < rate
+        missing[rng.integers(0, n, size=m + extra), np.arange(m + extra)] = False
+        order = rng.permutation(m + extra)
+        cohort = make_matrix(
+            np.where(missing, 0.0, calls)[:, order],
+            variant_ids=[f"rs{j + 1}" for j in order],
+            missing=zip(*np.nonzero(missing[:, order])),
+        )
+        text = stdio.StringIO()
+        write_vcf(cohort, text)
+        parsed, _ = parse_vcf(stdio.StringIO(text.getvalue()))
+        panel = PanelDefinition(name="model", variant_ids=model.params.variant_ids)
+        filled = fill_missing_mean(filter_by_panel(parsed, panel)[0])
+        got, want = project(model, parsed), project(model, filled)
+        assert got.scores.tobytes() == want.scores.tobytes()
+        assert got.sample_ids == want.sample_ids
+        assert got.model_fingerprint == want.model_fingerprint
+
+    def test_model_variant_without_an_observed_call_raises(self, rng):
         train = _random_matrix(rng, 20, 4)
         model = _fit_matrix(train, k_max=2)
-        holey = make_matrix(train.dosage.copy(), missing=[(0, 1)])
-        with pytest.raises(ValueError, match="fill"):
+        holey = make_matrix(train.dosage.copy(), missing=[(i, 2) for i in range(20)])
+        with pytest.raises(AllMissingVariant, match="variant rs3 has no observed dosages"):
             project(model, holey)
+        with pytest.raises(AllMissingVariant, match="variant rs3 has no observed dosages"):
+            fill_missing_mean(holey)
 
 
 class TestPersistence:
