@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -25,6 +25,9 @@ _ALLELE_RE = re.compile(r"[ACGT]+\Z")
 # id or label that is written to them may hold one.
 _SEPARATORS = frozenset("\t\r\n")
 _COMPLEMENT = str.maketrans("ACGT", "TGCA")
+# Checks over every cell of a matrix take it about this many cells at a time, so
+# that none allocates a temporary the size of the matrix.
+_BLOCK_CELLS = 1 << 16
 
 
 def reverse_complement(allele: str) -> str:
@@ -40,6 +43,23 @@ def is_strand_ambiguous(ref: str, alt: str) -> bool:
     automatic alignment exists.
     """
     return ref == reverse_complement(alt)
+
+
+def _column_blocks(n_rows: int, n_columns: int, cells: int = _BLOCK_CELLS) -> Iterator[slice]:
+    """Slices that cover ``n_columns`` columns of ``n_rows`` rows in order,
+    each of about ``cells`` cells (one column at least)."""
+    width = max(1, cells // max(1, n_rows))
+    return (slice(j, j + width) for j in range(0, n_columns, width))
+
+
+def _cell_blocks(dosage: np.ndarray, mask: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Matching blocks of a matrix's ``dosage`` and ``mask``, each of about
+    _BLOCK_CELLS cells: runs of whole columns, or of whole rows where
+    ``dosage`` is not F-ordered, so that a block is one stretch of memory."""
+    if not dosage.flags.f_contiguous:
+        dosage, mask = dosage.T, mask.T
+    for cols in _column_blocks(*dosage.shape):
+        yield dosage[:, cols], mask[:, cols]
 
 
 @dataclass(frozen=True)
@@ -204,9 +224,9 @@ class GenotypeMatrix:
             raise ValueError("duplicate sample ids in matrix")
         if len({v.id for v in self.variants}) != m:
             raise ValueError("duplicate variant ids in matrix")
-        in_range = (self.dosage >= 0.0) & (self.dosage <= 2.0)
-        if not bool(np.all(in_range | self.missing_mask)):
-            raise ValueError("observed dosages must lie in [0, 2]")
+        for block, missing in _cell_blocks(self.dosage, self.missing_mask):
+            if not np.all((block >= 0.0) & (block <= 2.0) | missing):
+                raise ValueError("observed dosages must lie in [0, 2]")
 
     @property
     def n_samples(self) -> int:

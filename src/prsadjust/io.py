@@ -81,6 +81,8 @@ from .genotypes import (
     SEX_TOKENS,
     _ALLELE_RE,
     _SEPARATORS,
+    _cell_blocks,
+    _column_blocks,
 )
 
 logger = logging.getLogger(__name__)
@@ -675,20 +677,18 @@ def write_vcf(matrix: GenotypeMatrix, dest: Source) -> None:
     is formatted by :func:`_ds_entry` once per distinct value. Nothing the
     size of the matrix is allocated.
     """
-    n, m = matrix.dosage.shape
     hard = _hard_calls(matrix)
     fmt = "GT" if hard else "GT:DS"
-    # Rows per block: about _BLOCK_BYTES of entries of 4 (GT) or ~8 (GT:DS) bytes.
-    step = max(1, _BLOCK_BYTES // ((4 if hard else 8) * max(1, n)))
     tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     with _text_dest(dest) as out:
         out.write("##fileformat=VCFv4.2\n")
         out.write("##source=prsadjust\n")
         out.write("\t".join(_VCF_FIXED_COLUMNS) + "\t" + "\t".join(matrix.sample_ids) + "\n")
-        for j in range(0, m, step):
+        # Blocks of about _BLOCK_BYTES of entries of 4 (GT) or ~8 (GT:DS) bytes.
+        for cols in _column_blocks(*matrix.dosage.shape, _BLOCK_BYTES // (4 if hard else 8)):
             # One row per variant, copied once so the work on it reads memory in order.
-            values = np.ascontiguousarray(matrix.dosage[:, j:j + step].T)
-            missing = np.ascontiguousarray(matrix.missing_mask[:, j:j + step].T)
+            values = np.ascontiguousarray(matrix.dosage[:, cols].T)
+            missing = np.ascontiguousarray(matrix.missing_mask[:, cols].T)
             if hard:
                 # Code 0-2 is the dosage, 3 a missing call.
                 codes = np.where(missing, 3, np.rint(values)).astype(np.int8)
@@ -700,18 +700,14 @@ def write_vcf(matrix: GenotypeMatrix, dest: Source) -> None:
                     variant.chromosome, str(variant.position), variant.id, variant.ref_allele,
                     variant.alt_allele, ".", "PASS", ".", fmt,
                 )) + row + "\n"
-                for variant, row in zip(matrix.variants[j:j + step], rows)
+                for variant, row in zip(matrix.variants[cols], rows)
             ))
 
 
 def _hard_calls(matrix: GenotypeMatrix) -> bool:
-    """Whether every observed dosage is integral, checked a few columns at a
-    time so that no temporary is the size of the matrix."""
-    n, m = matrix.dosage.shape
-    width = max(1, _BLOCK_BYTES // max(1, n))
-    for j in range(0, m, width):
-        block = matrix.dosage[:, j:j + width]
-        if not np.all((block == np.rint(block)) | matrix.missing_mask[:, j:j + width]):
+    """Whether every observed dosage is integral, checked a block at a time."""
+    for block, missing in _cell_blocks(matrix.dosage, matrix.missing_mask):
+        if not np.all((block == np.rint(block)) | missing):
             return False
     return True
 

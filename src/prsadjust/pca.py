@@ -35,7 +35,7 @@ from .errors import (
     MissingModelVariants,
     NoVariantsRetained,
 )
-from .genotypes import GenotypeMatrix, _observed_means
+from .genotypes import GenotypeMatrix, _column_blocks, _observed_means
 from .io import _ascii_int, _model_text, _read_model, _real, _reals, _text_dest, _vcf_float
 
 logger = logging.getLogger(__name__)
@@ -294,18 +294,19 @@ def _top_eigenpairs(gram: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray] |
     """The ``k`` leading eigenpairs of PSD ``gram``, values nonincreasing, or None.
 
     Each block of the basis Q is G times the last, orthogonalized twice against
-    Q; with G Q kept, Q^T G Q grows a block column at a time and Rayleigh-Ritz
-    needs no other product with G. None where the capped basis holds too few
-    blocks or fills before every pair meets the residual rule.
+    Q; Q^T G Q grows a block column at a time from that one product, and each
+    check takes its Ritz pairs' residuals ||G v - theta v|| from one product of
+    G with the k vectors. None where the capped basis holds too few blocks or
+    fills before every pair meets the residual rule.
     """
     order, block = gram.shape[0], max(8, k + 3)
     blocks = order // (2 * block)
     if blocks < _KRYLOV_MIN_BLOCKS:
         return None
-    # F order, so only the columns in use are touched and become resident.
+    # F order, so only the columns in use become resident, and a product reads as a basis block.
     basis = np.empty((order, blocks * block), order="F")
-    products = np.empty_like(basis)
-    projected = np.zeros((blocks * block, blocks * block), order="F")
+    product = np.empty((order, block), order="F")
+    projected = np.zeros((0, 0))
     step = np.random.default_rng(0).standard_normal((order, block))
     for done in range(block, blocks * block + 1, block):
         new = slice(done - block, done)
@@ -313,16 +314,17 @@ def _top_eigenpairs(gram: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray] |
             old = basis[:, : done - block]
             step = np.linalg.qr(step - old @ (old.T @ step))[0]
         basis[:, new] = step
-        products[:, new] = gram @ step
-        projected[:done, new] = basis[:, :done].T @ products[:, new]
+        product[...] = gram @ step
+        projected = np.pad(projected, (0, block))
+        projected[:, new] = basis[:, :done].T @ product
         if done % (4 * block) == 0 or done == blocks * block:
-            values, ritz = np.linalg.eigh(projected[:done, :done], UPLO="U")
+            values, ritz = np.linalg.eigh(projected, UPLO="U")
             values, ritz = values[::-1][:k], ritz[:, ::-1][:, :k]
             vectors = basis[:, :done] @ ritz
-            residual = np.linalg.norm(products[:, :done] @ ritz - vectors * values, axis=0)
+            residual = np.linalg.norm(gram @ vectors - vectors * values, axis=0)
             if np.all(residual <= _RESIDUAL_TOLERANCE * max(values[0], 0.0)):
                 return values, vectors
-        step = products[:, new]
+        step = product
     return None
 
 
@@ -390,9 +392,8 @@ def _fill_means(
     """
     means = np.zeros(len(cols))
     at = np.flatnonzero(incomplete)
-    width = max(1, _SCORE_BLOCK * _GATHER_COLUMNS // max(1, matrix.n_samples))
-    for first in range(0, len(at), width):
-        chunk = at[first : first + width]
+    for part in _column_blocks(matrix.n_samples, len(at), _SCORE_BLOCK * _GATHER_COLUMNS):
+        chunk = at[part]
         observed = ~np.asfortranarray(matrix.missing_mask[:, cols[chunk]])
         dosage = np.asfortranarray(matrix.dosage[:, cols[chunk]])
         means[chunk] = _observed_means(dosage, observed, [ids[t] for t in chunk])

@@ -1,5 +1,7 @@
 """Domain types, panel filtering, allele alignment, missing-data fill."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -20,8 +22,22 @@ from prsadjust.genotypes import (
     filter_by_panel,
     is_strand_ambiguous,
     reverse_complement,
+    _BLOCK_CELLS,
 )
 from conftest import make_matrix
+
+# Rows of the multi-block matrices. The range check takes an F-ordered matrix
+# _WIDTH columns at a time and a C-ordered one in runs of whole rows, so each
+# cell here sits in the first, a middle or the last block in either layout.
+_ROWS = 1024
+_WIDTH = _BLOCK_CELLS // _ROWS
+_BLOCK_CELLS_AT = [(0, 0), (_ROWS // 2, _WIDTH + _WIDTH // 2), (_ROWS - 1, 3 * _WIDTH - 1)]
+
+
+def _multi_block_dosage(layout, blocks=3):
+    """In-range dosages of _ROWS samples by ``blocks`` column blocks, in ``layout`` order."""
+    dosage = np.random.default_rng(2).integers(0, 3, size=(_ROWS, blocks * _WIDTH))
+    return np.asarray(dosage, dtype=float, order=layout)
 
 
 class TestDomainTypes:
@@ -60,13 +76,39 @@ class TestDomainTypes:
         with pytest.raises(ValueError, match="empty"):
             PanelDefinition(name="p", variant_ids=())
 
-    def test_matrix_rejects_out_of_range_dosage(self):
-        with pytest.raises(ValueError):
-            make_matrix([[0.0, 2.5]])
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    @pytest.mark.parametrize("value", [2.5, -0.1, np.nan, np.inf])
+    @pytest.mark.parametrize("at", _BLOCK_CELLS_AT)
+    def test_matrix_rejects_out_of_range_dosage(self, layout, value, at):
+        dosage = _multi_block_dosage(layout)
+        dosage[at] = value
+        with pytest.raises(ValueError, match=r"observed dosages must lie in \[0, 2\]"):
+            make_matrix(dosage)
 
-    def test_matrix_allows_anything_under_missing_mask(self):
-        m = make_matrix([[0.0, 7.0]], missing=[(0, 1)])
-        assert m.missing_mask[0, 1]
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    @pytest.mark.parametrize("value", [2.5, -0.1, np.nan, np.inf, 7.0])
+    @pytest.mark.parametrize("at", _BLOCK_CELLS_AT)
+    def test_matrix_allows_anything_under_missing_mask(self, layout, value, at):
+        dosage = _multi_block_dosage(layout)
+        dosage[at] = value
+        m = make_matrix(dosage, missing=[at])  # a C-ordered mask, whatever the layout
+        assert m.missing_mask[at] and m.missing_mask.sum() == 1
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_construction_checks_a_block_at_a_time(self, layout):
+        """Checking 1024 x 1280 dosages (20 blocks) traces at most half a byte
+        a cell; checking them all at once takes 2 bytes a cell of bool
+        temporaries."""
+        dosage = _multi_block_dosage(layout, 20)
+        template = make_matrix(dosage)
+        mask = np.zeros(dosage.shape, dtype=bool, order=layout)
+        tracemalloc.start()
+        try:
+            GenotypeMatrix(template.samples, template.variants, dosage, mask)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * dosage.size
 
     def test_matrix_rejects_duplicate_sample_ids(self):
         with pytest.raises(ValueError):
