@@ -3,8 +3,9 @@
 Dosages count copies of a variant's alt allele per sample: 0, 1 or 2 for
 hard calls, fractional in [0, 2] for imputed data. A boolean mask marks
 missing entries; values stored under the mask carry no meaning and must
-never be read. All operations return new objects, preserve sample order
-and never mutate their inputs.
+never be read. The operations preserve sample order and never mutate their
+inputs; each returns a new object, except ``fill_missing_mean``, which
+returns its input when nothing is missing.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ _COMPLEMENT = str.maketrans("ACGT", "TGCA")
 # Checks over every cell of a matrix take it about this many cells at a time, so
 # that none allocates a temporary the size of the matrix.
 _BLOCK_CELLS = 1 << 16
+# _observed_means' blocks, small enough to stay within project's row blocks.
+_MEAN_BLOCK_CELLS = 1 << 15
 
 
 def reverse_complement(allele: str) -> str:
@@ -359,8 +362,8 @@ def align_effect_alleles(
 
     Flipped variants also swap their ref/alt metadata, so in the returned
     matrix dosages still count alt copies and re-aligning with the same
-    weights changes nothing. The columns are copied once, into new C-ordered
-    arrays: ``fill_missing_mean``'s column sums depend on the layout.
+    weights changes nothing. The columns are taken by one gather, and the
+    flipped ones recoded in place in that copy.
 
     Raises
     ------
@@ -394,14 +397,12 @@ def align_effect_alleles(
             )
         columns.append((j, flip))
         variants.append(variant)
-    dosage = np.empty((matrix.n_samples, len(columns)))
-    missing_mask = np.empty(dosage.shape, dtype=bool)
-    for t, (j, flip) in enumerate(columns):
+    cols = np.asarray([j for j, _ in columns], dtype=np.intp)
+    dosage = matrix.dosage[:, cols]
+    missing_mask = matrix.missing_mask[:, cols]
+    for t, (_, flip) in enumerate(columns):
         if flip:
-            np.subtract(2.0, matrix.dosage[:, j], out=dosage[:, t])
-        else:
-            dosage[:, t] = matrix.dosage[:, j]
-        missing_mask[:, t] = matrix.missing_mask[:, j]
+            np.subtract(2.0, dosage[:, t], out=dosage[:, t])
     aligned = GenotypeMatrix(matrix.samples, tuple(variants), dosage, missing_mask)
     return aligned, AlignmentReport(tuple(flipped), tuple(excluded), tuple(absent))
 
@@ -419,37 +420,47 @@ def fill_missing_mean(matrix: GenotypeMatrix) -> GenotypeMatrix:
     """
     if not matrix.missing_mask.any():
         return matrix
-    observed = ~matrix.missing_mask
-    means = _observed_means(matrix.dosage, observed, matrix.variant_ids)
-    filled = np.where(observed, matrix.dosage, means[np.newaxis, :])
+    means = _observed_means(matrix.dosage, matrix.missing_mask, matrix.variant_ids)
     return GenotypeMatrix(
         samples=matrix.samples,
         variants=matrix.variants,
-        dosage=filled,
+        dosage=np.where(matrix.missing_mask, means, matrix.dosage),
         missing_mask=np.zeros_like(matrix.missing_mask),
     )
 
 
-def _observed_means(dosage: np.ndarray, observed: np.ndarray, ids: Sequence[str]) -> np.ndarray:
-    """The mean of each column of ``dosage`` over its ``observed`` entries.
+def _observed_means(
+    dosage: np.ndarray, missing: np.ndarray, ids: Sequence[str], cols: np.ndarray | None = None
+) -> np.ndarray:
+    """The mean of each column of ``dosage`` (of each in ``cols``, if given)
+    over its entries that ``missing`` does not mark.
 
-    numpy sums a column in an order its memory layout sets: pairwise down a
-    column of an F-ordered array (or of a lone column), row by row across a
-    C-ordered one of two or more columns. So the same column can round
-    differently in the last bits; ``project`` passes F-ordered blocks, as
-    ``parse_vcf`` returns its matrix.
+    Whatever the layout of ``dosage``, a column's sum is ``np.add.reduce`` of
+    it as one contiguous 1-D run with 0.0 at missing calls, i.e. numpy's
+    pairwise sum: the columns are copied into F-ordered blocks of about
+    _MEAN_BLOCK_CELLS cells and summed down their rows there. (numpy sums a
+    C-ordered array of two or more columns row by row, which rounds
+    differently in the last bits.)
 
     Raises
     ------
     AllMissingVariant
-        If some column has no observed entry; it names the first such of
-        ``ids``, the columns' variant ids, and counts the others.
+        If some chosen column has no observed entry; it names the first such
+        by ``ids``, the variant ids of ``dosage``'s columns, and counts the
+        others.
     """
-    counts = observed.sum(axis=0)
+    cols = np.arange(dosage.shape[1]) if cols is None else cols
+    sums, counts = np.empty(len(cols)), np.empty(len(cols), dtype=np.intp)
+    for part in _column_blocks(len(dosage), len(cols), _MEAN_BLOCK_CELLS):
+        block_missing = np.asfortranarray(missing[:, cols[part]])
+        block = np.asfortranarray(dosage[:, cols[part]])
+        np.copyto(block, 0.0, where=block_missing)
+        sums[part] = block.sum(axis=0)
+        counts[part] = len(block) - np.count_nonzero(block_missing, axis=0)
     if (counts == 0).any():
-        bad = [ids[j] for j in np.flatnonzero(counts == 0)]
+        bad = [ids[j] for j in cols[counts == 0]]
         raise AllMissingVariant(
             f"variant {bad[0]} has no observed dosages"
             + (f" ({len(bad)} variants affected)" if len(bad) > 1 else "")
         )
-    return np.where(observed, dosage, 0.0).sum(axis=0) / counts
+    return sums / counts

@@ -35,7 +35,7 @@ from .errors import (
     MissingModelVariants,
     NoVariantsRetained,
 )
-from .genotypes import GenotypeMatrix, _column_blocks, _observed_means
+from .genotypes import GenotypeMatrix, _observed_means
 from .io import _ascii_int, _model_text, _read_model, _real, _reals, _text_dest, _vcf_float
 
 logger = logging.getLogger(__name__)
@@ -185,6 +185,10 @@ def standardize(matrix: GenotypeMatrix) -> tuple[np.ndarray, StandardizationPara
         The standardized matrix over retained columns, each of unit sample
         variance, and the parameters needed to apply the same transform to
         another cohort.
+
+    Unlike ``fill_missing_mean``'s means, the mean and SD are numpy's plain
+    column reductions, whose last bits depend on the layout of
+    ``matrix.dosage``; the CLI passes the F-ordered panel columns.
 
     Raises
     ------
@@ -341,11 +345,10 @@ def project(model: PcaModel, matrix: GenotypeMatrix) -> PcScores:
     scores is a few row blocks.
 
     A missing call is filled in the block with its column's observed mean
-    in this file, the value ``fill_missing_mean`` gives on ``parse_vcf``'s
-    F-ordered matrix, so projecting the parsed file and projecting its
-    filled panel columns agree bitwise. Until the model stores training
-    means (ROADMAP item 2), a sample's PCs then depend on the other samples
-    in its file.
+    in this file, the value ``fill_missing_mean`` gives, so projecting the
+    parsed file and projecting its filled panel columns agree bitwise. Until
+    the model stores training means (ROADMAP item 2), a sample's PCs then
+    depend on the other samples in its file.
 
     Raises
     ------
@@ -363,7 +366,9 @@ def project(model: PcaModel, matrix: GenotypeMatrix) -> PcScores:
         raise MissingModelVariants(missing)
     cols = np.asarray([index[vid] for vid in ids], dtype=np.intp)
     incomplete = matrix.missing_mask.any(axis=0)[cols]
-    means = _fill_means(matrix, cols, incomplete, ids)
+    means = np.zeros(len(cols))
+    at = np.flatnonzero(incomplete)
+    means[at] = _observed_means(matrix.dosage, matrix.missing_mask, matrix.variant_ids, cols[at])
 
     def gather(out: np.ndarray, start: int) -> None:
         rows = slice(start, start + len(out))
@@ -373,58 +378,32 @@ def project(model: PcaModel, matrix: GenotypeMatrix) -> PcScores:
             part[...] = matrix.dosage[rows, cols[chunk]]
             if incomplete[chunk].any():
                 np.copyto(part, means[chunk], where=matrix.missing_mask[rows, cols[chunk]])
+            part -= model.params.mean[chunk]
+            part /= model.params.scale[chunk]
 
     return PcScores(
-        scores=_pc_scores(model.loadings, matrix.n_samples, gather, model.params),
+        scores=_pc_scores(model.loadings, matrix.n_samples, gather),
         sample_ids=matrix.sample_ids,
         model_fingerprint=pca_model_fingerprint(model),
     )
 
 
-def _fill_means(
-    matrix: GenotypeMatrix, cols: np.ndarray, incomplete: np.ndarray, ids: tuple[str, ...]
-) -> np.ndarray:
-    """The observed mean of each ``incomplete`` column of ``matrix.dosage[:, cols]``, 0 elsewhere.
-
-    The columns are summed whole, in F-ordered blocks of at most
-    _SCORE_BLOCK * _GATHER_COLUMNS cells (one column at least), so no
-    temporary spans every model column.
-    """
-    means = np.zeros(len(cols))
-    at = np.flatnonzero(incomplete)
-    for part in _column_blocks(matrix.n_samples, len(at), _SCORE_BLOCK * _GATHER_COLUMNS):
-        chunk = at[part]
-        observed = ~np.asfortranarray(matrix.missing_mask[:, cols[chunk]])
-        dosage = np.asfortranarray(matrix.dosage[:, cols[chunk]])
-        means[chunk] = _observed_means(dosage, observed, [ids[t] for t in chunk])
-    return means
-
-
 def _pc_scores(
-    loadings: np.ndarray,
-    n: int,
-    gather: Callable[[np.ndarray, int], None],
-    params: StandardizationParams | None = None,
+    loadings: np.ndarray, n: int, gather: Callable[[np.ndarray, int], None]
 ) -> np.ndarray:
-    """The (n, k) scores of n rows on ``loadings`` (m, k).
+    """The (n, k) scores of n standardized rows on ``loadings`` (m, k).
 
     Each block of _SCORE_BLOCK rows from ``start`` is written by
     ``gather(out, start)`` into ``out``, the leading rows of one F-ordered
-    (_SCORE_BLOCK, m) buffer whose rows past the cohort's end are zero, and
-    centered and scaled there in place by ``params`` when given (else the
-    rows must be standardized already). Each product takes the whole buffer
-    and keeps its filled rows.
+    (_SCORE_BLOCK, m) buffer whose rows past the cohort's end are zero. Each
+    product takes the whole buffer and keeps its filled rows.
     """
     block = np.zeros((_SCORE_BLOCK, loadings.shape[0]), order="F")
     scores = np.empty((n, loadings.shape[1]))
     for start in range(0, n, _SCORE_BLOCK):
         stop = min(start + _SCORE_BLOCK, n)
-        filled = block[: stop - start]
-        gather(filled, start)
+        gather(block[: stop - start], start)
         block[stop - start :] = 0.0
-        if params is not None:
-            filled -= params.mean
-            filled /= params.scale
         scores[start:stop] = (block @ loadings)[: stop - start]
     return scores
 

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prsadjust.errors import AlleleMismatch, AllMissingVariant, EmptyIntersection
@@ -23,6 +23,7 @@ from prsadjust.genotypes import (
     is_strand_ambiguous,
     reverse_complement,
     _BLOCK_CELLS,
+    _observed_means,
 )
 from conftest import make_matrix
 
@@ -260,7 +261,6 @@ class TestAlignEffectAlleles:
         assert np.array_equal(aligned.dosage[:, 0], [1.5, 1.0])
         assert aligned.dosage[0, 1] == 0.0 and aligned.missing_mask[1, 1]
         assert not aligned.missing_mask[:, 0].any()
-        assert aligned.dosage.flags.c_contiguous and aligned.missing_mask.flags.c_contiguous
         assert report == AlignmentReport(flipped=("rs3",), excluded=(), absent=())
 
     def test_flipping_twice_restores_the_original(self):
@@ -289,7 +289,55 @@ class TestAlignEffectAlleles:
         assert np.array_equal(aligned.dosage.ravel(), [2.0 - d for d in dosages])
 
 
+@st.composite
+def _mean_fill_cases(draw):
+    """Dosages and a missing mask in which every column holds an observed call.
+
+    3-decimal dosages make the sums round, so a mean's last bits show the
+    order its column was summed in. Some columns keep one observed call; a
+    300 x 120 draw spans more than one of ``_observed_means``' blocks.
+    """
+    n = draw(st.sampled_from((1, 2, 7, 8, 9, 40, 129, 300)))
+    m = draw(st.integers(min_value=1, max_value=120))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    dosage = rng.integers(0, 2001, (n, m)) / 1000
+    missing = rng.random((n, m)) < draw(st.sampled_from((0.0, 0.2, 0.6)))
+    single = draw(st.sets(st.integers(min_value=0, max_value=m - 1)))
+    for j in range(m):
+        if j in single or missing[:, j].all():
+            missing[:, j] = True
+            missing[rng.integers(n), j] = False
+    return dosage, missing
+
+
 class TestFillMissingMean:
+    @settings(max_examples=200, deadline=None)
+    @given(_mean_fill_cases())
+    def test_means_do_not_depend_on_the_layout(self, case):
+        """Each mean is np.add.reduce of its column as a 1-D float64 array,
+        with 0.0 at missing calls, over the observed count: for a C-ordered
+        matrix, an F-ordered one and each column taken alone."""
+        dosage, missing = case
+        means = [
+            np.add.reduce(np.where(missing[:, j], 0.0, dosage[:, j])) / np.sum(~missing[:, j])
+            for j in range(dosage.shape[1])
+        ]
+        expected = np.where(missing, means, dosage)
+        base = make_matrix(dosage, missing=zip(*np.nonzero(missing)))
+        for layout in ("C", "F"):
+            matrix = GenotypeMatrix(
+                base.samples,
+                base.variants,
+                np.array(dosage, order=layout),
+                np.array(missing, order=layout),
+            )
+            assert fill_missing_mean(matrix).dosage.tobytes() == expected.tobytes()
+            got = _observed_means(matrix.dosage, matrix.missing_mask, matrix.variant_ids)
+            assert got.tobytes() == np.array(means).tobytes()
+        for j in range(dosage.shape[1]):
+            alone = fill_missing_mean(base.take_variants([j])).dosage
+            assert alone.tobytes() == expected[:, [j]].tobytes()
+
     def test_fills_with_observed_column_mean(self):
         m = make_matrix([[0.0], [2.0], [0.0]], missing=[(2, 0)])
         filled = fill_missing_mean(m)

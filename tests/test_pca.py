@@ -672,6 +672,21 @@ class TestProject:
         with pytest.raises(AllMissingVariant, match="variant rs3 has no observed dosages"):
             fill_missing_mean(holey)
 
+    def test_every_model_variant_without_an_observed_call_is_counted(self, rng):
+        """project names the first wholly missing model column and counts all
+        of them, as fill_missing_mean does, though they lie far apart."""
+        train = _random_matrix(rng, 200, 400)
+        model = _fit_matrix(train, k_max=2)
+        missing = rng.random(train.dosage.shape) < 0.02
+        missing[:, [5, 390]] = True
+        holey = make_matrix(train.dosage.copy(), missing=zip(*np.nonzero(missing)))
+        with pytest.raises(AllMissingVariant) as projected:
+            project(model, holey)
+        with pytest.raises(AllMissingVariant) as filled:
+            fill_missing_mean(holey)
+        message = "variant rs6 has no observed dosages (2 variants affected)"
+        assert str(projected.value) == str(filled.value) == message
+
 
 class TestPersistence:
     def test_round_trip_is_bitwise(self, rng, tmp_path):

@@ -108,9 +108,8 @@ def _weight_path_cases(draw):
     """A matrix with missing calls and dyadic weights over it.
 
     Dosages are dyadic (every sum exact) or 3-decimal (sums round), on
-    1-40 samples: numpy sums a C-ordered column row by row but an F-ordered
-    one pairwise from 8 rows on, and the two round differently. The cells
-    come from a drawn seed, which keeps 240-cell draws cheap.
+    1-40 samples, so a mean's last bits show the order its column is summed
+    in. The cells come from a drawn seed, which keeps 240-cell draws cheap.
     """
     n = draw(st.integers(min_value=1, max_value=40))
     m = draw(st.integers(min_value=1, max_value=6))
@@ -138,13 +137,14 @@ def _weight_path_cases(draw):
         alleles=alleles,
         missing=[(i, j) for i, row in enumerate(cells) for j, d in enumerate(row) if d is None],
     )
-    return matrix, cells, alleles, ScoreWeightTable(tuple(rows)), exact
+    return matrix, cells, alleles, ScoreWeightTable(tuple(rows))
 
 
 def _per_sample_oracle(cells, alleles, weights):
     """Each sample's score in weight-table order, or the error the path must raise.
 
-    Python adds left to right, so each mean is a row-by-row column sum.
+    Each mean is np.add.reduce of its recoded column as a 1-D float64 array,
+    with 0.0 at missing calls, over the observed count.
     """
     columns = []  # (column, flip, weight) for every weight row that is scored
     for row in weights.rows:
@@ -160,10 +160,11 @@ def _per_sample_oracle(cells, alleles, weights):
         columns.append((int(row.variant_id[2:]) - 1, flip, row.weight))
     means = []
     for j, flip, _ in columns:
-        observed = [2.0 - r[j] if flip else r[j] for r in cells if r[j] is not None]
-        if not observed:
+        column = [0.0 if r[j] is None else 2.0 - r[j] if flip else r[j] for r in cells]
+        count = sum(r[j] is not None for r in cells)
+        if not count:
             return AllMissingVariant
-        means.append(sum(observed) / len(observed))
+        means.append(float(np.add.reduce(np.array(column, dtype=np.float64))) / count)
     if not columns:
         return NoUsableVariants
     scores = []
@@ -179,7 +180,7 @@ def _per_sample_oracle(cells, alleles, weights):
 @settings(max_examples=300, deadline=None)
 @given(_weight_path_cases())
 def test_weight_path_matches_per_sample_loop(case):
-    matrix, cells, alleles, weights, exact = case
+    matrix, cells, alleles, weights = case
     expected = _per_sample_oracle(cells, alleles, weights)
     text = stdio.StringIO()
     write_vcf(matrix, text)
@@ -192,12 +193,7 @@ def test_weight_path_matches_per_sample_loop(case):
         except (AlleleMismatch, AllMissingVariant, NoUsableVariants) as exc:
             assert type(exc) is expected
             continue
-        if exact or aligned.n_variants > 1:
-            assert list(raw.scores) == expected
-        else:
-            # An (n, 1) array is contiguous down its column, so numpy sums
-            # that column pairwise, not row by row: same value, last bits apart.
-            np.testing.assert_allclose(raw.scores, expected, rtol=1e-14, atol=1e-14)
+        assert list(raw.scores) == expected
         assert raw.sample_ids == matrix.sample_ids
         # One report accounts for every weight row that is not scored as is.
         assert alignment.absent == tuple(v for v in weights.variant_ids if v not in alleles)
