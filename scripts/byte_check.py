@@ -14,8 +14,8 @@ stderr and exit code are compared byte for byte. Prints IDENTICAL, or,
 for each file that differs, the number of its differing lines (paired by
 difflib, so a removed or inserted line does not shift the rest) and the
 first three of them, and exits 1. After the verdict it prints each tree's
-peak RSS for every fit and score command; the table is not compared, and
-the exit code depends on the bytes alone. The commands are started by
+peak RSS for every command (simulate, fit, score and evaluate); the table is
+not compared, and the exit code depends on the bytes alone. The commands are started by
 ``perfbench/spawner.py``'s helper, launched before this script loads numpy,
 so each figure is the command's own high-water mark.
 """
@@ -129,7 +129,7 @@ def write_inputs(env: dict[str, str], work: Path) -> None:
 
 def run_tree(spawner: Spawner, env: dict[str, str], argvs: list[list[str]], work: Path):
     """Run every command under ``env``; logs go beside each --out. Returns
-    the peak RSS (MB) of each fit and score command, keyed by its --out."""
+    the peak RSS (MB) of each command, keyed by its --out."""
     peaks = {}
     for argv in argvs:
         out = argv[argv.index("--out") + 1]
@@ -140,13 +140,12 @@ def run_tree(spawner: Spawner, env: dict[str, str], argvs: list[list[str]], work
             env, work, log.with_name(f"{log.name}.stdout"), TIMEOUT_S,
         )
         log.with_name(f"{log.name}.exit").write_text(f"{code}\n")
-        if argv[0] in ("fit", "score"):
-            peaks[out] = peak
+        peaks[out] = peak
     return peaks
 
 
 def peak_table(peaks: dict[str, dict[str, float]], rev: str) -> list[str]:
-    """One line per fit and score command: its peak RSS in each tree."""
+    """One line per command: its peak RSS in each tree."""
     parent, current = peaks["parent"], peaks["current"]
     width = max(map(len, parent))
     lines = [f"{'peak RSS (MB)':<{width}}  {rev:>9}  {'current':>9}"]

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ModelMismatch, RankDeficient
-from .io import _ascii_int, _model_text, _read_model, _real, _reals, _text_dest, _vcf_float
+from .text import _ascii_int, _model_text, _read_model, _real, _reals, _text_dest, _vcf_float
 from .pca import PcScores
 from .scoring import PrsVector
 

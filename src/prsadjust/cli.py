@@ -9,6 +9,10 @@ inputs has run. Data goes to files and standard output; diagnostics and
 errors go to standard error.
 Exit codes: 0 success, 2 configuration or usage error, 3 data or model
 error.
+
+At start-up only the numpy-free modules (text, errors, evaluation) are
+loaded; a command imports the layers that compute with numpy when it runs,
+so ``evaluate`` never loads numpy.
 """
 
 from __future__ import annotations
@@ -19,13 +23,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import io as pio
-from .adjust import (
-    apply_adjustment,
-    fit_adjustment,
-    load_adjustment_model,
-    save_adjustment_model,
-)
+from . import text as ptext
 from .errors import ConfigInvalid, EmptyInput, PipelineError
 from .evaluation import (
     DEFAULT_HIGH_RISK_PERCENTILE,
@@ -37,42 +35,16 @@ from .evaluation import (
     write_population_summary_csv,
     write_roc_csv,
 )
-from .genotypes import (
-    align_effect_alleles,
-    fill_missing_mean,
-    filter_by_panel,
-)
-from .pca import (
-    PcScores,
-    _pc_scores,
-    _significant_count,
-    fit_pca,
-    load_pca_model,
-    pca_model_fingerprint,
-    project,
-    save_pca_model,
-    select_k,
-    standardize,
-)
-from .scoring import compute_raw_prs
-from .simulate import (
-    DEFAULT_SCENARIO,
-    generate_cohort,
-    parse_scenario_config,
-    write_scenario,
-    write_scenario_config,
-)
-
 
 # A setting with no flag or config value takes its default here, else None.
 _DEFAULTS = {
     "k": "4",
     "percentile": DEFAULT_HIGH_RISK_PERCENTILE,
 }
-# key: (io's strict int() or float(), what it must be), for flags and config values.
+# key: (text's strict int() or float(), what it must be), for flags and config values.
 _NUMBER_KEYS = {
-    "seed": (pio._ascii_int, "ASCII digits"),
-    "percentile": (pio._vcf_float, "an ASCII decimal"),
+    "seed": (ptext._ascii_int, "ASCII digits"),
+    "percentile": (ptext._vcf_float, "an ASCII decimal"),
 }
 
 
@@ -82,7 +54,7 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
         name: value for name, value in vars(args).items() if name not in ("command", "config", "func")
     }
     cfg = argparse.Namespace(command=args.command, **{name: _DEFAULTS.get(name) for name in flags})
-    layers = [dict(pio._key_values(args.config))] if args.config else []
+    layers = [dict(ptext._key_values(args.config))] if args.config else []
     layers.append({name: value for name, value in flags.items() if value is not None})
     for layer in layers:
         for key, text in layer.items():
@@ -98,7 +70,7 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
             setattr(cfg, key, value)
     if "k" in flags and cfg.k != "auto":
         try:
-            k = pio._ascii_int(cfg.k)
+            k = ptext._ascii_int(cfg.k)
             if k < 1:
                 raise ValueError
         except ValueError:
@@ -122,7 +94,7 @@ def _out_dir(cfg: argparse.Namespace) -> Path:
 
 
 def _echo_config(cfg: argparse.Namespace, out: Path) -> None:
-    pio._write_key_values(sorted(vars(cfg).items()), out / "run_config.txt")
+    ptext._write_key_values(sorted(vars(cfg).items()), out / "run_config.txt")
 
 
 def _sha256(path: Path) -> str:
@@ -139,6 +111,14 @@ def _sha256(path: Path) -> str:
 
 
 def _cmd_simulate(cfg: argparse.Namespace) -> int:
+    from .simulate import (
+        DEFAULT_SCENARIO,
+        generate_cohort,
+        parse_scenario_config,
+        write_scenario,
+        write_scenario_config,
+    )
+
     _require(cfg, "out")
     scenario = parse_scenario_config(cfg.scenario) if cfg.scenario else DEFAULT_SCENARIO
     if cfg.seed is not None:
@@ -161,7 +141,11 @@ def _columns(path: str, wanted: tuple[str, ...], weights):
     decoded. The weight columns are aligned, filled and scored in a copy,
     which is freed before this returns.
     """
-    matrix, report = pio.parse_vcf(path, frozenset(wanted) | frozenset(weights.variant_ids))
+    from .genotypes import align_effect_alleles, fill_missing_mean
+    from .io import parse_vcf
+    from .scoring import compute_raw_prs
+
+    matrix, report = parse_vcf(path, frozenset(wanted) | frozenset(weights.variant_ids))
     if report.skipped:
         reasons = ", ".join(
             f"{len(report.skipped[reason])} {reason}" for reason in sorted(report.skipped)
@@ -185,9 +169,23 @@ def _columns(path: str, wanted: tuple[str, ...], weights):
 
 
 def _cmd_fit(cfg: argparse.Namespace) -> int:
+    from .adjust import fit_adjustment, save_adjustment_model
+    from .genotypes import fill_missing_mean, filter_by_panel
+    from .io import parse_panel, parse_weights
+    from .pca import (
+        PcScores,
+        _pc_scores,
+        _significant_count,
+        fit_pca,
+        pca_model_fingerprint,
+        save_pca_model,
+        select_k,
+        standardize,
+    )
+
     _require(cfg, "train_vcf", "panel", "weights", "out")
-    panel = pio.parse_panel(cfg.panel)
-    weights = pio.parse_weights(cfg.weights)
+    panel = parse_panel(cfg.panel)
+    weights = parse_weights(cfg.weights)
     matrix, raw = _columns(cfg.train_vcf, panel.variant_ids, weights)
     sample_ids = matrix.sample_ids
     panel_matrix, coverage = filter_by_panel(matrix, panel)
@@ -230,12 +228,12 @@ def _cmd_fit(cfg: argparse.Namespace) -> int:
     cumulative = 0.0
     for i, (eigenvalue, ratio) in enumerate(spectrum, start=1):
         cumulative += float(ratio)
-        lines.append(",".join([str(i), *map(pio._format_real, (eigenvalue, ratio, cumulative))]))
+        lines.append(",".join([str(i), *map(ptext._format_real, (eigenvalue, ratio, cumulative))]))
     table = "\n".join(lines) + "\n"
     out = _out_dir(cfg)
     save_pca_model(model, out / "pca_model.txt")
     save_adjustment_model(adjustment, out / "adjustment_model.txt")
-    with pio._text_dest(out / "explained_variance.csv") as handle:
+    with ptext._text_dest(out / "explained_variance.csv") as handle:
         handle.write(table)
     print(table, end="")
     _echo_config(cfg, out)
@@ -243,13 +241,17 @@ def _cmd_fit(cfg: argparse.Namespace) -> int:
 
 
 def _cmd_score(cfg: argparse.Namespace) -> int:
+    from .adjust import apply_adjustment, load_adjustment_model
+    from .io import parse_phenotypes, parse_weights
+    from .pca import load_pca_model, project
+
     _require(cfg, "test_vcf", "weights", "model_dir", "out")
     model_dir = Path(cfg.model_dir)
     pca_model = load_pca_model(model_dir / "pca_model.txt")
     adjustment = load_adjustment_model(model_dir / "adjustment_model.txt")
     # run_config.txt echoes the k the cohort is scored with.
     cfg.k = pca_model.k
-    weights = pio.parse_weights(cfg.weights)
+    weights = parse_weights(cfg.weights)
 
     # project reads the model's columns from the parsed matrix, filling
     # missing calls as it goes, and names any model variant the VCF lacks;
@@ -261,18 +263,18 @@ def _cmd_score(cfg: argparse.Namespace) -> int:
     samples = matrix.samples
 
     if cfg.phenotypes:
-        by_id = {rec.sample_id: rec for rec in pio.parse_phenotypes(cfg.phenotypes)}
+        by_id = {rec.sample_id: rec for rec in parse_phenotypes(cfg.phenotypes)}
         samples = [by_id.get(rec.sample_id, rec) for rec in samples]
     report = scores_to_report(samples, pcs, raw, adjusted)
     out = _out_dir(cfg)
-    pio.write_report_csv(report, out / "report.csv")
+    ptext.write_report_csv(report, out / "report.csv")
     _echo_config(cfg, out)
     return 0
 
 
 def _cmd_evaluate(cfg: argparse.Namespace) -> int:
     _require(cfg, "report", "out")
-    report = pio.read_report_csv(cfg.report)
+    report = ptext.read_report_csv(cfg.report)
 
     labeled = [row for row in report.rows if row.obese is not None]
     if report.rows and not labeled:

@@ -7,6 +7,10 @@ the pairwise Mann-Whitney statistic
     [#(score_pos > score_neg) + 0.5 * #(score_pos == score_neg)] / (n_pos * n_neg)
 
 to the last bit rather than merely approximately.
+
+It needs no numpy, so ``evaluate`` starts without loading it: the functions
+work on lists and floats, and a population's mean and SD are summed in
+numpy's pairwise order, so they equal numpy's bit for bit.
 """
 
 from __future__ import annotations
@@ -14,15 +18,17 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
-
-import numpy as np
+from itertools import groupby
+from operator import itemgetter
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import DegenerateLabels, EmptyInput
-from .genotypes import SampleRecord
-from .io import CohortReport, ReportRow, _format_real, _real, _text_dest, _write_key_values
-from .pca import PcScores
-from .scoring import PrsVector
+from .text import CohortReport, ReportRow, _format_real, _real, _text_dest, _write_key_values
+
+if TYPE_CHECKING:
+    from .genotypes import SampleRecord
+    from .pca import PcScores
+    from .scoring import PrsVector
 
 DEFAULT_HIGH_RISK_PERCENTILE = 76.0
 
@@ -53,15 +59,15 @@ class PopulationSummary:
 class RocResult:
     """One ROC curve: (fpr, tpr) points over descending thresholds, plus AUC."""
 
-    points: np.ndarray
+    points: tuple[tuple[float, float], ...]
     auc: float
     n_pos: int
     n_neg: int
 
     def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=np.float64)
-        if self.points.ndim != 2 or self.points.shape[1] != 2:
-            raise ValueError("points must be (p, 2)")
+        self.points = tuple(tuple(map(float, point)) for point in self.points)
+        if any(len(point) != 2 for point in self.points):
+            raise ValueError("points must be (fpr, tpr) pairs")
 
 
 @dataclass(eq=False)
@@ -84,7 +90,54 @@ class ModelComparison:
         return self.auc_adjusted - self.auc_raw
 
 
-def percentile_threshold(scores: Sequence[float] | np.ndarray, percentile: float) -> float:
+def _require_finite(values: list[float]) -> None:
+    if not all(map(math.isfinite, values)):
+        raise ValueError("scores must be finite")
+
+
+def _pairwise_sum(values: Sequence[float], lo: int, hi: int) -> float:
+    """numpy's pairwise sum of ``values[lo:hi]``, in its order of additions: a
+    plain loop below 8 values, 8 interleaved partial sums up to 128, else the
+    sums of two halves split at a multiple of 8."""
+    n = hi - lo
+    if n < 8:
+        total = -0.0
+        for i in range(lo, hi):
+            total += values[i]
+        return total
+    if n <= 128:
+        r = list(values[lo : lo + 8])
+        end = hi - n % 8
+        for i in range(lo + 8, end, 8):
+            for j in range(8):
+                r[j] += values[i + j]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for i in range(end, hi):
+            total += values[i]
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values, lo, lo + half) + _pairwise_sum(values, lo + half, hi)
+
+
+def _sum(values: Sequence[float]) -> float:
+    """``np.add.reduce`` of a float64 vector, bit for bit: the pairwise sum of
+    all the values, added to 0.0."""
+    return 0.0 + _pairwise_sum(values, 0, len(values))
+
+
+def _mean_sd(values: Sequence[float]) -> tuple[float, float]:
+    """``mean()`` and ``std(ddof=1)`` of a float64 vector, bit for bit as numpy
+    takes them: the sum over n, and the root of the sum of the squared
+    deviations over n - 1 (NaN for one value)."""
+    n = len(values)
+    mean = _sum(values) / n
+    if n < 2:
+        return mean, math.nan
+    return mean, math.sqrt(_sum([(v - mean) * (v - mean) for v in values]) / (n - 1))
+
+
+def percentile_threshold(scores: Iterable[float], percentile: float) -> float:
     """Nearest-rank percentile: the value at rank ceil(p/100 * n), 1-based.
 
     With scores 1..100 and percentile 76 the threshold is 76, leaving
@@ -94,24 +147,23 @@ def percentile_threshold(scores: Sequence[float] | np.ndarray, percentile: float
     ------
     EmptyInput
     """
-    values = np.asarray(scores, dtype=np.float64)
-    if values.size == 0:
+    values = list(map(float, scores))
+    if not values:
         raise EmptyInput("cannot take a percentile of zero scores")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("scores must be finite")
+    _require_finite(values)
     if not 0.0 < percentile < 100.0:
         raise ValueError(f"percentile must be in (0, 100), got {percentile}")
-    n = values.size
+    n = len(values)
     # Multiply before dividing and allow a tiny slack so that exact-integer
     # ranks are not pushed up by decimal representation error.
     rank = math.ceil(percentile * n / 100.0 - 1e-9)
     rank = min(max(rank, 1), n)
-    return float(np.sort(values)[rank - 1])
+    return sorted(values)[rank - 1]
 
 
-def high_risk(scores: Sequence[float] | np.ndarray, threshold: float) -> np.ndarray:
-    """Boolean mask of scores strictly above the threshold."""
-    return np.asarray(scores, dtype=np.float64) > threshold
+def high_risk(scores: Iterable[float], threshold: float) -> list[bool]:
+    """Whether each score is strictly above the threshold."""
+    return [float(score) > threshold for score in scores]
 
 
 def stratify_by_population(
@@ -124,7 +176,8 @@ def stratify_by_population(
     pooled cohort, then every population's fraction above them is
     reported. Weighted by population sizes, the per-population counts add
     back up to the pooled count exactly. Populations are ordered by label;
-    samples without a population label are grouped under ".".
+    samples without a population label are grouped under ".". Means and
+    SDs equal numpy's ``mean()`` and ``std(ddof=1)`` bit for bit.
 
     Raises
     ------
@@ -132,34 +185,33 @@ def stratify_by_population(
     """
     if not rows:
         raise EmptyInput("no rows to stratify")
-    raw = np.array([r.raw_prs for r in rows])
-    adjusted = np.array([r.adjusted_prs for r in rows])
-    threshold_raw = percentile_threshold(raw, percentile)
-    threshold_adjusted = percentile_threshold(adjusted, percentile)
-    groups: dict[str, list[int]] = {}
-    for i, row in enumerate(rows):
-        label = row.population if row.population is not None else "."
-        groups.setdefault(label, []).append(i)
+    threshold_raw = percentile_threshold([r.raw_prs for r in rows], percentile)
+    threshold_adjusted = percentile_threshold([r.adjusted_prs for r in rows], percentile)
+    groups: dict[str, list[ReportRow]] = {}
+    for row in rows:
+        groups.setdefault(row.population if row.population is not None else ".", []).append(row)
     summaries = []
     for label in sorted(groups):
-        idx = np.asarray(groups[label], dtype=int)
-        r, a = raw[idx], adjusted[idx]
+        raw = [float(r.raw_prs) for r in groups[label]]
+        adjusted = [float(r.adjusted_prs) for r in groups[label]]
+        mean_raw, sd_raw = _mean_sd(raw)
+        mean_adjusted, sd_adjusted = _mean_sd(adjusted)
         summaries.append(
             PopulationSummary(
                 population=label,
-                n=idx.size,
-                mean_raw=float(r.mean()),
-                sd_raw=float(r.std(ddof=1)) if idx.size > 1 else float("nan"),
-                mean_adjusted=float(a.mean()),
-                sd_adjusted=float(a.std(ddof=1)) if idx.size > 1 else float("nan"),
-                n_highrisk_raw=int(np.count_nonzero(high_risk(r, threshold_raw))),
-                n_highrisk_adjusted=int(np.count_nonzero(high_risk(a, threshold_adjusted))),
+                n=len(raw),
+                mean_raw=mean_raw,
+                sd_raw=sd_raw,
+                mean_adjusted=mean_adjusted,
+                sd_adjusted=sd_adjusted,
+                n_highrisk_raw=sum(high_risk(raw, threshold_raw)),
+                n_highrisk_adjusted=sum(high_risk(adjusted, threshold_adjusted)),
             )
         )
     return tuple(summaries)
 
 
-def roc_auc(scores: Sequence[float] | np.ndarray, labels: Sequence[bool]) -> RocResult:
+def roc_auc(scores: Iterable[float], labels: Iterable[bool]) -> RocResult:
     """ROC curve over all distinct thresholds, descending, and its exact AUC.
 
     The curve starts at (0, 0), ends at (1, 1), and both coordinates are
@@ -170,46 +222,36 @@ def roc_auc(scores: Sequence[float] | np.ndarray, labels: Sequence[bool]) -> Roc
     ------
     EmptyInput, DegenerateLabels
     """
-    values = np.asarray(scores, dtype=np.float64)
-    flags = np.asarray(labels, dtype=bool)
-    if values.size == 0:
+    values = list(map(float, scores))
+    flags = list(map(bool, labels))
+    if not values:
         raise EmptyInput("no scores to rank")
-    if values.shape != flags.shape:
+    if len(values) != len(flags):
         raise ValueError("scores and labels must have equal length")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("scores must be finite")
-    n_pos = int(np.count_nonzero(flags))
-    n_neg = int(flags.size - n_pos)
+    _require_finite(values)
+    n_pos = sum(flags)
+    n_neg = len(flags) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DegenerateLabels(f"need both classes, got {n_pos} positive / {n_neg} negative")
-    order = np.argsort(-values, kind="stable")
-    sorted_scores = values[order]
-    sorted_flags = flags[order]
+    ranked = sorted(zip(values, flags), key=itemgetter(0), reverse=True)
     points = [(0.0, 0.0)]
     tp = fp = 0
     area_twice = 0  # integer accumulator in units of 1 / (2 * n_pos * n_neg)
-    i = 0
-    n = values.size
-    while i < n:
-        j = i
-        while j < n and sorted_scores[j] == sorted_scores[i]:
-            j += 1
-        d_tp = int(np.count_nonzero(sorted_flags[i:j]))
-        d_fp = (j - i) - d_tp
+    for _, tied in groupby(ranked, key=itemgetter(0)):
+        tied_flags = [flag for _, flag in tied]
+        d_tp = sum(tied_flags)
+        d_fp = len(tied_flags) - d_tp
         area_twice += d_fp * (2 * tp + d_tp)
         tp += d_tp
         fp += d_fp
         points.append((fp / n_neg, tp / n_pos))
-        i = j
     auc = area_twice / (2 * n_pos * n_neg)
-    return RocResult(
-        points=np.asarray(points), auc=auc, n_pos=n_pos, n_neg=n_neg
-    )
+    return RocResult(points=tuple(points), auc=auc, n_pos=n_pos, n_neg=n_neg)
 
 
 def compare_models(
-    raw: Sequence[float] | np.ndarray,
-    adjusted: Sequence[float] | np.ndarray,
+    raw: Iterable[float],
+    adjusted: Iterable[float],
     labels: Sequence[bool],
 ) -> ModelComparison:
     """ROC/AUC for raw and adjusted scores over the same labeled samples.
@@ -233,12 +275,14 @@ def scores_to_report(
         ReportRow(
             sample_id=rec.sample_id,
             population=rec.population,
-            pcs=tuple(float(v) for v in pcs.scores[i]),
-            raw_prs=float(raw.scores[i]),
-            adjusted_prs=float(adjusted.scores[i]),
+            pcs=tuple(pc_row),
+            raw_prs=raw_score,
+            adjusted_prs=adjusted_score,
             obese=rec.obese,
         )
-        for i, rec in enumerate(samples)
+        for rec, pc_row, raw_score, adjusted_score in zip(
+            samples, pcs.scores.tolist(), raw.scores.tolist(), adjusted.scores.tolist()
+        )
     )
     return CohortReport(rows=rows)
 

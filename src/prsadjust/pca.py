@@ -36,7 +36,7 @@ from .errors import (
     NoVariantsRetained,
 )
 from .genotypes import GenotypeMatrix, _observed_means
-from .io import _ascii_int, _model_text, _read_model, _real, _reals, _text_dest, _vcf_float
+from .text import _ascii_int, _model_text, _read_model, _real, _reals, _text_dest, _vcf_float
 
 logger = logging.getLogger(__name__)
 

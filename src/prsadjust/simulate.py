@@ -56,6 +56,7 @@ from .genotypes import (
     Variant,
     WeightRow,
 )
+from .text import _ascii_int, _key_values, _vcf_float, _write_key_values
 
 # Non-ambiguous alt choices per ref base: never the base itself and never
 # its complement, so no generated variant is strand-ambiguous.
@@ -393,9 +394,9 @@ def write_scenario(cohort: SyntheticCohort, out_dir: str | Path) -> list[Path]:
 # ---------------------------------------------------------------------------
 
 _SCALAR_KEYS = {
-    **dict.fromkeys(("seed", "n_ancestry_snps", "n_trait_snps"), pio._ascii_int),
+    **dict.fromkeys(("seed", "n_ancestry_snps", "n_trait_snps"), _ascii_int),
     **dict.fromkeys(
-        ("trait_weight_mean", "trait_weight_sd", "noise_sd", "bmi_base", "bmi_slope"), pio._vcf_float
+        ("trait_weight_mean", "trait_weight_sd", "noise_sd", "bmi_base", "bmi_slope"), _vcf_float
     ),
 }
 
@@ -405,13 +406,13 @@ def parse_scenario_config(source) -> ScenarioConfig:
 
     One ``population=label:n:fst:offset[:n_test]`` line per population;
     scalar keys as in the module's writer. Integers must be ASCII digits
-    and reals ASCII VCF Floats (``io._ascii_int``, ``io._vcf_float``).
+    and reals ASCII VCF Floats (``text._ascii_int``, ``text._vcf_float``).
     Unknown keys, a second line for any key but ``population`` and malformed
     values raise :class:`ConfigInvalid` naming the offending field.
     """
     values: dict[str, object] = {}
     populations: list[PopulationConfig] = []
-    for key, value in pio._key_values(source, repeatable=("population",)):
+    for key, value in _key_values(source, repeatable=("population",)):
         if key == "population":
             parts = value.split(":")
             if len(parts) not in (4, 5):
@@ -421,10 +422,10 @@ def parse_scenario_config(source) -> ScenarioConfig:
             try:
                 pop = PopulationConfig(
                     label=parts[0],
-                    n_samples=pio._ascii_int(parts[1]),
-                    fst=pio._vcf_float(parts[2]),
-                    offset=pio._vcf_float(parts[3]),
-                    n_test=pio._ascii_int(parts[4]) if len(parts) == 5 else 0,
+                    n_samples=_ascii_int(parts[1]),
+                    fst=_vcf_float(parts[2]),
+                    offset=_vcf_float(parts[3]),
+                    n_test=_ascii_int(parts[4]) if len(parts) == 5 else 0,
                 )
             except ValueError as exc:
                 raise ConfigInvalid(f"population: {exc}") from None
@@ -447,7 +448,7 @@ def write_scenario_config(config: ScenarioConfig, dest) -> None:
     """Write ``config`` as the lines :func:`parse_scenario_config` reads; reals by ``repr``."""
     # _SCALAR_KEYS lists seed first: the file's first line, before the populations.
     seed, *scalars = (
-        (key, repr(value) if read is pio._vcf_float else value)
+        (key, repr(value) if read is _vcf_float else value)
         for key, read in _SCALAR_KEYS.items()
         for value in [getattr(config, key)]
     )
@@ -456,7 +457,7 @@ def write_scenario_config(config: ScenarioConfig, dest) -> None:
          + (f":{pop.n_test}" if pop.n_test else ""))
         for pop in config.populations
     )
-    pio._write_key_values([seed, *populations, *scalars], dest)
+    _write_key_values([seed, *populations, *scalars], dest)
 
 
 DEFAULT_SCENARIO = ScenarioConfig(

@@ -227,7 +227,7 @@ def test_criterion_06_high_risk_rebalancing():
 
     def fractions(scores):
         threshold = percentile_threshold(scores, 76.0)
-        flags = high_risk(scores, threshold)
+        flags = np.asarray(high_risk(scores, threshold))
         return np.array(
             [flags[populations == pop].mean() for pop in np.unique(populations)]
         )

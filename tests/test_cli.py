@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from prsadjust import adjust, cli, pca
+from prsadjust import adjust, pca
 from prsadjust import io as pio
 from prsadjust.adjust import apply_adjustment, fit_adjustment, load_adjustment_model
 from prsadjust.cli import _build_parser, _resolve, main
@@ -260,7 +260,7 @@ class TestFit:
             seen.append(pcs)
             return fit_adjustment(raw, pcs)
 
-        monkeypatch.setattr(cli, "fit_adjustment", record)
+        monkeypatch.setattr(adjust, "fit_adjustment", record)
         assert main(
             [
                 "fit",

@@ -2,17 +2,20 @@
 
 import io as stdio
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prsadjust.errors import DegenerateLabels, EmptyInput
 from prsadjust.evaluation import (
     CohortReport,
     ReportRow,
+    _mean_sd,
+    _sum,
     compare_models,
     high_risk,
     percentile_threshold,
@@ -29,7 +32,7 @@ class TestPercentileThreshold:
         scores = np.arange(1.0, 101.0)
         threshold = percentile_threshold(scores, 76.0)
         assert threshold == 76.0
-        assert int(high_risk(scores, threshold).sum()) == 24
+        assert int(np.asarray(high_risk(scores, threshold)).sum()) == 24
 
     def test_matches_fraction_arithmetic_oracle(self):
         # nearest-rank: the ceil(p*n/100)-th smallest, computed exactly
@@ -45,7 +48,7 @@ class TestPercentileThreshold:
     def test_all_equal_scores_give_no_high_risk(self):
         scores = np.full(10, 5.0)
         threshold = percentile_threshold(scores, 76.0)
-        assert int(high_risk(scores, threshold).sum()) == 0
+        assert int(np.asarray(high_risk(scores, threshold)).sum()) == 0
 
     def test_single_score(self):
         assert percentile_threshold([4.5], 76.0) == 4.5
@@ -88,7 +91,7 @@ class TestStratify:
         summaries = stratify_by_population(rows, percentile=76.0)
         raw = np.array([r.raw_prs for r in rows])
         threshold = percentile_threshold(raw, 76.0)
-        assert sum(s.n_highrisk_raw for s in summaries) == int(high_risk(raw, threshold).sum())
+        assert sum(s.n_highrisk_raw for s in summaries) == int(np.asarray(high_risk(raw, threshold)).sum())
 
     def test_labels_sorted_and_none_rendered_as_dot(self):
         rows = [_row("S1", "POPB", 1.0, 1.0), _row("S2", None, 2.0, 2.0),
@@ -137,10 +140,11 @@ class TestRocAuc:
         labels = rng.random(37) < 0.4
         labels[0], labels[1] = True, False
         result = roc_auc(scores, labels)
-        assert result.points[0].tolist() == [0.0, 0.0]
-        assert result.points[-1].tolist() == [1.0, 1.0]
-        assert np.all(np.diff(result.points[:, 0]) >= 0)
-        assert np.all(np.diff(result.points[:, 1]) >= 0)
+        points = np.asarray(result.points)
+        assert points[0].tolist() == [0.0, 0.0]
+        assert points[-1].tolist() == [1.0, 1.0]
+        assert np.all(np.diff(points[:, 0]) >= 0)
+        assert np.all(np.diff(points[:, 1]) >= 0)
 
     def test_matches_pairwise_oracle_with_ties(self, rng):
         for _ in range(60):
@@ -233,3 +237,159 @@ def test_cohort_report_rejects_duplicate_samples():
     rows = (_row("S1", "POPA", 1.0, 1.0), _row("S1", "POPA", 2.0, 2.0))
     with pytest.raises(ValueError, match="S1"):
         CohortReport(rows=rows)
+
+
+# ---------------------------------------------------------------------------
+# numpy oracle: the numpy implementations these functions had before
+# evaluation dropped numpy. The list-and-float versions must match them exactly.
+# ---------------------------------------------------------------------------
+
+
+def _numpy_percentile_threshold(scores, percentile):
+    values = np.asarray(scores, dtype=np.float64)
+    rank = math.ceil(percentile * values.size / 100.0 - 1e-9)
+    rank = min(max(rank, 1), values.size)
+    return float(np.sort(values)[rank - 1])
+
+
+def _numpy_roc_auc(scores, labels):
+    """(points, auc, n_pos, n_neg)."""
+    values = np.asarray(scores, dtype=np.float64)
+    flags = np.asarray(labels, dtype=bool)
+    n_pos = int(np.count_nonzero(flags))
+    n_neg = int(flags.size - n_pos)
+    order = np.argsort(-values, kind="stable")
+    sorted_scores = values[order]
+    sorted_flags = flags[order]
+    points = [(0.0, 0.0)]
+    tp = fp = 0
+    area_twice = 0
+    i = 0
+    n = values.size
+    while i < n:
+        j = i
+        while j < n and sorted_scores[j] == sorted_scores[i]:
+            j += 1
+        d_tp = int(np.count_nonzero(sorted_flags[i:j]))
+        d_fp = (j - i) - d_tp
+        area_twice += d_fp * (2 * tp + d_tp)
+        tp += d_tp
+        fp += d_fp
+        points.append((fp / n_neg, tp / n_pos))
+        i = j
+    return np.asarray(points), area_twice / (2 * n_pos * n_neg), n_pos, n_neg
+
+
+def _numpy_stratify(rows, percentile):
+    """One (population, n, mean_raw, sd_raw, mean_adjusted, sd_adjusted,
+    n_highrisk_raw, n_highrisk_adjusted) per population."""
+    raw = np.array([r.raw_prs for r in rows])
+    adjusted = np.array([r.adjusted_prs for r in rows])
+    threshold_raw = _numpy_percentile_threshold(raw, percentile)
+    threshold_adjusted = _numpy_percentile_threshold(adjusted, percentile)
+    groups = {}
+    for i, row in enumerate(rows):
+        groups.setdefault(row.population if row.population is not None else ".", []).append(i)
+    summaries = []
+    for label in sorted(groups):
+        idx = np.asarray(groups[label], dtype=int)
+        r, a = raw[idx], adjusted[idx]
+        summaries.append((
+            label,
+            idx.size,
+            float(r.mean()),
+            float(r.std(ddof=1)) if idx.size > 1 else float("nan"),
+            float(a.mean()),
+            float(a.std(ddof=1)) if idx.size > 1 else float("nan"),
+            int(np.count_nonzero(r > threshold_raw)),
+            int(np.count_nonzero(a > threshold_adjusted)),
+        ))
+    return summaries
+
+
+def _bits(value):
+    return struct.pack("<d", value)
+
+
+_REALS = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e150, max_value=1e150)
+
+
+@st.composite
+def _vectors(draw, max_size=10_000):
+    """Float64 vectors of 1 to ``max_size`` values: fewer than 8, 8-128 (the
+    eight partial sums) and more (the recursive split), with signed zeros,
+    ties and magnitudes mixed over up to 60 decades."""
+    n = draw(st.one_of(
+        st.integers(1, 7), st.integers(8, 128), st.integers(129, max(129, max_size))
+    ).filter(lambda size: size <= max_size))
+    if n <= 128 and draw(st.booleans()):
+        return draw(st.lists(_REALS | st.sampled_from([0.0, -0.0]), min_size=n, max_size=n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    low, high = draw(st.integers(0, 30)), draw(st.integers(0, 30))
+    values = rng.normal(size=n) * 10.0 ** rng.integers(-low, high + 1, size=n)
+    if draw(st.booleans()):
+        values = np.round(values, 1)  # ties
+    zeros = rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.9]))
+    values[zeros] = np.where(rng.random(int(zeros.sum())) < 0.5, 0.0, -0.0)
+    return values.tolist()
+
+
+class TestNumpyOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(_vectors())
+    def test_sum_mean_and_sd_equal_numpys_bitwise(self, values):
+        array = np.array(values)
+        mean, sd = _mean_sd(values)
+        assert _bits(_sum(values)) == _bits(np.add.reduce(array))
+        assert _bits(mean) == _bits(array.mean())
+        if len(values) > 1:
+            assert _bits(sd) == _bits(array.std(ddof=1))
+        else:
+            assert math.isnan(sd)
+
+    @settings(deadline=None)
+    @given(_vectors(max_size=400), st.floats(min_value=0.01, max_value=99.99))
+    def test_percentile_threshold_matches(self, values, percentile):
+        # == rather than bitwise: numpy's sort leaves the order of tied 0.0
+        # and -0.0 unspecified, so either may be the value at the rank.
+        assert percentile_threshold(values, percentile) == _numpy_percentile_threshold(
+            values, percentile
+        )
+
+    @settings(deadline=None)
+    @given(_vectors(max_size=400), st.integers(0, 2**32 - 1))
+    def test_roc_auc_matches(self, values, seed):
+        if len(values) < 2:
+            values = values * 2
+        labels = np.random.default_rng(seed).random(len(values)) < 0.5
+        labels[:2] = [True, False]
+        result = roc_auc(values, labels.tolist())
+        points, auc, n_pos, n_neg = _numpy_roc_auc(values, labels)
+        assert np.asarray(result.points).tobytes() == points.tobytes()
+        assert (result.auc, result.n_pos, result.n_neg) == (auc, n_pos, n_neg)
+
+    @settings(deadline=None)
+    @given(
+        _vectors(max_size=400),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([50.0, 76.0, 90.0]),
+    )
+    def test_stratify_matches(self, values, seed, percentile):
+        rng = np.random.default_rng(seed)
+        pops = ("POPA", "POPB", "POPC", None)
+        labels = rng.integers(len(pops), size=len(values)).tolist()
+        adjusted = rng.permutation(values).tolist()
+        rows = [
+            _row(f"S{i}", pops[label], raw, adj)
+            for i, (label, raw, adj) in enumerate(zip(labels, values, adjusted))
+        ]
+        expected = _numpy_stratify(rows, percentile)
+        got = [
+            (s.population, s.n, s.mean_raw, s.sd_raw, s.mean_adjusted, s.sd_adjusted,
+             s.n_highrisk_raw, s.n_highrisk_adjusted)
+            for s in stratify_by_population(rows, percentile)
+        ]
+        assert len(got) == len(expected)
+        for g, e in zip(got, expected):
+            assert (g[0], g[1], g[6], g[7]) == (e[0], e[1], e[6], e[7])
+            assert [_bits(v) for v in g[2:6]] == [_bits(v) for v in e[2:6]]

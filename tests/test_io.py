@@ -143,6 +143,23 @@ class TestParseVcf:
             parse_vcf(stdio.StringIO(text))
         assert exc.value.line_no == 11
 
+    @pytest.mark.parametrize("wanted", [None, {"rs0"}])
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_non_ascii_rows_count_their_columns(self, extra, wanted):
+        """A row's tabs are counted in its UTF-8 bytes: non-ASCII text and a
+        lone surrogate in it, used or not, give the same count and error."""
+        n = 4
+        text = _vcf_text(n, [("GT", ["0/1"] * n), ("GT", ["0/0"] * (n + extra))])
+        text = text.replace("\t.\t.\t.\tGT", "\t.\t.\t\u00e9\ud800\tGT")
+        if extra:
+            message = f"^line 3: expected {9 + n} columns, got {9 + n + extra}$"
+            with pytest.raises(MalformedRow, match=message):
+                parse_vcf(stdio.StringIO(text), wanted)
+        else:
+            matrix, report = parse_vcf(stdio.StringIO(text), wanted)
+            assert (report.rows_total, report.rows_parsed) == (2, 1 if wanted else 2)
+            assert matrix.dosage[:, 0].tolist() == [1.0] * n
+
     @pytest.mark.parametrize(
         "row",
         [

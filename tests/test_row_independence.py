@@ -25,7 +25,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from prsadjust import cli
+from prsadjust import adjust, cli
 
 # 300 training and 300 held-out samples, no missing calls.
 SCENARIO = """\
@@ -102,13 +102,13 @@ def cohort(tmp_path_factory):
     def fitted(k):
         if k not in models:
             training = {}
-            adjustment = cli.fit_adjustment
+            adjustment = adjust.fit_adjustment
 
             def record(raw, pcs):
                 training.update((sid, row[0]) for sid, row in _rows(pcs).items())
                 return adjustment(raw, pcs)
 
-            with mock.patch.object(cli, "fit_adjustment", record):
+            with mock.patch.object(adjust, "fit_adjustment", record):
                 assert cli.main([
                     "fit", "--train-vcf", str(files / "train_genotypes.vcf"),
                     "--panel", str(files / "panel.txt"), "--weights", str(files / "weights.tsv"),
