@@ -26,11 +26,10 @@ _ALLELE_RE = re.compile(r"[ACGT]+\Z")
 # id or label that is written to them may hold one.
 _SEPARATORS = frozenset("\t\r\n")
 _COMPLEMENT = str.maketrans("ACGT", "TGCA")
-# Checks over every cell of a matrix take it about this many cells at a time, so
-# that none allocates a temporary the size of the matrix.
-_BLOCK_CELLS = 1 << 16
-# _observed_means' blocks, small enough to stay within project's row blocks.
-_MEAN_BLOCK_CELLS = 1 << 15
+# Every pass over a whole matrix (range check, mean fill, projection gather,
+# simulated draws, VCF writing) takes about this many cells at a time, so that
+# none allocates a temporary the size of the matrix. No result depends on it.
+_BLOCK_CELLS = 1 << 15
 
 
 def reverse_complement(allele: str) -> str:
@@ -48,11 +47,12 @@ def is_strand_ambiguous(ref: str, alt: str) -> bool:
     return ref == reverse_complement(alt)
 
 
-def _column_blocks(n_rows: int, n_columns: int, cells: int = _BLOCK_CELLS) -> Iterator[slice]:
-    """Slices that cover ``n_columns`` columns of ``n_rows`` rows in order,
-    each of about ``cells`` cells (one column at least)."""
-    width = max(1, cells // max(1, n_rows))
-    return (slice(j, j + width) for j in range(0, n_columns, width))
+def _blocks(run_length: int, count: int) -> Iterator[slice]:
+    """Slices that cover ``count`` runs of ``run_length`` cells in order
+    (columns, rows or variants), each of about _BLOCK_CELLS cells (one run
+    at least)."""
+    width = max(1, _BLOCK_CELLS // max(1, run_length))
+    return (slice(j, j + width) for j in range(0, count, width))
 
 
 def _cell_blocks(dosage: np.ndarray, mask: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -61,7 +61,7 @@ def _cell_blocks(dosage: np.ndarray, mask: np.ndarray) -> Iterator[tuple[np.ndar
     ``dosage`` is not F-ordered, so that a block is one stretch of memory."""
     if not dosage.flags.f_contiguous:
         dosage, mask = dosage.T, mask.T
-    for cols in _column_blocks(*dosage.shape):
+    for cols in _blocks(*dosage.shape):
         yield dosage[:, cols], mask[:, cols]
 
 
@@ -438,7 +438,7 @@ def _observed_means(
     Whatever the layout of ``dosage``, a column's sum is ``np.add.reduce`` of
     it as one contiguous 1-D run with 0.0 at missing calls, i.e. numpy's
     pairwise sum: the columns are copied into F-ordered blocks of about
-    _MEAN_BLOCK_CELLS cells and summed down their rows there. (numpy sums a
+    _BLOCK_CELLS cells and summed down their rows there. (numpy sums a
     C-ordered array of two or more columns row by row, which rounds
     differently in the last bits.)
 
@@ -451,7 +451,7 @@ def _observed_means(
     """
     cols = np.arange(dosage.shape[1]) if cols is None else cols
     sums, counts = np.empty(len(cols)), np.empty(len(cols), dtype=np.intp)
-    for part in _column_blocks(len(dosage), len(cols), _MEAN_BLOCK_CELLS):
+    for part in _blocks(len(dosage), len(cols)):
         block_missing = np.asfortranarray(missing[:, cols[part]])
         block = np.asfortranarray(dosage[:, cols[part]])
         np.copyto(block, 0.0, where=block_missing)

@@ -14,12 +14,14 @@ panels and weight tables still match.
 Text is UTF-8; both LF and CRLF line endings are accepted. Writers emit LF
 only, so output bytes are identical across platforms. The formats that need
 no numpy (numbers, config files, the report CSV and the model-file codec)
-live in :mod:`prsadjust.text`; the report's types and functions, the number
-rules and the config reader and writer are importable from here too.
+live in :mod:`prsadjust.text`; of those, ``read_report_csv``,
+``write_report_csv``, ``_ascii_int`` and ``_vcf_float`` are importable from
+here too.
 
-VCF sample text goes through one block codec in both directions: the
-parser decodes its used rows, and the writer renders its rows, a block of
-about ``_BLOCK_BYTES`` of sample text at a time with numpy.
+VCF sample text goes through one block codec in both directions, with
+numpy: the parser decodes its used rows about ``_BLOCK_BYTES`` of sample
+text at a time, and the writer renders its rows a block of about
+``genotypes._BLOCK_CELLS`` entries at a time.
 
 - Reading, rows with no DS key decode their GT calls (the text before any
   ":") through a table of the valid 3-byte calls. Rows with DS decode each
@@ -77,8 +79,8 @@ from .genotypes import (
     SEX_TOKENS,
     _ALLELE_RE,
     _SEPARATORS,
+    _blocks,
     _cell_blocks,
-    _column_blocks,
 )
 from .text import (  # the report codec is re-exported, so io names every file format
     Source,
@@ -112,9 +114,9 @@ _GT_MISSING = ("./.", ".|.")
 # A VCF row's DS tokens joined by tabs. No token holds a tab, so this matches
 # exactly when each token is a VCF Float (a token may hold a space).
 _DS_ROW = re.compile(rf"{_VCF_FLOAT.pattern}(?:\t{_VCF_FLOAT.pattern})*", re.ASCII)
-# Sample text the VCF codec decodes or renders at a time: enough rows that
-# numpy's cost per call fades, few enough that the block's temporaries stay
-# small beside the matrix.
+# Sample text the VCF parser decodes at a time: enough rows that numpy's cost
+# per call fades, few enough that the block's temporaries, which grow with the
+# bytes of text, stay small beside the matrix.
 _BLOCK_BYTES = 1 << 16
 # Digits a DS token may hold for its exact decimal code: M < 10^15 < 2^53.
 _DS_DIGITS = 15
@@ -585,8 +587,8 @@ def write_vcf(matrix: GenotypeMatrix, dest: Source) -> None:
     written as GT:DS with DS carrying the exact dosage (shortest text that
     round-trips the float) and GT the nearest hard call.
 
-    Rows are rendered by the block codec, about ``_BLOCK_BYTES`` of sample
-    text at a time. Hard-call rows are gathered from ``_GT_CALL_BYTES``. A
+    Rows are rendered by the block codec, about ``genotypes._BLOCK_CELLS``
+    entries at a time. Hard-call rows are gathered from ``_GT_CALL_BYTES``. A
     GT:DS dosage that equals ``rint(v * 10^p) / 10^p`` bit for bit, for
     some p <= ``_WRITE_DECIMALS``, is gathered from a table of entries
     indexed by the code ``rint(v * 10^p)``, made on first use in the file,
@@ -601,8 +603,7 @@ def write_vcf(matrix: GenotypeMatrix, dest: Source) -> None:
         out.write("##fileformat=VCFv4.2\n")
         out.write("##source=prsadjust\n")
         out.write("\t".join(_VCF_FIXED_COLUMNS) + "\t" + "\t".join(matrix.sample_ids) + "\n")
-        # Blocks of about _BLOCK_BYTES of entries of 4 (GT) or ~8 (GT:DS) bytes.
-        for cols in _column_blocks(*matrix.dosage.shape, _BLOCK_BYTES // (4 if hard else 8)):
+        for cols in _blocks(*matrix.dosage.shape):
             # One row per variant, copied once so the work on it reads memory in order.
             values = np.ascontiguousarray(matrix.dosage[:, cols].T)
             missing = np.ascontiguousarray(matrix.missing_mask[:, cols].T)

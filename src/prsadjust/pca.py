@@ -35,7 +35,7 @@ from .errors import (
     MissingModelVariants,
     NoVariantsRetained,
 )
-from .genotypes import GenotypeMatrix, _observed_means
+from .genotypes import GenotypeMatrix, _blocks, _observed_means
 from .text import _ascii_int, _model_text, _read_model, _real, _reals, _text_dest, _vcf_float
 
 logger = logging.getLogger(__name__)
@@ -57,9 +57,6 @@ _RESIDUAL_TOLERANCE = 64 * np.finfo(np.float64).eps
 # goes through one BLAS kernel whatever its cohort's size: OpenBLAS 0.3.31 takes a
 # small-matrix path below 126 rows, and 128 is the first multiple of 8 above that.
 _SCORE_BLOCK = 128
-# project gathers a row block's model columns this many at a time, so that no
-# temporary spans them all.
-_GATHER_COLUMNS = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -372,8 +369,7 @@ def project(model: PcaModel, matrix: GenotypeMatrix) -> PcScores:
 
     def gather(out: np.ndarray, start: int) -> None:
         rows = slice(start, start + len(out))
-        for first in range(0, len(cols), _GATHER_COLUMNS):
-            chunk = slice(first, first + _GATHER_COLUMNS)
+        for chunk in _blocks(_SCORE_BLOCK, len(cols)):
             part = out[:, chunk]
             part[...] = matrix.dosage[rows, cols[chunk]]
             if incomplete[chunk].any():

@@ -48,7 +48,7 @@ def compute_raw_prs(matrix: GenotypeMatrix, weights: ScoreWeightTable) -> PrsVec
             f"none of the {len(weights)} weight variants is present in the matrix"
         )
     used_cols = np.asarray([j for j, _ in used], dtype=int)
-    if matrix.missing_mask[:, used_cols].any():
+    if matrix.missing_mask.any(axis=0)[used_cols].any():
         raise ValueError("matrix has missing dosages on scored variants; fill first")
     scores = np.zeros(matrix.n_samples, dtype=np.float64)
     for j, weight in used:

@@ -55,6 +55,7 @@ from .genotypes import (
     ScoreWeightTable,
     Variant,
     WeightRow,
+    _blocks,
 )
 from .text import _ascii_int, _key_values, _vcf_float, _write_key_values
 
@@ -176,11 +177,6 @@ class SyntheticCohort:
         return self.matrix.take_samples(self.test_indices)
 
 
-# Rows of one population drawn per pass: bounds the temporaries of
-# _draw_genotypes at a few MB at any cohort size.
-_DRAW_ROWS = 256
-
-
 def _binomial2_thresholds(freqs: np.ndarray):
     """Per variant: whether ``freqs`` is folded, and numpy's three inversion
     thresholds for Binomial(2, p).
@@ -235,8 +231,8 @@ def _draw_genotypes(rng: np.random.Generator, freqs: np.ndarray, out: np.ndarray
         return
     saved = rng.bit_generator.state
     thresholds = _binomial2_thresholds(freqs)
-    for start in range(0, out.shape[0], _DRAW_ROWS):
-        block = rng.random(out=out[start:start + _DRAW_ROWS])
+    for rows in _blocks(out.shape[1], out.shape[0]):
+        block = rng.random(out=out[rows])
         if not _invert(block, thresholds):
             rng.bit_generator.state = saved
             out[...] = rng.binomial(2, freqs, size=out.shape)

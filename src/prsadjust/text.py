@@ -3,7 +3,7 @@ and the model-file codec.
 
 ``evaluate`` reads a report and writes tables and metrics through this
 module alone, so it starts without loading numpy. :mod:`prsadjust.io`
-re-exports the report's types and functions and adds the genotype, weight,
+re-exports the report's reader and writer and adds the genotype, weight,
 panel and phenotype formats.
 
 Text is UTF-8; writers emit LF only, so output bytes are identical across

@@ -457,6 +457,29 @@ class TestFit:
         assert err.startswith("error: k:")
         assert not (tmp_path / "m").exists()
 
+    @pytest.mark.parametrize("case", ["panel_partly_found", "k_clamped"])
+    def test_fit_notes_what_it_changed_on_stderr(self, scenario_dir, tmp_path, capsys, case):
+        panel, k = scenario_dir / "panel.txt", "4"
+        ids = pio.parse_panel(panel).variant_ids
+        if case == "panel_partly_found":
+            panel = tmp_path / "panel.txt"
+            panel.write_text("\n".join((*ids, "rs_absent")) + "\n")
+            expected = rf"panel panel: {len(ids)}/{len(ids) + 1} variants found"
+        else:
+            k = "500"  # above the 119 components 120 training samples support
+            expected = r"k clamped from 500 to (\d+) \(data supports at most \1\)"
+        code, _, err = run(
+            "fit",
+            "--train-vcf", str(scenario_dir / "train_genotypes.vcf"),
+            "--panel", str(panel),
+            "--weights", str(scenario_dir / "weights.tsv"),
+            "--k", k,
+            "--out", str(tmp_path / "m"),
+            capsys=capsys,
+        )
+        assert code == 0
+        assert len([line for line in err.splitlines() if re.fullmatch(expected, line)]) == 1
+
     def test_disjoint_panel_exits_3(self, scenario_dir, tmp_path, capsys):
         panel = tmp_path / "panel.txt"
         panel.write_text("rs999990\nrs999991\n")
@@ -767,7 +790,9 @@ class TestScore:
                 (float_key, ("1_0", "\u0661", " 4")),
             )
             for value in values
-        ],
+        ]
+        # a list of reals is read by one helper, which names the first bad value
+        + [("adjustment_model.txt", "coefficients", "1_0"), ("pca_model.txt", "eigenvalues", "1_0")],
     )
     def test_model_numbers_are_read_strictly(self, scenario_dir, model_dir, tmp_path, capsys,
                                              name, key, value):
@@ -1075,6 +1100,17 @@ class TestConfigLayering:
             assert code == 2
             assert err.startswith(f"error: {key}: expected ") and repr(token) in err
             assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "100"])
+    def test_percentile_outside_the_open_interval_exits_2(self, value, tmp_path, capsys):
+        out = tmp_path / "out"
+        code, _, err = run(
+            "evaluate", "--percentile", value, "--report", str(tmp_path / "report.csv"),
+            "--out", str(out), capsys=capsys,
+        )
+        assert code == 2
+        assert err == f"error: percentile: must be in (0, 100), got {float(value)}\n"
+        assert not out.exists()
 
     # prs_mode, strand_policy and scale were fit keys until each had one value.
     @pytest.mark.parametrize(

@@ -1,12 +1,14 @@
 """Domain types, panel filtering, allele alignment, missing-data fill."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prsadjust import genotypes
 from prsadjust.errors import AlleleMismatch, AllMissingVariant, EmptyIntersection
 from prsadjust.genotypes import (
     OBESITY_BMI_THRESHOLD,
@@ -97,9 +99,9 @@ class TestDomainTypes:
 
     @pytest.mark.parametrize("layout", ["C", "F"])
     def test_construction_checks_a_block_at_a_time(self, layout):
-        """Checking 1024 x 1280 dosages (20 blocks) traces at most half a byte
-        a cell; checking them all at once takes 2 bytes a cell of bool
-        temporaries."""
+        """Checking _ROWS rows x 20 blocks of _WIDTH columns traces at most
+        half a byte a cell; checking them all at once takes 2 bytes a cell of
+        bool temporaries."""
         dosage = _multi_block_dosage(layout, 20)
         template = make_matrix(dosage)
         mask = np.zeros(dosage.shape, dtype=bool, order=layout)
@@ -295,7 +297,8 @@ def _mean_fill_cases(draw):
 
     3-decimal dosages make the sums round, so a mean's last bits show the
     order its column was summed in. Some columns keep one observed call; a
-    300 x 120 draw spans more than one of ``_observed_means``' blocks.
+    300 x 120 draw spans more than one block of _BLOCK_CELLS cells, and any
+    draw of two or more columns does at the test's smaller block size.
     """
     n = draw(st.sampled_from((1, 2, 7, 8, 9, 40, 129, 300)))
     m = draw(st.integers(min_value=1, max_value=120))
@@ -312,11 +315,12 @@ def _mean_fill_cases(draw):
 
 class TestFillMissingMean:
     @settings(max_examples=200, deadline=None)
-    @given(_mean_fill_cases())
-    def test_means_do_not_depend_on_the_layout(self, case):
+    @given(_mean_fill_cases(), st.sampled_from((1, _BLOCK_CELLS)))
+    def test_means_do_not_depend_on_the_layout(self, case, cells):
         """Each mean is np.add.reduce of its column as a 1-D float64 array,
         with 0.0 at missing calls, over the observed count: for a C-ordered
-        matrix, an F-ordered one and each column taken alone."""
+        matrix, an F-ordered one and each column taken alone, whatever the
+        block size."""
         dosage, missing = case
         means = [
             np.add.reduce(np.where(missing[:, j], 0.0, dosage[:, j])) / np.sum(~missing[:, j])
@@ -324,19 +328,20 @@ class TestFillMissingMean:
         ]
         expected = np.where(missing, means, dosage)
         base = make_matrix(dosage, missing=zip(*np.nonzero(missing)))
-        for layout in ("C", "F"):
-            matrix = GenotypeMatrix(
-                base.samples,
-                base.variants,
-                np.array(dosage, order=layout),
-                np.array(missing, order=layout),
-            )
-            assert fill_missing_mean(matrix).dosage.tobytes() == expected.tobytes()
-            got = _observed_means(matrix.dosage, matrix.missing_mask, matrix.variant_ids)
-            assert got.tobytes() == np.array(means).tobytes()
-        for j in range(dosage.shape[1]):
-            alone = fill_missing_mean(base.take_variants([j])).dosage
-            assert alone.tobytes() == expected[:, [j]].tobytes()
+        with mock.patch.object(genotypes, "_BLOCK_CELLS", cells):
+            for layout in ("C", "F"):
+                matrix = GenotypeMatrix(
+                    base.samples,
+                    base.variants,
+                    np.array(dosage, order=layout),
+                    np.array(missing, order=layout),
+                )
+                assert fill_missing_mean(matrix).dosage.tobytes() == expected.tobytes()
+                got = _observed_means(matrix.dosage, matrix.missing_mask, matrix.variant_ids)
+                assert got.tobytes() == np.array(means).tobytes()
+            for j in range(dosage.shape[1]):
+                alone = fill_missing_mean(base.take_variants([j])).dosage
+                assert alone.tobytes() == expected[:, [j]].tobytes()
 
     def test_fills_with_observed_column_mean(self):
         m = make_matrix([[0.0], [2.0], [0.0]], missing=[(2, 0)])

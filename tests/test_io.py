@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import prsadjust.genotypes
 import prsadjust.io
 from prsadjust.adjust import AdjustmentModel, load_adjustment_model, serialize_adjustment_model
 from prsadjust.errors import (
@@ -52,10 +53,12 @@ from prsadjust.pca import (
 )
 from conftest import make_matrix
 
+_VCF_FIXED_COLUMNS = ("#CHROM", "POS", "ID", "REF", "ALT", "QUAL", "FILTER", "INFO", "FORMAT")
+_VCF_HEADER = "\t".join(_VCF_FIXED_COLUMNS) + "\tS1\tS2\tS3"
 VCF_TEXT = (
     "##fileformat=VCFv4.2\n"
     "##source=unit-test\n"
-    "#CHROM\tPOS\tID\tREF\tALT\tQUAL\tFILTER\tINFO\tFORMAT\tS1\tS2\tS3\n"
+    + _VCF_HEADER + "\n"
     "1\t100\trs1\tA\tG\t.\tPASS\t.\tGT\t0/0\t0/1\t1/1\n"
     "1\t200\trs2\tC\tT\t.\t.\t.\tGT\t0|1\t./.\t1|1\n"
     "1\t300\trs3\tG\tA\t.\t.\t.\tGT:DS\t0/1:1.5\t1/1:.\t0/0\n"
@@ -217,11 +220,21 @@ class TestParseVcf:
         with pytest.raises(ParseAbort):
             parse_vcf(stdio.StringIO("1\t100\trs1\tA\tG\t.\t.\t.\tGT\t0/0\n"))
 
-    @pytest.mark.parametrize("names", ["S1\tS1\tS3", "S1\tS\r2\tS3"])
-    def test_duplicate_or_broken_sample_names_abort(self, names):
-        text = VCF_TEXT.replace("S1\tS2\tS3", names)
-        with pytest.raises(ParseAbort, match="line 3: "):
-            parse_vcf(stdio.StringIO(text))
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("S1\tS2\tS3", "S1\tS1\tS3", "line 3: duplicate sample names in header"),
+            ("S1\tS2\tS3", "S1\tS\r2\tS3", "line 3: sample name 'S\\r2' holds a line break"),
+            ("#CHROM\tPOS\t", "#CHROM\tPOSITION\t",
+             "line 3: header must start with " + "\t".join(_VCF_FIXED_COLUMNS)),
+            ("1\t100\t", _VCF_HEADER + "\n1\t100\t", "line 4: second header line"),
+        ],
+        ids=["duplicate_names", "broken_name", "fixed_columns", "second_header"],
+    )
+    def test_bad_header_line_aborts(self, old, new, message):
+        with pytest.raises(ParseAbort) as exc:
+            parse_vcf(stdio.StringIO(VCF_TEXT.replace(old, new, 1)))
+        assert str(exc.value) == message
 
     def test_header_without_samples_aborts(self):
         text = "#CHROM\tPOS\tID\tREF\tALT\tQUAL\tFILTER\tINFO\tFORMAT\n"
@@ -383,6 +396,8 @@ _GT_TOKENS = ["0/0", "0|1", "1/0", "1/1", "./.", ".|."]
 _BAD_GT_TOKENS = ["0/2", "x/y"]
 # Block budgets: one row a block, a few rows a block, and the real budget.
 _BUDGETS = st.sampled_from([1, 24, prsadjust.io._BLOCK_BYTES])
+# The writer's block sizes in cells: one variant a block, a few, and the real size.
+_WRITE_CELLS = st.sampled_from([1, 8, prsadjust.genotypes._BLOCK_CELLS])
 
 
 def _entry_oracle(entry, ds_index):
@@ -551,11 +566,12 @@ class TestDosageBlockCodec:
         assert per_entry.call_count == 1
         assert str(exc.value) == f"line 3: sample S1: {_entry_oracle(f'0/0:{token}', 1)}"
 
-    @given(dosage_matrices(), _BUDGETS)
-    def test_write_matches_per_entry_rendering_and_round_trips(self, matrix, budget):
+    @given(dosage_matrices(), _WRITE_CELLS, _BUDGETS)
+    def test_write_matches_per_entry_rendering_and_round_trips(self, matrix, cells, budget):
         buf = stdio.StringIO()
-        with mock.patch.object(prsadjust.io, "_BLOCK_BYTES", budget):
+        with mock.patch.object(prsadjust.genotypes, "_BLOCK_CELLS", cells):
             write_vcf(matrix, buf)
+        with mock.patch.object(prsadjust.io, "_BLOCK_BYTES", budget):
             back, _ = parse_vcf(stdio.StringIO(buf.getvalue()))
         rows = buf.getvalue().splitlines()[3:]
         assert len(rows) == matrix.n_variants
@@ -614,10 +630,20 @@ class TestWeights:
             with pytest.raises(ValueError, match="tab or line break"):
                 replace(table.rows[0], variant_id=f"rs1{bad}x")
 
-    def test_duplicate_variant_rejected(self):
-        text = WEIGHTS_TEXT + "rs1\tA\tG\t0.5\n"
-        with pytest.raises(DuplicateVariant, match="rs1"):
-            parse_weights(stdio.StringIO(text))
+    @pytest.mark.parametrize(
+        "row, error, message",
+        [
+            ("rs1\tA\tG\t0.5", DuplicateVariant, "line 4: variant rs1 repeated"),
+            ("rs9\tN\tG\t0.5", MalformedRow,
+             "line 4: weight row rs9: effect allele 'N' is not an uppercase ACGT run"),
+        ],
+        ids=["duplicate_variant", "effect_allele_N"],
+    )
+    def test_bad_row_rejected(self, row, error, message):
+        with pytest.raises(error) as exc:
+            parse_weights(stdio.StringIO(WEIGHTS_TEXT + row + "\n"))
+        assert type(exc.value) is error
+        assert str(exc.value) == message
 
     # float() takes "0_5" as 5.0 and Arabic-Indic "1.5"; a weight is an ASCII VCF Float.
     @pytest.mark.parametrize("bad", ["abc", "inf", "nan", "1e999", "0_5", "\u0661.\u0665"])
@@ -696,14 +722,22 @@ class TestPhenotypes:
         with pytest.raises(UnknownSexToken):
             parse_phenotypes(stdio.StringIO(text))
 
-    # float() takes "2_8" as 28.0, which would label the sample obese.
-    @pytest.mark.parametrize("bad", ["2_8", "\u0662\u0668", " 28", "nan"])
-    def test_bmi_must_be_an_ascii_vcf_float(self, bad):
-        text = PHENO_TEXT + f"S5\tPOPA\tfemale\t{bad}\n"
+    # float() takes "2_8" as 28.0, which would label the sample obese; "1e999"
+    # is a VCF Float that reads as inf.
+    @pytest.mark.parametrize(
+        "row, message",
+        [(f"S5\tPOPA\tfemale\t{bad}", f"bmi {bad!r} is not a number")
+         for bad in ["2_8", "\u0662\u0668", " 28", "nan", "inf"]]
+        + [
+            ("S5\tPOPA\tfemale\t1e999", "bmi '1e999' is not finite"),
+            (".\tPOPA\tfemale\t20.0", "sample_id is missing"),
+        ],
+    )
+    def test_bad_row_is_refused_by_line(self, row, message):
         with pytest.raises(MalformedRow) as exc:
-            parse_phenotypes(stdio.StringIO(text))
+            parse_phenotypes(stdio.StringIO(PHENO_TEXT + row + "\n"))
         assert exc.value.line_no == 6
-        assert str(exc.value) == f"line 6: bmi {bad!r} is not a number"
+        assert str(exc.value) == f"line 6: {message}"
 
     def test_negative_bmi(self):
         text = PHENO_TEXT + "S5\tPOPA\tfemale\t-1.0\n"
@@ -793,9 +827,28 @@ class TestReportCsv:
             "sample_id,population,pc1,pc2,raw_prs,adjusted_prs,obese"
         )
 
-    def test_reader_rejects_wrong_header(self):
-        with pytest.raises(ParseAbort):
-            read_report_csv(stdio.StringIO("sample,pop,pc1,raw,adj,obese\n"))
+    _HEADER = "sample_id,population,pc1,pc2,raw_prs,adjusted_prs,obese"
+    _ROW = "S1,POPA,0.5,-1.5,2.25,0.0625,1"
+
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            ("", ParseAbort, "report CSV is empty"),
+            ("sample,pop,pc1,raw,adj,obese\n" + _ROW + "\n", ParseAbort,
+             "report CSV header is not in the expected layout"),
+            (_HEADER.replace("pc1,pc2", "pc2,pc1") + "\n" + _ROW + "\n", ParseAbort,
+             "report CSV pc columns must be pc1..pck"),
+            (_HEADER + "\n" + _ROW + ",0\n", MalformedRow, "line 2: expected 7 fields"),
+            (_HEADER + "\n" + _ROW[:-1] + "2\n", MalformedRow, "line 2: obese '2' must be 0, 1 or ."),
+            (_HEADER + "\n", ParseAbort, "report CSV has no data rows"),
+        ],
+        ids=["empty", "wrong_header", "pc_columns", "row_width", "obese_token", "no_rows"],
+    )
+    def test_reader_refuses_bad_layout(self, text, error, message):
+        with pytest.raises(error) as exc:
+            read_report_csv(stdio.StringIO(text))
+        assert type(exc.value) is error
+        assert str(exc.value) == message
 
     # float() would read "1_0" as 10.0; report numbers are ASCII VCF Floats.
     @pytest.mark.parametrize("column", [2, 4, 5])

@@ -2,12 +2,13 @@
 
 import io as stdio
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prsadjust import simulate
+from prsadjust import genotypes, simulate
 from prsadjust.errors import ConfigInvalid
 from prsadjust.evaluation import roc_auc
 from prsadjust.genotypes import align_effect_alleles, is_strand_ambiguous
@@ -104,6 +105,11 @@ class TestGenerate:
 _EDGE_FREQS = [0.0, 1.0, 0.5, 5e-324, float(np.nextafter(0.5, 0.0)), float(np.nextafter(0.5, 1.0))]
 
 
+# The block size the draw tests run with: a pass of 32 cells takes at most 32
+# rows of up to 10 variants, so 2 * 32 + 5 rows span three passes or more.
+_DRAW_CELLS = 32
+
+
 @st.composite
 def binomial_calls(draw):
     """(freqs, row count, seed): rows 0, 1, a few, and over two draw blocks."""
@@ -114,7 +120,7 @@ def binomial_calls(draw):
     freqs = draw(st.lists(freq, min_size=m, max_size=m))
     if freqs and draw(st.integers(0, 4)) == 0:
         freqs[draw(st.integers(0, m - 1))] = 0.0
-    n_rows = draw(st.sampled_from([0, 1, 3, 2 * simulate._DRAW_ROWS + 5]))
+    n_rows = draw(st.sampled_from([0, 1, 3, 2 * _DRAW_CELLS + 5]))
     return np.array(freqs, dtype=float), n_rows, draw(st.integers(0, 2**32 - 1))
 
 
@@ -146,7 +152,8 @@ class TestGenotypeDraw:
         freqs, n_rows, seed = call
         rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
         out = np.full((n_rows, len(freqs)), -1.0)
-        simulate._draw_genotypes(rng, freqs, out)
+        with mock.patch.object(genotypes, "_BLOCK_CELLS", _DRAW_CELLS):
+            simulate._draw_genotypes(rng, freqs, out)
         expected = reference.binomial(2, freqs, size=out.shape).astype(np.float64)
         assert out.tobytes() == expected.tobytes()
         assert rng.random() == reference.random()
@@ -202,9 +209,10 @@ class TestGenotypeDraw:
             return invert(u, thresholds) and len(blocks) < 2
 
         monkeypatch.setattr(simulate, "_invert", redraw_in_second_block)
+        monkeypatch.setattr(genotypes, "_BLOCK_CELLS", _DRAW_CELLS)
         freqs = np.random.default_rng(5).uniform(0.05, 0.95, size=9)
         rng, reference = np.random.default_rng(8), np.random.default_rng(8)
-        out = np.full((2 * simulate._DRAW_ROWS + 1, 9), -1.0)
+        out = np.full((2 * _DRAW_CELLS + 1, 9), -1.0)
         simulate._draw_genotypes(rng, freqs, out)
         assert len(blocks) == 2
         expected = reference.binomial(2, freqs, size=out.shape).astype(np.float64)
