@@ -134,15 +134,26 @@ _WRITE_DECIMALS = 4
 _SUBFIELDS = re.compile(r":[^\t]*")
 
 
-# The call table: each call plus the tab after it is one little-endian
-# 4-byte word, looked up in the sorted table of valid words.
+def _gt_slots(words: np.ndarray) -> np.ndarray:
+    """The call-table slot of each little-endian 4-byte word: the low 2 bits of
+    the first allele, those of the second, and bit 6 of the separator, which
+    tell the 10 valid calls apart ("0" 0, "1" 1, "." 2; "/" 0, "|" 1). As
+    indices, so the three gathers from the table convert them once."""
+    return ((words & 3) | ((words >> 14) & 12) | ((words >> 10) & 16)).astype(np.intp)
+
+
+# The call table: each call plus the tab after it is one little-endian 4-byte
+# word, stored at its slot. Slots no call takes hold word 0, whose own slot is
+# 0, where "0/0\t" is stored; so a word matches its slot only if it is a call.
 def _gt_word_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     calls = (*_GT_DOSAGE, *_GT_MISSING)
     words = np.frombuffer("".join(c + "\t" for c in calls).encode("ascii"), dtype="<u4")
-    order = np.argsort(words)
-    dosage = np.array([_GT_DOSAGE.get(c, 0.0) for c in calls])
-    missing = np.array([c in _GT_MISSING for c in calls])
-    return words[order], dosage[order], missing[order]
+    slots = _gt_slots(words)
+    table, dosage, missing = np.zeros(32, "<u4"), np.zeros(32), np.zeros(32, bool)
+    table[slots] = words
+    dosage[slots] = [_GT_DOSAGE.get(c, 0.0) for c in calls]
+    missing[slots] = [c in _GT_MISSING for c in calls]
+    return table, dosage, missing
 
 
 _GT_WORDS, _GT_WORD_DOSAGE, _GT_WORD_MISSING = _gt_word_table()
@@ -440,13 +451,15 @@ def _decode_block(
 def _gt_rows(sections: list[str], n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(ok, dosage, missing) of GT-only sections of n 3-byte ASCII calls.
 
-    Each call and the tab after it are looked up in the call table; ``ok``
-    is False for a row with any word the table lacks.
+    Each call and the tab after it form one word, which indexes the call
+    table at its slot (:func:`_gt_slots`) and must equal the word stored
+    there; ``ok`` is False for a row with any word the table lacks. So a word
+    is accepted exactly when its call is a key of ``_GT_DOSAGE`` or in
+    ``_GT_MISSING``, with that call's dosage and flag.
     """
     text = "\t".join(sections) + "\t"
     words = np.frombuffer(text.encode("ascii"), dtype="<u4").reshape(len(sections), n)
-    slots = np.searchsorted(_GT_WORDS, words)
-    np.minimum(slots, len(_GT_WORDS) - 1, out=slots)
+    slots = _gt_slots(words)
     ok = (_GT_WORDS[slots] == words).all(axis=1)
     return ok, _GT_WORD_DOSAGE[slots], _GT_WORD_MISSING[slots]
 

@@ -299,6 +299,15 @@ def _top_eigenpairs(gram: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray] |
     check takes its Ritz pairs' residuals ||G v - theta v|| from one product of
     G with the k vectors. None where the capped basis holds too few blocks or
     fills before every pair meets the residual rule.
+
+    Both products are written into preallocated F-ordered buffers: OpenBLAS
+    computes a C-ordered result (``gram @ x``) in the transposed orientation,
+    which at 2,093^2 and 8 columns took 1.5-1.7x as long. On OpenBLAS 0.3.31
+    the two orientations gave the same bits for 1 to 11 columns at 24 orders
+    from 777 to 3,000, at 1 and 2 threads: every product of ``--k`` up to 7
+    and of ``--k auto`` before it doubles k. From 12 columns on they differed
+    at 1 thread at every sampled order not a multiple of 8, so such a fit may
+    differ in the last digits from one that earlier versions wrote.
     """
     order, block = gram.shape[0], max(8, k + 3)
     blocks = order // (2 * block)
@@ -307,6 +316,7 @@ def _top_eigenpairs(gram: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray] |
     # F order, so only the columns in use become resident, and a product reads as a basis block.
     basis = np.empty((order, blocks * block), order="F")
     product = np.empty((order, block), order="F")
+    applied = np.empty((order, k), order="F")
     projected = np.zeros((0, 0))
     step = np.random.default_rng(0).standard_normal((order, block))
     for done in range(block, blocks * block + 1, block):
@@ -315,14 +325,15 @@ def _top_eigenpairs(gram: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray] |
             old = basis[:, : done - block]
             step = np.linalg.qr(step - old @ (old.T @ step))[0]
         basis[:, new] = step
-        product[...] = gram @ step
+        np.matmul(gram, step, out=product)
         projected = np.pad(projected, (0, block))
         projected[:, new] = basis[:, :done].T @ product
         if done % (4 * block) == 0 or done == blocks * block:
             values, ritz = np.linalg.eigh(projected, UPLO="U")
             values, ritz = values[::-1][:k], ritz[:, ::-1][:, :k]
             vectors = basis[:, :done] @ ritz
-            residual = np.linalg.norm(gram @ vectors - vectors * values, axis=0)
+            np.matmul(gram, vectors, out=applied)
+            residual = np.linalg.norm(applied - vectors * values, axis=0)
             if np.all(residual <= _RESIDUAL_TOLERANCE * max(values[0], 0.0)):
                 return values, vectors
         step = product

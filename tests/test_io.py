@@ -383,6 +383,32 @@ class TestGtBytePath:
         assert matrix.dosage.tobytes() == expected.tobytes()
         assert np.array_equal(matrix.missing_mask, expected_mask)
 
+    def test_call_table_accepts_exactly_the_valid_calls(self):
+        """Every 3-byte ASCII call and its tab, 128^3 words: _gt_rows accepts a
+        word exactly when its call is valid, with that call's dosage and flag."""
+        calls = (*prsadjust.io._GT_DOSAGE, *prsadjust.io._GT_MISSING)
+        valid = np.frombuffer("".join(c + "\t" for c in calls).encode("ascii"), "<u4")
+        assert len(set(prsadjust.io._gt_slots(valid).tolist())) == len(calls) == 10
+        order = np.argsort(valid)
+        valid = valid[order]
+        dosage = np.array([prsadjust.io._GT_DOSAGE.get(c, 0.0) for c in calls])[order]
+        flag = np.array([c in prsadjust.io._GT_MISSING for c in calls])[order]
+        byte = np.arange(128, dtype="<u4")
+        accepted = 0
+        for first in byte.tolist():  # a block of 128^2 words, so no call list is large
+            words = (first | (byte[:, None] << 8) | (byte[None, :] << 16) | np.uint32(9 << 24)).ravel()
+            text = words.tobytes().decode("ascii")
+            ok, got_dosage, got_flag = prsadjust.io._gt_rows(
+                [text[i : i + 3] for i in range(0, len(text), 4)], 1
+            )
+            expected = np.isin(words, valid)
+            assert np.array_equal(ok, expected)
+            at = np.searchsorted(valid, words[expected])
+            assert got_dosage[expected, 0].tobytes() == dosage[at].tobytes()
+            assert np.array_equal(got_flag[expected, 0], flag[at])
+            accepted += int(ok.sum())
+        assert accepted == 10
+
 
 # The DS token grammar: a VCF Float in ASCII.
 _VCF_FLOAT = re.compile(r"[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?", re.ASCII)

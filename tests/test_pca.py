@@ -7,8 +7,12 @@ two derivations agree independently of how either is computed.
 import functools
 import io as stdio
 import logging
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -40,6 +44,7 @@ from prsadjust.pca import (
 )
 from prsadjust.simulate import PopulationConfig, ScenarioConfig, generate_cohort
 from conftest import make_matrix
+from krylov_reference import decaying_gram, differing_ks, stored_product_eigenpairs
 
 
 def _fit_matrix(matrix, k_max):
@@ -301,45 +306,6 @@ def _max_residual(G, values, vectors):
     return np.linalg.norm(G @ vectors - vectors * values, axis=0).max() / values[0]
 
 
-@functools.lru_cache(maxsize=2)
-def _decaying_gram(order):
-    """A A^T for Gaussian A whose column j is scaled by 0.98^j: several checks to converge."""
-    rng = np.random.default_rng(7)
-    A = rng.normal(size=(order, order)) * 0.98 ** np.arange(order)
-    return A @ A.T
-
-
-def _stored_product_eigenpairs(G, k):
-    """The block Krylov solver as it was when it kept every product block G Q
-    beside Q, a (cap, cap) Ritz matrix, and took residuals from the stored
-    products: the reference _top_eigenpairs must match bitwise."""
-    order, block = G.shape[0], max(8, k + 3)
-    blocks = order // (2 * block)
-    if blocks < pca._KRYLOV_MIN_BLOCKS:
-        return None
-    basis = np.empty((order, blocks * block), order="F")
-    products = np.empty_like(basis)
-    projected = np.zeros((blocks * block, blocks * block), order="F")
-    step = np.random.default_rng(0).standard_normal((order, block))
-    for done in range(block, blocks * block + 1, block):
-        new = slice(done - block, done)
-        for _ in range(2):
-            old = basis[:, : done - block]
-            step = np.linalg.qr(step - old @ (old.T @ step))[0]
-        basis[:, new] = step
-        products[:, new] = G @ step
-        projected[:done, new] = basis[:, :done].T @ products[:, new]
-        if done % (4 * block) == 0 or done == blocks * block:
-            values, ritz = np.linalg.eigh(projected[:done, :done], UPLO="U")
-            values, ritz = values[::-1][:k], ritz[:, ::-1][:, :k]
-            vectors = basis[:, :done] @ ritz
-            residual = np.linalg.norm(products[:, :done] @ ritz - vectors * values, axis=0)
-            if np.all(residual <= pca._RESIDUAL_TOLERANCE * max(values[0], 0.0)):
-                return values, vectors
-        step = products[:, new]
-    return None
-
-
 class TestTopEigenpairs:
     """The block Krylov path of fit_pca against the dense eigh of the same Gram matrix."""
 
@@ -392,15 +358,35 @@ class TestTopEigenpairs:
 
     @pytest.mark.parametrize("k", [1, 3, 5, 9])
     def test_matches_the_stored_product_solver_bitwise(self, monkeypatch, k):
-        G = _decaying_gram(480)
+        # An order that is no multiple of 8: at k = 9 (12-column blocks) a C-ordered
+        # product, gram @ step, then rounds otherwise at 1 thread, so this tells them apart.
+        G = decaying_gram(500)
         shapes = _record_eigh(monkeypatch)
         with mock.patch.object(pca, "_KRYLOV_MIN_BLOCKS", 1):
             values, vectors = pca._top_eigenpairs(G, k)
             checks = len(shapes)
-            reference = _stored_product_eigenpairs(G, k)
+            reference = stored_product_eigenpairs(G, k)
         assert checks >= 4  # converges at a later check, not the first
         assert values.tobytes() == reference[0].tobytes()
         assert vectors.tobytes() == reference[1].tobytes()
+
+    def test_matches_the_stored_product_solver_bitwise_at_two_blas_threads(self):
+        """The same comparison in a process whose BLAS runs two threads, the
+        benchmark's count: the suite's own process pinned one before numpy loaded."""
+        tests = Path(__file__).resolve().parent
+        env = {
+            **os.environ,
+            **dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "2"),
+            "PYTHONPATH": os.pathsep.join(
+                [str(Path(pca.__file__).resolve().parents[1]), str(tests), os.environ.get("PYTHONPATH", "")]
+            ),
+        }
+        script = "from krylov_reference import differing_ks\nprint(differing_ks(500, [1, 3, 5, 9]))\n"
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
 
     def test_workspace_is_the_basis_and_one_product_block(self):
         """The solver's traced peak stays within 1.25x its basis.
@@ -409,10 +395,10 @@ class TestTopEigenpairs:
         the columns built and the k Ritz vectors; keeping every product block
         G Q beside Q, as the reference does, takes 2.5x.
         """
-        G, k = _decaying_gram(1200), 5  # a basis of 75 blocks of 8 columns: 1200 x 600
+        G, k = decaying_gram(1200), 5  # a basis of 75 blocks of 8 columns: 1200 x 600
         basis_bytes = 1200 * 600 * 8
         peaks = []
-        for solve in (pca._top_eigenpairs, _stored_product_eigenpairs):
+        for solve in (pca._top_eigenpairs, stored_product_eigenpairs):
             tracemalloc.start()
             try:
                 assert solve(G, k) is not None
