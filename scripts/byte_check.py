@@ -3,19 +3,24 @@
     python3 scripts/byte_check.py PARENT_REV
 
 Exports PARENT_REV with ``git archive`` into a temporary directory. Each
-tree then, with its own ``src/``, one BLAS thread, and the same working
-directory and relative paths, writes the ``pipeline-large`` and
-``score-wide`` inputs of this checkout's ``perfbench/workloads.py`` at
-seed 11 (the built-in default cohort and ``pipeline-large``'s cohort are
-written by each tree's own ``simulate``) and runs simulate, fit at
-``--k 4`` and ``--k auto``, score on every split and evaluate on each
+tree then, with its own ``src/``, at 1 and at 2 BLAS threads (the
+benchmark's count), and in the same working directory with the same
+relative paths, writes the ``pipeline-large`` and ``score-wide`` inputs of
+this checkout's ``perfbench/workloads.py`` at seed 11 (the built-in default
+cohort and ``pipeline-large``'s cohort are written by each tree's own
+``simulate``) and runs simulate, fit at ``--k 4``, ``--k 8`` (12-column
+Krylov blocks) and ``--k auto``, score on every split and evaluate on each
 report. Every input file, every output file and each command's stdout,
-stderr and exit code are compared byte for byte. Prints IDENTICAL, or,
-for each file that differs, the number of its differing lines (paired by
-difflib, so a removed or inserted line does not shift the rest) and the
-first three of them, and exits 1. After the verdict it prints each tree's
-peak RSS for every command (simulate, fit, score and evaluate); the table is
-not compared, and the exit code depends on the bytes alone. The commands are started by
+stderr and exit code are compared byte for byte with the parent's run at
+the same thread count; the two thread counts are not compared with each
+other, since BLAS may round otherwise at another count. Prints one verdict
+per (threads, k) cell, IDENTICAL or the number of differing files (k "-"
+holds the inputs and ``simulate``), then, for each file that differs, the
+number of its differing lines (paired by difflib, so a removed or inserted
+line does not shift the rest) and the first three of them, and exits 1 if
+any cell differs. Last it prints each tree's peak RSS for every command
+(simulate, fit, score and evaluate); the table is not compared, and the
+exit code depends on the bytes alone. The commands are started by
 ``perfbench/spawner.py``'s helper, launched before this script loads numpy,
 so each figure is the command's own high-water mark.
 """
@@ -31,7 +36,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-BLAS_ENV = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+THREADS = (1, 2)
+KS = ("4", "8", "auto")
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from spawner import Spawner  # noqa: E402  (standard library only: loads no numpy)
@@ -90,7 +97,7 @@ def steps() -> list[list[str]]:
             vcfs = {"train": files["train_genotypes"], "test": files["test_genotypes"]}
         else:  # simulate writes one VCF when no population has a held-out split
             vcfs = {"all": str(base / "simulate" / "genotypes.vcf")}
-        for k in ("4", "auto"):
+        for k in KS:
             out = base / f"k{k}"
             argvs.append([
                 "fit", "--train-vcf", vcfs.get("train", vcfs.get("all")), "--panel", files["panel"],
@@ -109,9 +116,12 @@ def steps() -> list[list[str]]:
     return argvs
 
 
-def tree_env(src: Path) -> dict[str, str]:
-    """The environment that runs ``src``'s package (checked) with one BLAS thread."""
-    env = {**os.environ, **BLAS_ENV, "PYTHONPATH": os.pathsep.join((str(src), str(ROOT / "perfbench")))}
+def tree_env(src: Path, threads: int) -> dict[str, str]:
+    """The environment that runs ``src``'s package (checked) with ``threads`` BLAS threads."""
+    env = {
+        **os.environ, **dict.fromkeys(BLAS_VARS, str(threads)),
+        "PYTHONPATH": os.pathsep.join((str(src), str(ROOT / "perfbench"))),
+    }
     where = subprocess.run(
         [sys.executable, "-c", "import prsadjust; print(prsadjust.__file__)"],
         env=env, capture_output=True, text=True, check=True,
@@ -144,6 +154,26 @@ def run_tree(spawner: Spawner, env: dict[str, str], argvs: list[list[str]], work
     return peaks
 
 
+def cell(rel: Path) -> tuple[str, str]:
+    """The (threads, k) cell of a compared file: ``threads1/run/default/k4/...``
+    is ("1", "4"); the inputs and ``simulate``'s files are in k "-"."""
+    parts = rel.parts
+    k = parts[3][1:] if parts[1] == "run" and parts[3] in {f"k{k}" for k in KS} else "-"
+    return parts[0].removeprefix("threads"), k
+
+
+def cell_table(found: dict[Path, list[str]]) -> list[str]:
+    """One verdict per (threads, k) cell: IDENTICAL or its differing files' count."""
+    counts = {(str(t), k): 0 for t in THREADS for k in ("-", *KS)}
+    for rel in found:
+        counts[cell(rel)] += 1
+    lines = [f"{'threads':<8} {'k':<5} verdict"]
+    for (t, k), n in counts.items():
+        verdict = f"{n} differing file{'s' * (n != 1)}" if n else "IDENTICAL"
+        lines.append(f"{t:<8} {k:<5} {verdict}")
+    return lines
+
+
 def peak_table(peaks: dict[str, dict[str, float]], rev: str) -> list[str]:
     """One line per command: its peak RSS in each tree."""
     parent, current = peaks["parent"], peaks["current"]
@@ -167,7 +197,7 @@ def changed_lines(old_lines: list[bytes], new_lines: list[bytes]):
             yield (i1 if old is not None else j1) + offset + 1, old, new
 
 
-def differences(parent: Path, current: Path, rev: str) -> list[str]:
+def differences(parent: Path, current: Path, rev: str) -> dict[Path, list[str]]:
     """For each file that is not the same in both runs, a line counting its
     differing lines, then the first ``SHOWN`` of them."""
     def files(top):
@@ -176,17 +206,17 @@ def differences(parent: Path, current: Path, rev: str) -> list[str]:
     def text(line):
         return "<absent>" if line is None else repr(line[:160])
 
-    found = []
+    found = {}
     ours, theirs = files(current), files(parent)
     for rel in sorted(ours | theirs):
         if rel not in theirs or rel not in ours:
-            found.append(f"{rel}: written only by {'this checkout' if rel in ours else rev}")
+            found[rel] = [f"{rel}: written only by {'this checkout' if rel in ours else rev}"]
             continue
         old, new = (parent / rel).read_bytes(), (current / rel).read_bytes()
         if old != new:
             changed = list(changed_lines(old.splitlines(), new.splitlines()))
-            found.append(f"{rel}: {len(changed)} differing line{'s' * (len(changed) != 1)}")
-            found.extend(
+            found[rel] = [f"{rel}: {len(changed)} differing line{'s' * (len(changed) != 1)}"]
+            found[rel].extend(
                 f"    line {number}: {text(a)} -> {text(b)}" for number, a, b in changed[:SHOWN]
             )
     return found
@@ -205,14 +235,20 @@ def main(argv: list[str]) -> int:
         work.mkdir()
         argvs = steps()
         for label, src in (("parent", tmp / "parent-tree" / "src"), ("current", ROOT / "src")):
-            env = tree_env(src)
-            write_inputs(env, work)
-            peaks[label] = run_tree(spawner, env, argvs, work)
-            (work / label).mkdir()
-            for part in ("inputs", "run"):
-                shutil.move(work / part, work / label / part)
+            peaks[label] = {}
+            for threads in THREADS:
+                env = tree_env(src, threads)
+                write_inputs(env, work)
+                runs = run_tree(spawner, env, argvs, work)
+                peaks[label].update((f"threads{threads}/{out}", peak) for out, peak in runs.items())
+                kept = work / label / f"threads{threads}"
+                kept.mkdir(parents=True)
+                for part in ("inputs", "run"):
+                    shutil.move(work / part, kept / part)
         found = differences(work / "parent", work / "current", rev)
-    print("\n".join(found) if found else "IDENTICAL")
+    print("\n".join(cell_table(found)))
+    for lines in found.values():
+        print("\n".join(lines))
     print("\n".join(peak_table(peaks, rev)))
     return 1 if found else 0
 

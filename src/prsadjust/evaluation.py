@@ -9,8 +9,8 @@ the pairwise Mann-Whitney statistic
 to the last bit rather than merely approximately.
 
 It needs no numpy, so ``evaluate`` starts without loading it: the functions
-work on lists and floats, and a population's mean and SD are summed in
-numpy's pairwise order, so they equal numpy's bit for bit.
+work on lists and floats. A population's mean and SD are built on exact sums,
+each rounded once, so they do not depend on the order of the rows.
 """
 
 from __future__ import annotations
@@ -95,41 +95,29 @@ def _require_finite(values: list[float]) -> None:
         raise ValueError("scores must be finite")
 
 
-def _pairwise_sum(values: Sequence[float], lo: int, hi: int) -> float:
-    """numpy's pairwise sum of ``values[lo:hi]``, in its order of additions: a
-    plain loop below 8 values, 8 interleaved partial sums up to 128, else the
-    sums of two halves split at a multiple of 8."""
-    n = hi - lo
-    if n < 8:
-        total = -0.0
-        for i in range(lo, hi):
-            total += values[i]
-        return total
-    if n <= 128:
-        r = list(values[lo : lo + 8])
-        end = hi - n % 8
-        for i in range(lo + 8, end, 8):
-            for j in range(8):
-                r[j] += values[i + j]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for i in range(end, hi):
-            total += values[i]
-        return total
-    half = n // 2
-    half -= half % 8
-    return _pairwise_sum(values, lo, lo + half) + _pairwise_sum(values, lo + half, hi)
-
-
 def _sum(values: Sequence[float]) -> float:
-    """``np.add.reduce`` of a float64 vector, bit for bit: the pairwise sum of
-    all the values, added to 0.0."""
-    return 0.0 + _pairwise_sum(values, 0, len(values))
+    """The exact sum of ``values``, rounded once. ``math.fsum`` raises where
+    the sum of infinities has no value or a sum leaves float64's range; then
+    infinite values give their IEEE sum (NaN for both signs), and finite ones
+    their exact integer sum in units of 2**-1074 divided once, or ±inf."""
+    try:
+        return math.fsum(values)
+    except (OverflowError, ValueError):
+        special = [v for v in values if not math.isfinite(v)]
+        if special:
+            return sum(special)
+        unit = 1 << 1074  # every finite float64 is a whole number of 2**-1074
+        total = sum(n * (unit // d) for n, d in map(float.as_integer_ratio, values))
+        try:
+            return total / unit  # int division: correctly rounded
+        except OverflowError:
+            return math.inf if total > 0 else -math.inf
 
 
 def _mean_sd(values: Sequence[float]) -> tuple[float, float]:
-    """``mean()`` and ``std(ddof=1)`` of a float64 vector, bit for bit as numpy
-    takes them: the sum over n, and the root of the sum of the squared
-    deviations over n - 1 (NaN for one value)."""
+    """Mean and sample SD, from exact sums rounded once (:func:`_sum`): the
+    sum over n, and the root of the sum of the squared deviations over n - 1
+    (NaN for one value)."""
     n = len(values)
     mean = _sum(values) / n
     if n < 2:
@@ -177,7 +165,8 @@ def stratify_by_population(
     reported. Weighted by population sizes, the per-population counts add
     back up to the pooled count exactly. Populations are ordered by label;
     samples without a population label are grouped under ".". Means and
-    SDs equal numpy's ``mean()`` and ``std(ddof=1)`` bit for bit.
+    SDs divide exact sums, each rounded once, so they are the same for any
+    order of the rows.
 
     Raises
     ------

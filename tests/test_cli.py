@@ -1,6 +1,7 @@
 """Command line driver: simulate | fit | score | evaluate."""
 
 import argparse
+import csv
 import io as stdio
 import os
 import re
@@ -1043,6 +1044,23 @@ class TestEvaluate:
             for line in (out / "metrics.txt").read_text().splitlines()
         )
         assert float(metrics["auc_delta"]) == 0.0
+
+    def test_population_sum_beyond_float_range_writes_dots(self, tmp_path, capsys):
+        report = tmp_path / "report.csv"
+        report.write_text(
+            "sample_id,population,pc1,raw_prs,adjusted_prs,obese\n"
+            "S1,A,0.1,1e+308,0.5,1\n"
+            "S2,A,0.2,1e+308,-0.5,0\n"
+            "S3,B,0.3,1,0.25,1\n"
+            "S4,B,0.4,2,-0.25,0\n"
+        )
+        out = tmp_path / "eval"
+        code, _, err = run("evaluate", "--report", str(report), "--out", str(out), capsys=capsys)
+        assert (code, err) == (0, "")
+        with open(out / "population_summary.csv", newline="") as handle:
+            summary = {row["population"]: row for row in csv.DictReader(handle)}
+        assert (summary["A"]["mean_raw"], summary["A"]["sd_raw"]) == (".", ".")
+        assert summary["A"]["mean_adjusted"] == "0"
 
     def test_single_class_labels_exit_3(self, report_path, tmp_path, capsys):
         text = report_path.read_text().splitlines()

@@ -3,6 +3,7 @@
 import io as stdio
 import math
 import struct
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -240,9 +241,31 @@ def test_cohort_report_rejects_duplicate_samples():
 
 
 # ---------------------------------------------------------------------------
-# numpy oracle: the numpy implementations these functions had before
-# evaluation dropped numpy. The list-and-float versions must match them exactly.
+# Oracles: the numpy implementations the threshold, ROC and grouping had before
+# evaluation dropped numpy, which the list-and-float versions must match
+# exactly, and exact Fraction sums, which means and SDs must equal once rounded.
 # ---------------------------------------------------------------------------
+
+
+def _exact_sum(values):
+    """The sum of ``values`` in exact arithmetic, rounded once to float64 (±inf
+    beyond its range); infinite values decide it as in IEEE arithmetic."""
+    infinities = {v for v in values if math.isinf(v)}
+    if infinities:
+        return infinities.pop() if len(infinities) == 1 else math.nan
+    exact = sum(map(Fraction, values), Fraction(0))
+    try:
+        return float(exact)
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
+
+
+def _exact_mean_sd(values):
+    n = len(values)
+    mean = _exact_sum(values) / n
+    if n < 2:
+        return mean, math.nan
+    return mean, math.sqrt(_exact_sum([(v - mean) * (v - mean) for v in values]) / (n - 1))
 
 
 def _numpy_percentile_threshold(scores, percentile):
@@ -282,7 +305,8 @@ def _numpy_roc_auc(scores, labels):
 
 def _numpy_stratify(rows, percentile):
     """One (population, n, mean_raw, sd_raw, mean_adjusted, sd_adjusted,
-    n_highrisk_raw, n_highrisk_adjusted) per population."""
+    n_highrisk_raw, n_highrisk_adjusted) per population: groups and counts
+    by numpy, means and SDs by the exact oracle."""
     raw = np.array([r.raw_prs for r in rows])
     adjusted = np.array([r.adjusted_prs for r in rows])
     threshold_raw = _numpy_percentile_threshold(raw, percentile)
@@ -297,10 +321,8 @@ def _numpy_stratify(rows, percentile):
         summaries.append((
             label,
             idx.size,
-            float(r.mean()),
-            float(r.std(ddof=1)) if idx.size > 1 else float("nan"),
-            float(a.mean()),
-            float(a.std(ddof=1)) if idx.size > 1 else float("nan"),
+            *_exact_mean_sd(r.tolist()),
+            *_exact_mean_sd(a.tolist()),
             int(np.count_nonzero(r > threshold_raw)),
             int(np.count_nonzero(a > threshold_adjusted)),
         ))
@@ -308,17 +330,18 @@ def _numpy_stratify(rows, percentile):
 
 
 def _bits(value):
-    return struct.pack("<d", value)
+    """The float's bytes, with every NaN the same."""
+    return struct.pack("<d", math.nan if math.isnan(value) else value)
 
 
-_REALS = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e150, max_value=1e150)
+_REALS = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @st.composite
 def _vectors(draw, max_size=10_000):
-    """Float64 vectors of 1 to ``max_size`` values: fewer than 8, 8-128 (the
-    eight partial sums) and more (the recursive split), with signed zeros,
-    ties and magnitudes mixed over up to 60 decades."""
+    """Float64 vectors of 1 to ``max_size`` values, with signed zeros, ties,
+    magnitudes mixed over up to 60 decades, and some draws up to
+    ``sys.float_info.max``, whose sums leave float64's range."""
     n = draw(st.one_of(
         st.integers(1, 7), st.integers(8, 128), st.integers(129, max(129, max_size))
     ).filter(lambda size: size <= max_size))
@@ -331,22 +354,30 @@ def _vectors(draw, max_size=10_000):
         values = np.round(values, 1)  # ties
     zeros = rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.9]))
     values[zeros] = np.where(rng.random(int(zeros.sum())) < 0.5, 0.0, -0.0)
+    huge = rng.random(n) < draw(st.sampled_from([0.0, 0.0, 0.01, 0.5]))
+    values[huge] = rng.uniform(-1.0, 1.0, size=int(huge.sum())) * sys.float_info.max
     return values.tolist()
 
 
-class TestNumpyOracle:
+class TestExactSums:
     @settings(max_examples=300, deadline=None)
     @given(_vectors())
-    def test_sum_mean_and_sd_equal_numpys_bitwise(self, values):
-        array = np.array(values)
-        mean, sd = _mean_sd(values)
-        assert _bits(_sum(values)) == _bits(np.add.reduce(array))
-        assert _bits(mean) == _bits(array.mean())
-        if len(values) > 1:
-            assert _bits(sd) == _bits(array.std(ddof=1))
-        else:
-            assert math.isnan(sd)
+    def test_sum_mean_and_sd_are_exact_sums_rounded_once(self, values):
+        assert _bits(_sum(values)) == _bits(_exact_sum(values))
+        assert list(map(_bits, _mean_sd(values))) == list(map(_bits, _exact_mean_sd(values)))
 
+    @pytest.mark.parametrize("values, expected", [
+        ([1e308, 1e308, -1e308], 1e308),  # only an intermediate sum leaves the range
+        ([1e308, 1e308], math.inf),
+        ([-1e308, -1e308], -math.inf),
+        ([math.inf, 1e308, 1e308], math.inf),
+        ([math.inf, -math.inf], math.nan),
+    ])
+    def test_out_of_range_sums_do_not_raise(self, values, expected):
+        assert _bits(_sum(values)) == _bits(expected)
+
+
+class TestNumpyOracle:
     @settings(deadline=None)
     @given(_vectors(max_size=400), st.floats(min_value=0.01, max_value=99.99))
     def test_percentile_threshold_matches(self, values, percentile):

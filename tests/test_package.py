@@ -145,4 +145,6 @@ def test_evaluate_runs_without_numpy(tmp_path):
     assert not {name for name in imported if name.split(".")[0] == "numpy"}
     # hashlib maps OpenSSL's libcrypto; only simulate's checksums need it.
     assert not {"hashlib", "_hashlib"} & imported
+    # The exact sums need no rational type, whose import would slow start-up.
+    assert not {"fractions", "decimal"} & imported
     assert (tmp_path / "eval" / "metrics.txt").read_text() == proc.stdout
